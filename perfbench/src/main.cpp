@@ -8,6 +8,7 @@
 /// where metrics maps name -> {"value", "unit"}.  run.py shapes it into the
 /// benchmark's result object.  Exits 1 on a usage error or an exception.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -48,9 +49,16 @@ std::string to_json(const Outcome& o) {
   for (std::size_t i = 0; i < o.metrics.size(); ++i) {
     if (i) out += ", ";
     append_json_string(out, o.metrics[i].first);
-    std::snprintf(buf, sizeof buf, ": {\"value\": %.17g, \"unit\": ",
-                  o.metrics[i].second.first);
-    out += buf;
+    const double v = o.metrics[i].second.first;
+    if (std::isfinite(v)) {
+      std::snprintf(buf, sizeof buf, ": {\"value\": %.17g, \"unit\": ", v);
+      out += buf;
+    } else {
+      // Python's json reads these tokens; run.py counts the metric as failed.
+      out += std::isnan(v) ? ": {\"value\": NaN, \"unit\": "
+                           : (v > 0 ? ": {\"value\": Infinity, \"unit\": "
+                                    : ": {\"value\": -Infinity, \"unit\": ");
+    }
     append_json_string(out, o.metrics[i].second.second);
     out += '}';
   }
