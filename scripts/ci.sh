@@ -7,7 +7,8 @@
 #   scripts/ci.sh [--compiler gcc|clang] [--config Release|Sanitize]
 #                 [--build-dir DIR] [--build-only] [--bench-only]
 #                 [--train-only] [--cert-only] [--mc-only] [--mc-rare-only]
-#                 [--fault-only] [--serve-only] [--format-only]
+#                 [--fault-only] [--serve-only] [--perfbench-only]
+#                 [--format-only]
 #
 #   build+test   configure with -Werror, build everything, ctest twice:
 #                once as built (AVX2 dispatch on capable hosts) and once
@@ -51,6 +52,10 @@
 #                passing check_bench_json.py --self, and the
 #                malformed-request error path (garbage on --in must exit
 #                nonzero with an oic_serve: diagnostic)
+#   perfbench    python3 perfbench/run.py --self-check: every benchmark
+#                workload run small, traced and untraced; the emitted metric
+#                names and units must match BENCHMARK.json and every check
+#                must pass (~55 s on a warm build)
 #   format       clang-format --dry-run -Werror over src/ tests/ bench/
 #                tools/ (blocking; skipped with a warning when clang-format
 #                is absent)
@@ -72,6 +77,7 @@ do_mc=1
 do_mcrare=1
 do_fault=1
 do_serve=1
+do_perfbench=1
 do_format=1
 
 while [[ $# -gt 0 ]]; do
@@ -83,23 +89,25 @@ while [[ $# -gt 0 ]]; do
     --build-dir) build_dir="$2"; shift 2 ;;
     --build-dir=*) build_dir="${1#*=}"; shift ;;
     --build-only) do_bench=0; do_train=0; do_cert=0; do_mc=0; do_mcrare=0
-                  do_fault=0; do_serve=0; do_format=0; shift ;;
+                  do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --bench-only) do_build=0; do_train=0; do_cert=0; do_mc=0; do_mcrare=0
-                  do_fault=0; do_serve=0; do_format=0; shift ;;
+                  do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --train-only) do_build=0; do_bench=0; do_cert=0; do_mc=0; do_mcrare=0
-                  do_fault=0; do_serve=0; do_format=0; shift ;;
+                  do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --cert-only) do_build=0; do_bench=0; do_train=0; do_mc=0; do_mcrare=0
-                 do_fault=0; do_serve=0; do_format=0; shift ;;
+                 do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --mc-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mcrare=0
-               do_fault=0; do_serve=0; do_format=0; shift ;;
+               do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --mc-rare-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mc=0
-                    do_fault=0; do_serve=0; do_format=0; shift ;;
+                    do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --fault-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mc=0
-                  do_mcrare=0; do_serve=0; do_format=0; shift ;;
+                  do_mcrare=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --serve-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mc=0
-                  do_mcrare=0; do_fault=0; do_format=0; shift ;;
+                  do_mcrare=0; do_fault=0; do_perfbench=0; do_format=0; shift ;;
+    --perfbench-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mc=0
+                      do_mcrare=0; do_fault=0; do_serve=0; do_format=0; shift ;;
     --format-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mc=0
-                   do_mcrare=0; do_fault=0; do_serve=0; shift ;;
+                   do_mcrare=0; do_fault=0; do_serve=0; do_perfbench=0; shift ;;
     *) echo "ci.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
 done
@@ -454,6 +462,14 @@ EOF
     exit 1
   }
   echo "serve smoke: malformed streams diagnose and exit nonzero"
+fi
+
+if [[ ${do_perfbench} -eq 1 ]]; then
+  echo "=== perfbench self-check: every workload small, names/units vs BENCHMARK.json ==="
+  # Builds its own tree (.bench_build/ or $CARGO_TARGET_DIR) and exits
+  # nonzero when a workload's checks fail or a metric name/unit drifts
+  # from BENCHMARK.json.
+  python3 "${repo_root}/perfbench/run.py" --self-check
 fi
 
 if [[ ${do_format} -eq 1 ]]; then

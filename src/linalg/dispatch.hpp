@@ -9,12 +9,15 @@
 /// docs/perf.md for the per-kernel contract).  table() returns the table
 /// for simd::active(); table_for() lets tests and microbenches pin one.
 ///
-/// The within-row dot-product kernels (gemv, gemv_sub, gemv_bias) stay
-/// scalar in EVERY table: vectorizing a single j-ascending reduction
-/// changes the accumulation order (and therefore bits), and the row
-/// lengths on the hot path (nx <= 12) are too short to win anything.
-/// They are still routed through the table so the microbench and parity
-/// suite exercise one uniform surface.
+/// No table ever vectorizes WITHIN a single j-ascending dot product: a
+/// horizontal sum changes the accumulation order, and therefore the bits.
+/// gemv_bias instead vectorizes ACROSS output rows -- 8 rows at a time, a
+/// 4x4 block of A transposed in registers so each lane walks its own row's
+/// j-ascending sum -- which pays off on the 64-wide DRL layers.  Rows
+/// narrower than the 16-wide tile, and the residual kernels gemv/gemv_sub
+/// (plant-sized rows, nx <= 12), stay scalar; they are still routed
+/// through the table so the microbench and parity suite exercise one
+/// uniform surface.
 
 #include <cstddef>
 

@@ -208,8 +208,9 @@ inline void gemv_bias(const Matrix& a, const double* x, const double* b, double*
 /// kernel's order (j ascending, then + bias), so a batched pass is
 /// bit-identical to looping the per-sample kernels over the rows -- the
 /// property the DQN's batched training path relies on for its parity
-/// guarantee.  (The AVX2 path vectorizes ACROSS batch rows, keeping each
-/// row's scalar reduction order.)
+/// guarantee.  (The AVX2 path vectorizes ACROSS batch rows, 4 output rows
+/// x 4 batch lanes per register block, keeping each row's scalar
+/// reduction order.)
 inline void gemm_bias(const Matrix& a, const double* x, std::size_t batch,
                       std::size_t ldx, const double* b, double* y, std::size_t ldy,
                       bool relu) {
@@ -226,10 +227,12 @@ inline void gemm_transpose(const Matrix& a, const double* d, std::size_t batch,
 }
 
 /// Accumulate layer gradients over a minibatch: dW += sum_r D[r,:] X[r,:]^T
-/// and db += sum_r D[r,:], with the batch as the outermost loop -- the same
-/// order in which the per-sample path adds one sample gradient at a time
-/// (and with the same skip of zero delta entries), so the sums are
-/// bit-identical to per-sample accumulation.
+/// and db += sum_r D[r,:], every element summed over ascending r -- the
+/// same order in which the per-sample path adds one sample gradient at a
+/// time (and with the same skip of zero delta entries), so the sums are
+/// bit-identical to per-sample accumulation.  (The AVX2 path keeps each
+/// 16-column tile of a dW row in registers with the batch innermost; the
+/// per-element order is unchanged.)
 inline void gemm_grad_accum(const double* d, std::size_t batch, std::size_t ldd,
                             const double* x, std::size_t ldx, Matrix& dw,
                             double* db) {

@@ -6,10 +6,16 @@
 /// kernel bit-identical to the scalar reference (the contract docs/perf.md
 /// states and tests/test_simd.cpp enforces):
 ///
-///   1. Vectorize ACROSS independent outputs only -- 4 batch rows of a
-///      minibatch, 4 matrix columns of an update -- never within a single
-///      j-ascending reduction.  Each SIMD lane then executes exactly the
-///      scalar operation sequence for its output element.
+///   1. Vectorize ACROSS independent outputs only -- batch rows of a
+///      minibatch, output rows of a layer, matrix columns of an update --
+///      never within a single j-ascending reduction.  Each SIMD lane then
+///      executes exactly the scalar operation sequence for its output
+///      element.  The MLP kernels also hold several outputs' accumulators
+///      in registers at once (4 rows x 4 batch lanes, 16-column tiles, 8
+///      rows of a gemv), so independent add chains overlap instead of each
+///      sum waiting on its previous add; the zero-delta skips walk a
+///      nonzero-index list built once per row instead of branching per
+///      element (ReLU-gated deltas are ~50% zeros at random).
 ///   2. No fused multiply-add anywhere: every a*b+c is an explicit
 ///      _mm256_mul_pd followed by _mm256_add_pd/_mm256_sub_pd, and the TU
 ///      is built with -ffp-contract=off so the compiler cannot fuse them
@@ -59,7 +65,120 @@ inline void pack4(const double* x, std::size_t cols, std::size_t ldx, double* xt
   }
 }
 
-// ---- batched MLP kernels: vectorized across the batch axis -------------
+/// Reusable per-thread list of the nonzero delta indices of one row, for
+/// the skip-zero kernels (gemm_transpose, gemm_grad_accum).
+std::vector<std::size_t>& nz_buffer() {
+  thread_local std::vector<std::size_t> buf;
+  return buf;
+}
+
+/// Indices k in [0, n) with v[k * stride] != 0.0, ascending, into `nz`;
+/// returns their count.  Built once per row, so the tile loops below run
+/// branch-free over exactly the terms the scalar loop does not skip
+/// (NaN != 0.0, so NaN deltas are kept, like the scalar `di == 0.0` test).
+std::size_t nonzero_indices(const double* v, std::size_t n, std::size_t stride,
+                            std::vector<std::size_t>& nz) {
+  if (nz.size() < n) nz.resize(n);
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    // Branch-free append: ReLU-gated rows are ~50% zeros at random.
+    nz[count] = k;
+    count += v[k * stride] != 0.0 ? 1 : 0;
+  }
+  return count;
+}
+
+/// In-register 4x4 transpose: on return r<k>[l] holds the old r<l>[k].
+inline void transpose4(__m256d& r0, __m256d& r1, __m256d& r2, __m256d& r3) {
+  const __m256d t0 = _mm256_unpacklo_pd(r0, r1);  // r0[0] r1[0] r0[2] r1[2]
+  const __m256d t1 = _mm256_unpackhi_pd(r0, r1);  // r0[1] r1[1] r0[3] r1[3]
+  const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+  const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+  r0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+  r1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+  r2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+  r3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+/// s > 0 ? s : 0.0 per lane -- GT_OQ is false for NaN and -0.0, matching
+/// the scalar clamp exactly.
+inline __m256d relu4(__m256d s) {
+  const __m256d zero = _mm256_setzero_pd();
+  return _mm256_blendv_pd(zero, s, _mm256_cmp_pd(s, zero, _CMP_GT_OQ));
+}
+
+/// Tile width (doubles) of the register-blocked MLP kernels: four YMM
+/// accumulators.  Narrower matrices keep scalar gemv_bias rows and the
+/// in-place gemm_transpose / gemm_grad_accum loops.
+constexpr std::size_t kTile = 16;
+
+// ---- MLP kernels: register-blocked across independent outputs -----------
+
+/// y = A x + b for 8 (rows 0..3 in acc0, 4..7 in acc1) or 4 output rows at
+/// once.  Each 4x4 block of A is loaded row-wise and transposed in
+/// registers, so lane k of column vector c<l> is A(i+k, j+l); the adds then
+/// run j-ascending per lane, exactly the scalar dot product of row i+k.
+template <int kHalves>
+inline void gemv_rows_avx2(const double* p, std::size_t cols, const double* x,
+                           const double* b, double* y, bool relu) {
+  __m256d acc[kHalves];
+  for (int h = 0; h < kHalves; ++h) acc[h] = _mm256_setzero_pd();
+  std::size_t j = 0;
+  for (; j + 4 <= cols; j += 4) {
+    const __m256d x0 = _mm256_set1_pd(x[j]);
+    const __m256d x1 = _mm256_set1_pd(x[j + 1]);
+    const __m256d x2 = _mm256_set1_pd(x[j + 2]);
+    const __m256d x3 = _mm256_set1_pd(x[j + 3]);
+    for (int h = 0; h < kHalves; ++h) {
+      const double* q = p + 4 * static_cast<std::size_t>(h) * cols + j;
+      __m256d c0 = _mm256_loadu_pd(q);
+      __m256d c1 = _mm256_loadu_pd(q + cols);
+      __m256d c2 = _mm256_loadu_pd(q + 2 * cols);
+      __m256d c3 = _mm256_loadu_pd(q + 3 * cols);
+      transpose4(c0, c1, c2, c3);
+      acc[h] = _mm256_add_pd(acc[h], _mm256_mul_pd(c0, x0));
+      acc[h] = _mm256_add_pd(acc[h], _mm256_mul_pd(c1, x1));
+      acc[h] = _mm256_add_pd(acc[h], _mm256_mul_pd(c2, x2));
+      acc[h] = _mm256_add_pd(acc[h], _mm256_mul_pd(c3, x3));
+    }
+  }
+  for (; j < cols; ++j) {
+    const __m256d xj = _mm256_set1_pd(x[j]);
+    for (int h = 0; h < kHalves; ++h) {
+      const double* q = p + 4 * static_cast<std::size_t>(h) * cols + j;
+      const __m256d c = _mm256_set_pd(q[3 * cols], q[2 * cols], q[cols], q[0]);
+      acc[h] = _mm256_add_pd(acc[h], _mm256_mul_pd(c, xj));
+    }
+  }
+  for (int h = 0; h < kHalves; ++h) {
+    __m256d s = _mm256_add_pd(acc[h], _mm256_loadu_pd(b + 4 * h));
+    if (relu) s = relu4(s);
+    _mm256_storeu_pd(y + 4 * h, s);
+  }
+}
+
+void gemv_bias_avx2(const Matrix& a, const double* x, const double* b, double* y,
+                    bool relu) {
+  const std::size_t rows = a.rows(), cols = a.cols();
+  if (cols < kTile) {
+    scalar::gemv_bias(a, x, b, y, relu);
+    return;
+  }
+  const double* p = a.data();
+  std::size_t i = 0;
+  for (; i + 8 <= rows; i += 8) {
+    gemv_rows_avx2<2>(p + i * cols, cols, x, b + i, y + i, relu);
+  }
+  for (; i + 4 <= rows; i += 4) {
+    gemv_rows_avx2<1>(p + i * cols, cols, x, b + i, y + i, relu);
+  }
+  for (p += i * cols; i < rows; ++i, p += cols) {
+    double s = 0.0;
+    for (std::size_t j = 0; j < cols; ++j) s += p[j] * x[j];
+    s += b[i];
+    y[i] = relu ? (s > 0.0 ? s : 0.0) : s;
+  }
+}
 
 void gemm_bias_avx2(const Matrix& a, const double* x, std::size_t batch,
                     std::size_t ldx, const double* b, double* y, std::size_t ldy,
@@ -68,26 +187,55 @@ void gemm_bias_avx2(const Matrix& a, const double* x, std::size_t batch,
   std::vector<double>& pack = pack_buffer();
   if (pack.size() < 4 * cols) pack.resize(4 * cols);
   double* xt = pack.data();
-  const __m256d zero = _mm256_setzero_pd();
+  // Blocks of 4 output rows x 4 batch lanes: 4 independent accumulators
+  // per packed x column instead of one dependent chain (a win at every
+  // width, the 6-input first DQN layer included).
+  const std::size_t rows4 = rows & ~std::size_t{3};
 
   std::size_t r = 0;
   for (; r + 4 <= batch; r += 4, x += 4 * ldx, y += 4 * ldy) {
     pack4(x, cols, ldx, xt);
     const double* p = a.data();
-    for (std::size_t i = 0; i < rows; ++i, p += cols) {
-      __m256d acc = zero;
+    std::size_t i = 0;
+    for (; i < rows4; i += 4, p += 4 * cols) {
+      const double* p1 = p + cols;
+      const double* p2 = p + 2 * cols;
+      const double* p3 = p + 3 * cols;
+      __m256d acc0 = _mm256_setzero_pd(), acc1 = acc0, acc2 = acc0, acc3 = acc0;
+      for (std::size_t j = 0; j < cols; ++j) {
+        const __m256d xv = _mm256_loadu_pd(xt + 4 * j);
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_set1_pd(p[j]), xv));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_set1_pd(p1[j]), xv));
+        acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_set1_pd(p2[j]), xv));
+        acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_set1_pd(p3[j]), xv));
+      }
+      acc0 = _mm256_add_pd(acc0, _mm256_set1_pd(b[i]));
+      acc1 = _mm256_add_pd(acc1, _mm256_set1_pd(b[i + 1]));
+      acc2 = _mm256_add_pd(acc2, _mm256_set1_pd(b[i + 2]));
+      acc3 = _mm256_add_pd(acc3, _mm256_set1_pd(b[i + 3]));
+      if (relu) {
+        acc0 = relu4(acc0);
+        acc1 = relu4(acc1);
+        acc2 = relu4(acc2);
+        acc3 = relu4(acc3);
+      }
+      // acc<k> holds output row i+k across the 4 batch lanes; transpose
+      // to one vector of 4 outputs per batch row.
+      transpose4(acc0, acc1, acc2, acc3);
+      _mm256_storeu_pd(y + i, acc0);
+      _mm256_storeu_pd(y + ldy + i, acc1);
+      _mm256_storeu_pd(y + 2 * ldy + i, acc2);
+      _mm256_storeu_pd(y + 3 * ldy + i, acc3);
+    }
+    for (; i < rows; ++i, p += cols) {
+      __m256d acc = _mm256_setzero_pd();
       for (std::size_t j = 0; j < cols; ++j) {
         const __m256d aij = _mm256_set1_pd(p[j]);
         const __m256d xv = _mm256_loadu_pd(xt + 4 * j);
         acc = _mm256_add_pd(acc, _mm256_mul_pd(aij, xv));
       }
       acc = _mm256_add_pd(acc, _mm256_set1_pd(b[i]));
-      if (relu) {
-        // s > 0 ? s : 0.0 -- GT_OQ is false for NaN and -0.0, matching the
-        // scalar clamp exactly.
-        const __m256d gt = _mm256_cmp_pd(acc, zero, _CMP_GT_OQ);
-        acc = _mm256_blendv_pd(zero, acc, gt);
-      }
+      if (relu) acc = relu4(acc);
       double lanes[4];
       _mm256_storeu_pd(lanes, acc);
       y[0 * ldy + i] = lanes[0];
@@ -103,23 +251,68 @@ void gemm_transpose_avx2(const Matrix& a, const double* d, std::size_t batch,
                          std::size_t ldd, double* dp, std::size_t ldp) {
   const std::size_t rows = a.rows(), cols = a.cols();
   const std::size_t cols4 = cols & ~std::size_t{3};
-  for (std::size_t r = 0; r < batch; ++r, d += ldd, dp += ldp) {
-    std::size_t j = 0;
-    const __m256d zero = _mm256_setzero_pd();
-    for (; j < cols4; j += 4) _mm256_storeu_pd(dp + j, zero);
-    for (; j < cols; ++j) dp[j] = 0.0;
-    const double* p = a.data();
-    for (std::size_t i = 0; i < rows; ++i, p += cols) {
-      const double di = d[i];
-      if (di == 0.0) continue;
-      const __m256d dv = _mm256_set1_pd(di);
-      j = 0;
-      for (; j < cols4; j += 4) {
-        const __m256d pv = _mm256_loadu_pd(p + j);
-        const __m256d cur = _mm256_loadu_pd(dp + j);
-        _mm256_storeu_pd(dp + j, _mm256_add_pd(cur, _mm256_mul_pd(pv, dv)));
+  const __m256d zero = _mm256_setzero_pd();
+  std::vector<std::size_t>& nz = nz_buffer();
+  const double* ap = a.data();
+  if (cols < kTile) {
+    // Narrow rows: accumulate in place, one 4-wide pass per nonzero d_i.
+    for (std::size_t r = 0; r < batch; ++r, d += ldd, dp += ldp) {
+      const std::size_t n = nonzero_indices(d, rows, 1, nz);
+      std::size_t j = 0;
+      for (; j < cols4; j += 4) _mm256_storeu_pd(dp + j, zero);
+      for (; j < cols; ++j) dp[j] = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = nz[k];
+        const double* p = ap + i * cols;
+        const double di = d[i];
+        const __m256d dv = _mm256_set1_pd(di);
+        j = 0;
+        for (; j < cols4; j += 4) {
+          const __m256d pv = _mm256_loadu_pd(p + j);
+          const __m256d cur = _mm256_loadu_pd(dp + j);
+          _mm256_storeu_pd(dp + j, _mm256_add_pd(cur, _mm256_mul_pd(pv, dv)));
+        }
+        for (; j < cols; ++j) dp[j] += p[j] * di;
       }
-      for (; j < cols; ++j) dp[j] += p[j] * di;
+    }
+    return;
+  }
+
+  // Each 16-column tile of DP[r,:] stays in 4 registers while the nonzero
+  // deltas of row r stream past in ascending i: per element the scalar
+  // sequence 0.0, += A(i,j) * d_i over the same i.
+  for (std::size_t r = 0; r < batch; ++r, d += ldd, dp += ldp) {
+    const std::size_t n = nonzero_indices(d, rows, 1, nz);
+    std::size_t j = 0;
+    for (; j + kTile <= cols; j += kTile) {
+      __m256d acc0 = zero, acc1 = zero, acc2 = zero, acc3 = zero;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = nz[k];
+        const __m256d dv = _mm256_set1_pd(d[i]);
+        const double* p = ap + i * cols + j;
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(p), dv));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(p + 4), dv));
+        acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_loadu_pd(p + 8), dv));
+        acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_loadu_pd(p + 12), dv));
+      }
+      _mm256_storeu_pd(dp + j, acc0);
+      _mm256_storeu_pd(dp + j + 4, acc1);
+      _mm256_storeu_pd(dp + j + 8, acc2);
+      _mm256_storeu_pd(dp + j + 12, acc3);
+    }
+    for (; j < cols4; j += 4) {
+      __m256d acc = zero;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = nz[k];
+        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(ap + i * cols + j),
+                                               _mm256_set1_pd(d[i])));
+      }
+      _mm256_storeu_pd(dp + j, acc);
+    }
+    for (; j < cols; ++j) {
+      double s = 0.0;
+      for (std::size_t k = 0; k < n; ++k) s += ap[nz[k] * cols + j] * d[nz[k]];
+      dp[j] = s;
     }
   }
 }
@@ -128,20 +321,83 @@ void gemm_grad_accum_avx2(const double* d, std::size_t batch, std::size_t ldd,
                           const double* x, std::size_t ldx, Matrix& dw, double* db) {
   const std::size_t rows = dw.rows(), cols = dw.cols();
   const std::size_t cols4 = cols & ~std::size_t{3};
-  for (std::size_t r = 0; r < batch; ++r, d += ldd, x += ldx) {
-    double* p = dw.data();
-    for (std::size_t i = 0; i < rows; ++i, p += cols) {
-      const double di = d[i];
-      db[i] += di;
-      if (di == 0.0) continue;
-      const __m256d dv = _mm256_set1_pd(di);
-      std::size_t j = 0;
-      for (; j < cols4; j += 4) {
-        const __m256d xv = _mm256_loadu_pd(x + j);
-        const __m256d cur = _mm256_loadu_pd(p + j);
-        _mm256_storeu_pd(p + j, _mm256_add_pd(cur, _mm256_mul_pd(dv, xv)));
+  const std::size_t rows4 = rows & ~std::size_t{3};
+  // db_i += d_ri over every r, ascending, 4 outputs i per vector.
+  for (std::size_t r = 0; r < batch; ++r) {
+    const double* dr = d + r * ldd;
+    std::size_t i = 0;
+    for (; i < rows4; i += 4) {
+      const __m256d bv = _mm256_loadu_pd(db + i);
+      _mm256_storeu_pd(db + i, _mm256_add_pd(bv, _mm256_loadu_pd(dr + i)));
+    }
+    for (; i < rows; ++i) db[i] += dr[i];
+  }
+
+  std::vector<std::size_t>& nz = nz_buffer();
+  if (cols < kTile) {
+    // Narrow rows: batch outermost, one 4-wide pass per nonzero d_ri.
+    for (std::size_t r = 0; r < batch; ++r, d += ldd, x += ldx) {
+      const std::size_t n = nonzero_indices(d, rows, 1, nz);
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = nz[k];
+        double* p = dw.data() + i * cols;
+        const double di = d[i];
+        const __m256d dv = _mm256_set1_pd(di);
+        std::size_t j = 0;
+        for (; j < cols4; j += 4) {
+          const __m256d xv = _mm256_loadu_pd(x + j);
+          const __m256d cur = _mm256_loadu_pd(p + j);
+          _mm256_storeu_pd(p + j, _mm256_add_pd(cur, _mm256_mul_pd(dv, xv)));
+        }
+        for (; j < cols; ++j) p[j] += di * x[j];
       }
-      for (; j < cols; ++j) p[j] += di * x[j];
+    }
+    return;
+  }
+
+  // Per output row i, each 16-column tile of dW(i,:) stays in 4 registers
+  // while the batch streams past innermost: per element the scalar
+  // sequence dW(i,j) += d_ri * x_rj over ascending r with d_ri != 0.
+  double* p = dw.data();
+  for (std::size_t i = 0; i < rows; ++i, p += cols) {
+    const double* di = d + i;
+    const std::size_t n = nonzero_indices(di, batch, ldd, nz);
+    std::size_t j = 0;
+    for (; j + kTile <= cols; j += kTile) {
+      __m256d acc0 = _mm256_loadu_pd(p + j);
+      __m256d acc1 = _mm256_loadu_pd(p + j + 4);
+      __m256d acc2 = _mm256_loadu_pd(p + j + 8);
+      __m256d acc3 = _mm256_loadu_pd(p + j + 12);
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t r = nz[k];
+        const __m256d dv = _mm256_set1_pd(di[r * ldd]);
+        const double* xr = x + r * ldx + j;
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(dv, _mm256_loadu_pd(xr)));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(dv, _mm256_loadu_pd(xr + 4)));
+        acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(dv, _mm256_loadu_pd(xr + 8)));
+        acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(dv, _mm256_loadu_pd(xr + 12)));
+      }
+      _mm256_storeu_pd(p + j, acc0);
+      _mm256_storeu_pd(p + j + 4, acc1);
+      _mm256_storeu_pd(p + j + 8, acc2);
+      _mm256_storeu_pd(p + j + 12, acc3);
+    }
+    for (; j < cols4; j += 4) {
+      __m256d acc = _mm256_loadu_pd(p + j);
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t r = nz[k];
+        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(di[r * ldd]),
+                                               _mm256_loadu_pd(x + r * ldx + j)));
+      }
+      _mm256_storeu_pd(p + j, acc);
+    }
+    for (; j < cols; ++j) {
+      double s = p[j];
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t r = nz[k];
+        s += di[r * ldd] * x[r * ldx + j];
+      }
+      p[j] = s;
     }
   }
 }
@@ -285,10 +541,10 @@ std::ptrdiff_t lp_argmin_masked_avx2(const double* v, const unsigned char* block
 }
 
 constexpr KernelTable kAvx2Table = {
-    // Within-row reductions stay scalar at every ISA (see dispatch.hpp).
+    // Short-row residual dot products stay scalar (see dispatch.hpp).
     &scalar::gemv,
     &scalar::gemv_sub,
-    &scalar::gemv_bias,
+    &gemv_bias_avx2,
     &gemm_bias_avx2,
     &gemm_transpose_avx2,
     &gemm_grad_accum_avx2,

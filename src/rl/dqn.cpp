@@ -57,6 +57,11 @@ DoubleDqn::DoubleDqn(std::size_t state_dim, std::size_t num_actions, DqnConfig c
                         config_.epsilon_decay_steps) {
   OIC_REQUIRE(num_actions >= 2, "DoubleDqn: need at least two actions");
   OIC_REQUIRE(state_dim >= 1, "DoubleDqn: state dimension must be positive");
+  // A zero batch would scale the minibatch gradient by 1/0 and let Adam
+  // write NaN into every weight.
+  OIC_REQUIRE(config_.batch_size >= 1, "DoubleDqn: batch_size must be positive");
+  OIC_REQUIRE(config_.gamma >= 0.0 && config_.gamma <= 1.0,
+              "DoubleDqn: gamma must lie in [0, 1]");
   target_.copy_from(online_);
 }
 
@@ -67,7 +72,7 @@ int DoubleDqn::select_action(const Vector& state) {
   if (rng_.bernoulli(eps)) {
     return rng_.uniform_int(0, static_cast<int>(num_actions_) - 1);
   }
-  return static_cast<int>(argmax(online_.forward(state)));
+  return static_cast<int>(argmax(online_.forward_into(state, act_ws_)));
 }
 
 int DoubleDqn::greedy_action(const Vector& state) const {

@@ -115,6 +115,7 @@ class DoubleDqn {
   EpsilonSchedule epsilon_schedule_;
   std::size_t action_steps_ = 0;
   std::size_t train_steps_ = 0;
+  MlpWorkspace act_ws_;  ///< select_action's allocation-free forward scratch
 
   // Batched-update scratch, reused across minibatches (empty when
   // config_.batched is off).

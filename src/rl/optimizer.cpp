@@ -26,6 +26,25 @@ void Sgd::step(Mlp& net, const Gradients& g) {
   }
 }
 
+namespace {
+
+/// One Adam step over a flat parameter block: every element evaluates the
+/// same expression, so weights and biases share it.  The blocks never
+/// alias, and the TU is built with -fno-math-errno (CMakeLists.txt), so
+/// the compiler can vectorize the divisions and the square root -- both
+/// correctly rounded, hence bit-identical to the scalar loop.
+void adam_update(double* __restrict w, double* __restrict m, double* __restrict v,
+                 const double* __restrict grad, std::size_t n, double lr, double beta1,
+                 double beta2, double eps, double bc1, double bc2) {
+  for (std::size_t k = 0; k < n; ++k) {
+    m[k] = beta1 * m[k] + (1.0 - beta1) * grad[k];
+    v[k] = beta2 * v[k] + (1.0 - beta2) * grad[k] * grad[k];
+    w[k] -= lr * (m[k] / bc1) / (std::sqrt(v[k] / bc2) + eps);
+  }
+}
+
+}  // namespace
+
 Adam::Adam(double learning_rate, double beta1, double beta2, double eps)
     : lr_(learning_rate), beta1_(beta1), beta2_(beta2), eps_(eps) {
   OIC_REQUIRE(learning_rate > 0.0, "Adam: learning rate must be positive");
@@ -39,31 +58,24 @@ void Adam::step(Mlp& net, const Gradients& g) {
     v_ = net.zero_gradients();
     initialized_ = true;
   }
-  OIC_REQUIRE(m_.dw.size() == g.dw.size(), "Adam::step: gradient shape mismatch");
+  OIC_REQUIRE(m_.dw.size() == g.dw.size() && net.num_layers() == g.dw.size(),
+              "Adam::step: gradient shape mismatch");
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
   for (std::size_t l = 0; l < g.dw.size(); ++l) {
     auto& w = net.weight(l);
     auto& b = net.bias(l);
-    for (std::size_t i = 0; i < w.rows(); ++i) {
-      for (std::size_t j = 0; j < w.cols(); ++j) {
-        const double grad = g.dw[l](i, j);
-        double& m = m_.dw[l](i, j);
-        double& v = v_.dw[l](i, j);
-        m = beta1_ * m + (1.0 - beta1_) * grad;
-        v = beta2_ * v + (1.0 - beta2_) * grad * grad;
-        w(i, j) -= lr_ * (m / bc1) / (std::sqrt(v / bc2) + eps_);
-      }
-    }
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      const double grad = g.db[l][i];
-      double& m = m_.db[l][i];
-      double& v = v_.db[l][i];
-      m = beta1_ * m + (1.0 - beta1_) * grad;
-      v = beta2_ * v + (1.0 - beta2_) * grad * grad;
-      b[i] -= lr_ * (m / bc1) / (std::sqrt(v / bc2) + eps_);
-    }
+    const std::size_t nw = w.rows() * w.cols();
+    // The flat loops index all four blocks by the weight/bias size.
+    const bool dw_ok = g.dw[l].rows() * g.dw[l].cols() == nw &&
+                       m_.dw[l].rows() * m_.dw[l].cols() == nw;
+    const bool db_ok = g.db[l].size() == b.size() && m_.db[l].size() == b.size();
+    OIC_REQUIRE(dw_ok && db_ok, "Adam::step: gradient shape mismatch");
+    adam_update(w.data(), m_.dw[l].data(), v_.dw[l].data(), g.dw[l].data(), nw, lr_,
+                beta1_, beta2_, eps_, bc1, bc2);
+    adam_update(b.data().data(), m_.db[l].data().data(), v_.db[l].data().data(),
+                g.db[l].data().data(), b.size(), lr_, beta1_, beta2_, eps_, bc1, bc2);
   }
 }
 

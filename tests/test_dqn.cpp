@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/random.hpp"
 #include "rl/dqn.hpp"
 
@@ -47,6 +52,31 @@ TEST(DoubleDqn, EpsilonDecaysWithActionSelections) {
   const double e0 = agent.epsilon();
   for (int i = 0; i < 500; ++i) agent.select_action(Vector{0.0});
   EXPECT_LT(agent.epsilon(), e0);
+}
+
+TEST(DoubleDqn, RejectsZeroBatchSize) {
+  // A zero batch would divide the minibatch gradient by zero and Adam
+  // would write NaN into every weight; the constructor refuses it.
+  DqnConfig cfg = small_config();
+  cfg.batch_size = 0;
+  EXPECT_THROW(DoubleDqn(2, 2, cfg, Rng(4)), oic::PreconditionError);
+  cfg.batch_size = 1;
+  EXPECT_NO_THROW(DoubleDqn(2, 2, cfg, Rng(4)));
+}
+
+TEST(DoubleDqn, RejectsGammaOutsideUnitInterval) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double gamma : {-1e-9, -1.0, 1.0 + 1e-12, 2.0, nan}) {
+    DqnConfig cfg = small_config();
+    cfg.gamma = gamma;
+    EXPECT_THROW(DoubleDqn(2, 2, cfg, Rng(4)), oic::PreconditionError)
+        << "gamma " << gamma;
+  }
+  for (double gamma : {0.0, 0.5, 1.0}) {
+    DqnConfig cfg = small_config();
+    cfg.gamma = gamma;
+    EXPECT_NO_THROW(DoubleDqn(2, 2, cfg, Rng(4))) << "gamma " << gamma;
+  }
 }
 
 TEST(DoubleDqn, InvalidInputsThrow) {
@@ -139,30 +169,54 @@ TEST(DoubleDqn, ChainMdpValuesConverge) {
   EXPECT_GT(q1[1], q1[0]);
 }
 
+/// A fixed 600-transition training stream on a 2-state, 2-action agent.
+DoubleDqn run_stream(bool batched) {
+  DqnConfig cfg = small_config();
+  cfg.batched = batched;
+  DoubleDqn agent(2, 2, cfg, Rng(42));
+  Rng env(9);
+  for (int i = 0; i < 600; ++i) {
+    const Vector s{env.uniform(-1, 1), env.uniform(-1, 1)};
+    const int a = agent.select_action(s);
+    Transition t;
+    t.state = s;
+    t.action = a;
+    t.reward = env.uniform(-1, 1);
+    t.next_state = Vector{env.uniform(-1, 1), env.uniform(-1, 1)};
+    t.terminal = env.bernoulli(0.1);
+    agent.observe(std::move(t));
+  }
+  return agent;
+}
+
+/// FNV-1a over the bit patterns of every weight and bias, layer by layer.
+std::uint64_t weight_hash(const oic::rl::Mlp& net) {
+  oic::Fnv1a h;
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    const oic::linalg::Matrix& w = net.weight(l);
+    for (std::size_t k = 0; k < w.rows() * w.cols(); ++k) h.f64(w.data()[k]);
+    for (double b : net.bias(l)) h.f64(b);
+  }
+  return h.value();
+}
+
+// Golden pin of the whole update path (batched forwards, backward, Adam,
+// act-time forward): the online weights after the fixed stream, captured
+// before the register-blocked kernels and the flat Adam landed.  Any
+// change to a single bit of any update fails here, at every kernel ISA.
+TEST(DoubleDqn, TrainedWeightsMatchGoldenHash) {
+  const DoubleDqn agent = run_stream(true);
+  ASSERT_GT(agent.train_steps(), 0u);
+  EXPECT_EQ(weight_hash(agent.online()), 0xe5b8a6061a945b64ull)
+      << "hash 0x" << std::hex << weight_hash(agent.online());
+}
+
 // The batched minibatch path (SoA buffers + fused batched GEMM) must be
 // bit-identical to the per-sample loop it replaces: identical training
 // stream in, identical weights and Q-values out.
 TEST(DoubleDqn, BatchedUpdatesBitIdenticalToPerSample) {
-  auto run = [](bool batched) {
-    DqnConfig cfg = small_config();
-    cfg.batched = batched;
-    DoubleDqn agent(2, 2, cfg, Rng(42));
-    Rng env(9);
-    for (int i = 0; i < 600; ++i) {
-      const Vector s{env.uniform(-1, 1), env.uniform(-1, 1)};
-      const int a = agent.select_action(s);
-      Transition t;
-      t.state = s;
-      t.action = a;
-      t.reward = env.uniform(-1, 1);
-      t.next_state = Vector{env.uniform(-1, 1), env.uniform(-1, 1)};
-      t.terminal = env.bernoulli(0.1);
-      agent.observe(std::move(t));
-    }
-    return agent;
-  };
-  const DoubleDqn a = run(false);
-  const DoubleDqn b = run(true);
+  const DoubleDqn a = run_stream(false);
+  const DoubleDqn b = run_stream(true);
   ASSERT_GT(a.train_steps(), 0u);
   EXPECT_EQ(a.train_steps(), b.train_steps());
   for (std::size_t l = 0; l < a.online().num_layers(); ++l) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
@@ -162,6 +163,100 @@ TEST(Optimizers, AdamFitsSmallRegression) {
     opt.step(net, g);
   }
   EXPECT_LT(loss(), 0.05 * initial);
+}
+
+/// Per-element Adam written element by element through the checked (i, j)
+/// accessors: the reference the flat-loop Adam::step must match bit for bit.
+struct ReferenceAdam {
+  explicit ReferenceAdam(double learning_rate) : lr(learning_rate) {}
+
+  double lr, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  std::size_t t = 0;
+  Gradients m, v;
+
+  void step(Mlp& net, const Gradients& g) {
+    if (t == 0) {
+      m = net.zero_gradients();
+      v = net.zero_gradients();
+    }
+    ++t;
+    const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    for (std::size_t l = 0; l < g.dw.size(); ++l) {
+      auto& w = net.weight(l);
+      auto& b = net.bias(l);
+      for (std::size_t i = 0; i < w.rows(); ++i) {
+        for (std::size_t j = 0; j < w.cols(); ++j) {
+          const double grad = g.dw[l](i, j);
+          double& mi = m.dw[l](i, j);
+          double& vi = v.dw[l](i, j);
+          mi = beta1 * mi + (1.0 - beta1) * grad;
+          vi = beta2 * vi + (1.0 - beta2) * grad * grad;
+          w(i, j) -= lr * (mi / bc1) / (std::sqrt(vi / bc2) + eps);
+        }
+      }
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        const double grad = g.db[l][i];
+        double& mi = m.db[l][i];
+        double& vi = v.db[l][i];
+        mi = beta1 * mi + (1.0 - beta1) * grad;
+        vi = beta2 * vi + (1.0 - beta2) * grad * grad;
+        b[i] -= lr * (mi / bc1) / (std::sqrt(vi / bc2) + eps);
+      }
+    }
+  }
+};
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+TEST(Optimizers, FlatAdamMatchesPerElementReferenceBitwise) {
+  // Odd layer widths (no multiple of any vector width) and gradients with
+  // exact zeros, signed zeros, tiny and huge magnitudes, over 250 steps.
+  Rng rng(21);
+  Mlp flat_net({6, 17, 9, 2}, rng);
+  Mlp ref_net = flat_net;
+  oic::rl::Adam flat(2e-3);
+  ReferenceAdam ref(2e-3);
+  const double specials[] = {0.0, -0.0, 1e-300, -3e-12, 7e5};
+  for (int step = 0; step < 250; ++step) {
+    Gradients g = flat_net.zero_gradients();
+    auto draw = [&](double& x) {
+      const int pick = rng.uniform_int(0, 9);
+      x = pick < 5 ? specials[pick] : rng.normal(0.0, 1.0);
+    };
+    for (auto& dw : g.dw)
+      for (std::size_t k = 0; k < dw.rows() * dw.cols(); ++k) draw(dw.data()[k]);
+    for (auto& db : g.db)
+      for (double& x : db) draw(x);
+    flat.step(flat_net, g);
+    ref.step(ref_net, g);
+    for (std::size_t l = 0; l < flat_net.num_layers(); ++l) {
+      const auto& wf = flat_net.weight(l);
+      const auto& wr = ref_net.weight(l);
+      for (std::size_t k = 0; k < wf.rows() * wf.cols(); ++k)
+        ASSERT_EQ(bits_of(wf.data()[k]), bits_of(wr.data()[k]))
+            << "step " << step << " layer " << l << " weight " << k;
+      for (std::size_t i = 0; i < flat_net.bias(l).size(); ++i)
+        ASSERT_EQ(bits_of(flat_net.bias(l)[i]), bits_of(ref_net.bias(l)[i]))
+            << "step " << step << " layer " << l << " bias " << i;
+    }
+  }
+  EXPECT_EQ(flat.steps(), 250u);
+}
+
+TEST(Optimizers, AdamRejectsMismatchedGradientShape) {
+  Rng rng(22);
+  Mlp net({3, 4, 2}, rng);
+  Mlp other({3, 5, 2}, rng);
+  oic::rl::Adam opt(1e-3);
+  EXPECT_THROW(opt.step(net, other.zero_gradients()), oic::PreconditionError);
+  // Moments sized by the first net must not be reused for another shape.
+  opt.step(net, net.zero_gradients());
+  EXPECT_THROW(opt.step(other, other.zero_gradients()), oic::PreconditionError);
 }
 
 TEST(Replay, RingBufferOverwritesOldest) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -58,6 +59,18 @@ std::uint64_t bits(double v) {
 }
 #define EXPECT_BITEQ(a, b) EXPECT_PRED_FORMAT2(BitEq, a, b)
 #define ASSERT_BITEQ(a, b) ASSERT_PRED_FORMAT2(BitEq, a, b)
+
+/// BitEq, except that any two NaNs match.  When two different NaNs meet in
+/// one add (an input NaN and the default NaN of inf - inf, say), x86 keeps
+/// the first operand's, and the compiler may commute a scalar add: even two
+/// compilations of the scalar reference then disagree on the NaN's sign.
+/// Finite results, infinities and signed zeros still compare bit for bit.
+::testing::AssertionResult BitEqOrNaN(const char* ae, const char* be, double a,
+                                      double b) {
+  if (std::isnan(a) && std::isnan(b)) return ::testing::AssertionSuccess();
+  return BitEq(ae, be, a, b);
+}
+#define ASSERT_BITEQ_OR_NAN(a, b) ASSERT_PRED_FORMAT2(BitEqOrNaN, a, b)
 
 bool have_avx2() { return simd::compiled_avx2() && simd::cpu_has_avx2(); }
 
@@ -273,6 +286,175 @@ TEST(SimdKernels, BatchedKernelsParityUnalignedLeadingDims) {
           ASSERT_BITEQ(db1[i], db2[i]);
           for (std::size_t j = 0; j < cols; ++j) ASSERT_BITEQ(dw1(i, j), dw2(i, j));
         }
+      }
+    }
+  }
+}
+
+/// ReLU-gated deltas: about half the entries are exact +0.0 or -0.0, the
+/// pattern backward_batch feeds the skip-zero kernels.
+std::vector<double> relu_deltas(Rng& rng, std::size_t n) {
+  std::vector<double> d = random_buf(rng, n);
+  for (double& v : d) {
+    if (rng.uniform_int(0, 1) == 0) v = rng.uniform_int(0, 1) == 0 ? 0.0 : -0.0;
+  }
+  return d;
+}
+
+/// Runs gemm_bias, gemm_transpose and gemm_grad_accum through both tables
+/// on one (rows x cols, batch) shape and compares every output bit (NaN
+/// results only for NaN-ness, see BitEqOrNaN).
+void expect_batched_parity(const Matrix& a, const std::vector<double>& b,
+                           const std::vector<double>& x, const std::vector<double>& d,
+                           std::size_t batch, std::size_t ldx, std::size_t ldy,
+                           Rng& rng) {
+  const KernelTable& sc = table_for(simd::Isa::kScalar);
+  const KernelTable& vx = table_for(simd::Isa::kAvx2);
+  const std::size_t rows = a.rows(), cols = a.cols();
+  const std::string where = std::to_string(rows) + "x" + std::to_string(cols) +
+                            " batch " + std::to_string(batch);
+
+  std::vector<double> y1(batch * ldy, 0.25), y2(batch * ldy, 0.25);
+  for (bool relu : {false, true}) {
+    sc.gemm_bias(a, x.data(), batch, ldx, b.data(), y1.data(), ldy, relu);
+    vx.gemm_bias(a, x.data(), batch, ldx, b.data(), y2.data(), ldy, relu);
+    for (std::size_t k = 0; k < y1.size(); ++k)
+      ASSERT_BITEQ_OR_NAN(y1[k], y2[k]) << where;
+  }
+
+  std::vector<double> dp1(batch * ldx, -1.0), dp2(batch * ldx, -1.0);
+  sc.gemm_transpose(a, d.data(), batch, ldy, dp1.data(), ldx);
+  vx.gemm_transpose(a, d.data(), batch, ldy, dp2.data(), ldx);
+  for (std::size_t k = 0; k < dp1.size(); ++k)
+    ASSERT_BITEQ_OR_NAN(dp1[k], dp2[k]) << where;
+
+  Matrix dw1 = random_matrix(rng, rows, cols);
+  Matrix dw2 = dw1;
+  std::vector<double> db1 = random_buf(rng, rows);
+  std::vector<double> db2 = db1;
+  sc.gemm_grad_accum(d.data(), batch, ldy, x.data(), ldx, dw1, db1.data());
+  vx.gemm_grad_accum(d.data(), batch, ldy, x.data(), ldx, dw2, db2.data());
+  for (std::size_t i = 0; i < rows; ++i) {
+    ASSERT_BITEQ_OR_NAN(db1[i], db2[i]) << where;
+    for (std::size_t j = 0; j < cols; ++j)
+      ASSERT_BITEQ_OR_NAN(dw1(i, j), dw2(i, j)) << where;
+  }
+}
+
+TEST(SimdKernels, ProductionDqnShapesParity) {
+  // The DQN's layers (6 -> 64 -> 64 -> 2, rl/dqn.hpp defaults) at the
+  // default minibatch and at batches that leave a 1- and 3-row tail.
+  if (!have_avx2()) GTEST_SKIP() << "AVX2 unavailable; scalar-only build/CPU";
+  const KernelTable& sc = table_for(simd::Isa::kScalar);
+  const KernelTable& vx = table_for(simd::Isa::kAvx2);
+  Rng rng(707);
+  const std::size_t shapes[][2] = {{64, 6}, {64, 64}, {2, 64}};
+  for (const auto& shape : shapes) {
+    const std::size_t rows = shape[0], cols = shape[1];
+    for (std::size_t batch : {std::size_t{32}, std::size_t{33}, std::size_t{35}}) {
+      // Activation buffers use the widest layer as their stride, as in
+      // Mlp::forward_batch_into / backward_batch.
+      const std::size_t ld = 64;
+      const Matrix a = random_matrix(rng, rows, cols);
+      const std::vector<double> b = random_buf(rng, rows);
+      const std::vector<double> x = random_buf(rng, batch * ld);
+      const std::vector<double> d = relu_deltas(rng, batch * ld);
+      expect_batched_parity(a, b, x, d, batch, ld, ld, rng);
+    }
+    const Matrix a = random_matrix(rng, rows, cols);
+    const std::vector<double> x = random_buf(rng, cols);
+    const std::vector<double> b = random_buf(rng, rows);
+    std::vector<double> y1(rows), y2(rows);
+    for (bool relu : {false, true}) {
+      sc.gemv_bias(a, x.data(), b.data(), y1.data(), relu);
+      vx.gemv_bias(a, x.data(), b.data(), y2.data(), relu);
+      for (std::size_t i = 0; i < rows; ++i) ASSERT_BITEQ(y1[i], y2[i]);
+    }
+  }
+}
+
+TEST(SimdKernels, TileWidthEdgesParity) {
+  // Column counts either side of the 16-wide register tile, row counts
+  // off every 4/8 block, ReLU-gated deltas.
+  if (!have_avx2()) GTEST_SKIP() << "AVX2 unavailable; scalar-only build/CPU";
+  Rng rng(808);
+  for (std::size_t cols : {15, 16, 17, 31, 33, 47}) {
+    for (std::size_t rows : {1, 3, 4, 5, 8, 13, 17}) {
+      for (std::size_t batch : {1, 4, 7}) {
+        const std::size_t ldx = cols + (rows + batch) % 3;
+        const std::size_t ldy = rows + batch % 2;
+        const Matrix a = random_matrix(rng, rows, cols);
+        const std::vector<double> b = random_buf(rng, rows);
+        const std::vector<double> x = random_buf(rng, batch * ldx);
+        const std::vector<double> d = relu_deltas(rng, batch * ldy);
+        expect_batched_parity(a, b, x, d, batch, ldx, ldy, rng);
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, GemvBiasRowBlockTails) {
+  // gemv_bias vectorizes across 8 (then 4) output rows: every row count
+  // that leaves an 8-block, 4-block or scalar tail, at tile-edge widths.
+  if (!have_avx2()) GTEST_SKIP() << "AVX2 unavailable; scalar-only build/CPU";
+  const KernelTable& sc = table_for(simd::Isa::kScalar);
+  const KernelTable& vx = table_for(simd::Isa::kAvx2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(909);
+  for (std::size_t rows : {1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 19, 23, 63, 65}) {
+    for (std::size_t cols : {15, 16, 17, 18, 19, 64}) {
+      Matrix a = random_matrix(rng, rows, cols);
+      std::vector<double> x = random_buf(rng, cols);
+      const std::vector<double> b = random_buf(rng, rows);
+      std::vector<double> y1(rows), y2(rows);
+      for (int variant = 0; variant < 3; ++variant) {
+        if (variant == 1) {
+          // Signed zeros: -0.0 products summed from +0.0, and a -0.0 input.
+          x[0] = -0.0;
+          a(rows - 1, cols - 1) = 0.0;
+        } else if (variant == 2) {
+          a(rows / 2, cols / 2) = inf;
+          x[cols - 1] = nan;
+        }
+        for (bool relu : {false, true}) {
+          sc.gemv_bias(a, x.data(), b.data(), y1.data(), relu);
+          vx.gemv_bias(a, x.data(), b.data(), y2.data(), relu);
+          for (std::size_t i = 0; i < rows; ++i)
+            ASSERT_BITEQ(y1[i], y2[i]) << rows << "x" << cols << " variant " << variant;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, BackwardKernelsNonFiniteParity) {
+  // +-inf / NaN in the weights, the inputs and the deltas of the backward
+  // kernels: the zero-delta skip must drop exactly the terms the scalar
+  // loop drops (a skipped 0 * inf would otherwise inject NaN).
+  if (!have_avx2()) GTEST_SKIP() << "AVX2 unavailable; scalar-only build/CPU";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {inf, -inf, nan};
+  Rng rng(1010);
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1));
+  };
+  for (std::size_t cols : {6, 16, 17, 64}) {
+    for (std::size_t rows : {2, 5, 64}) {
+      for (std::size_t batch : {3, 32, 35}) {
+        const std::size_t ldx = cols + 1, ldy = rows + 2;
+        Matrix a = random_matrix(rng, rows, cols);
+        const std::vector<double> b = random_buf(rng, rows);
+        std::vector<double> x = random_buf(rng, batch * ldx);
+        std::vector<double> d = relu_deltas(rng, batch * ldy);
+        for (int k = 0; k < 6; ++k) {
+          const double s = specials[k % 3];
+          a(pick(rows), pick(cols)) = s;
+          x[pick(x.size())] = s;
+          d[pick(d.size())] = s;
+        }
+        expect_batched_parity(a, b, x, d, batch, ldx, ldy, rng);
       }
     }
   }
