@@ -14,6 +14,8 @@
 #include "poly/hpolytope.hpp"
 #include "poly/ops.hpp"
 #include "rl/dqn.hpp"
+#include "rl/mlp.hpp"
+#include "rl/optimizer.hpp"
 
 namespace {
 
@@ -164,6 +166,114 @@ void BM_DqnTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DqnTrainStep);
+
+// Stages of one double-DQN update at the production shape (state dim 6,
+// hidden {64, 64}, 2 actions, minibatch 32 -- the DqnConfig defaults the
+// trainer uses): the batched forwards, the batched backward, the Adam step,
+// the act-time forward of select_action, and the whole update.  An update
+// runs two forward, one forward_cached, one backward and one Adam; the rest
+// is replay sampling, SoA packing and the TD targets.  Only the public rl
+// API is used, so this file builds against older revisions for before/after
+// comparisons.
+struct DqnStages {
+  static constexpr std::size_t kStateDim = 6, kActions = 2, kBatch = 32;
+  Rng rng{2024};
+  rl::Mlp net = rl::Mlp({kStateDim, 64, 64, kActions}, rng);
+  Matrix states = Matrix(kBatch, kStateDim);
+  Matrix dout = Matrix(kBatch, kActions);
+  rl::BatchWorkspace ws;
+  rl::BatchForwardCache cache;
+  rl::Gradients grad = net.zero_gradients();
+
+  DqnStages() {
+    for (std::size_t k = 0; k < kBatch * kStateDim; ++k)
+      states.data()[k] = rng.uniform(-1, 1);
+    for (std::size_t b = 0; b < kBatch; ++b) dout(b, b % kActions) = rng.uniform(-1, 1);
+    net.forward_batch_cached(states, cache);
+  }
+
+  static rl::DoubleDqn make_agent() {
+    rl::DqnConfig cfg;
+    cfg.min_replay = 64;
+    cfg.replay_capacity = 1024;
+    cfg.gamma = 0.99;
+    // Greedy acting: every select_action runs the forward.
+    cfg.epsilon_start = 0.0;
+    cfg.epsilon_end = 0.0;
+    return rl::DoubleDqn(kStateDim, kActions, cfg, Rng(7));
+  }
+
+  static rl::Transition transition(Rng& env) {
+    rl::Transition t;
+    t.state = Vector(kStateDim);
+    t.next_state = Vector(kStateDim);
+    for (std::size_t i = 0; i < kStateDim; ++i) {
+      t.state[i] = env.uniform(-1, 1);
+      t.next_state[i] = env.uniform(-1, 1);
+    }
+    t.action = env.uniform_int(0, 1);
+    t.reward = env.uniform(-1, 1);
+    t.terminal = env.bernoulli(0.05);
+    return t;
+  }
+};
+
+void BM_DqnStageForward(benchmark::State& state) {
+  DqnStages s;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.net.forward_batch_into(s.states, s.ws));
+  }
+}
+BENCHMARK(BM_DqnStageForward);
+
+void BM_DqnStageForwardCached(benchmark::State& state) {
+  DqnStages s;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.net.forward_batch_cached(s.states, s.cache));
+  }
+}
+BENCHMARK(BM_DqnStageForwardCached);
+
+void BM_DqnStageBackward(benchmark::State& state) {
+  DqnStages s;
+  for (auto _ : state) {
+    s.grad.zero();
+    s.net.backward_batch(s.cache, s.dout, s.ws, s.grad);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DqnStageBackward);
+
+void BM_DqnStageAdam(benchmark::State& state) {
+  DqnStages s;
+  s.net.backward_batch(s.cache, s.dout, s.ws, s.grad);
+  rl::Adam adam(rl::DqnConfig{}.learning_rate);
+  for (auto _ : state) {
+    adam.step(s.net, s.grad);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DqnStageAdam);
+
+void BM_DqnStageAct(benchmark::State& state) {
+  rl::DoubleDqn agent = DqnStages::make_agent();
+  Rng env(11);
+  const Vector probe = DqnStages::transition(env).state;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(agent.select_action(probe));
+  }
+}
+BENCHMARK(BM_DqnStageAct);
+
+void BM_DqnStageUpdate(benchmark::State& state) {
+  rl::DoubleDqn agent = DqnStages::make_agent();
+  Rng env(11);
+  while (agent.train_steps() < 10) agent.observe(DqnStages::transition(env));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(agent.observe(DqnStages::transition(env)));
+  }
+}
+BENCHMARK(BM_DqnStageUpdate);
 
 }  // namespace
 

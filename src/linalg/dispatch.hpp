@@ -13,11 +13,10 @@
 /// horizontal sum changes the accumulation order, and therefore the bits.
 /// gemv_bias instead vectorizes ACROSS output rows -- 8 rows at a time, a
 /// 4x4 block of A transposed in registers so each lane walks its own row's
-/// j-ascending sum -- which pays off on the 64-wide DRL layers.  Rows
-/// narrower than the 16-wide tile, and the residual kernels gemv/gemv_sub
-/// (plant-sized rows, nx <= 12), stay scalar; they are still routed
-/// through the table so the microbench and parity suite exercise one
-/// uniform surface.
+/// j-ascending sum -- which pays off on every DRL layer, the 6-input one
+/// included.  The residual kernels gemv/gemv_sub (plant-sized rows,
+/// nx <= 12) stay scalar; they are still routed through the table so the
+/// microbench and parity suite exercise one uniform surface.
 
 #include <cstddef>
 

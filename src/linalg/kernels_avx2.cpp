@@ -107,9 +107,9 @@ inline __m256d relu4(__m256d s) {
   return _mm256_blendv_pd(zero, s, _mm256_cmp_pd(s, zero, _CMP_GT_OQ));
 }
 
-/// Tile width (doubles) of the register-blocked MLP kernels: four YMM
-/// accumulators.  Narrower matrices keep scalar gemv_bias rows and the
-/// in-place gemm_transpose / gemm_grad_accum loops.
+/// Tile width (doubles) of gemm_transpose / gemm_grad_accum: four YMM
+/// accumulators.  Narrower matrices (the 6-input first DQN layer) take the
+/// same code's 4-wide and scalar column tails.
 constexpr std::size_t kTile = 16;
 
 // ---- MLP kernels: register-blocked across independent outputs -----------
@@ -160,10 +160,6 @@ inline void gemv_rows_avx2(const double* p, std::size_t cols, const double* x,
 void gemv_bias_avx2(const Matrix& a, const double* x, const double* b, double* y,
                     bool relu) {
   const std::size_t rows = a.rows(), cols = a.cols();
-  if (cols < kTile) {
-    scalar::gemv_bias(a, x, b, y, relu);
-    return;
-  }
   const double* p = a.data();
   std::size_t i = 0;
   for (; i + 8 <= rows; i += 8) {
@@ -254,30 +250,6 @@ void gemm_transpose_avx2(const Matrix& a, const double* d, std::size_t batch,
   const __m256d zero = _mm256_setzero_pd();
   std::vector<std::size_t>& nz = nz_buffer();
   const double* ap = a.data();
-  if (cols < kTile) {
-    // Narrow rows: accumulate in place, one 4-wide pass per nonzero d_i.
-    for (std::size_t r = 0; r < batch; ++r, d += ldd, dp += ldp) {
-      const std::size_t n = nonzero_indices(d, rows, 1, nz);
-      std::size_t j = 0;
-      for (; j < cols4; j += 4) _mm256_storeu_pd(dp + j, zero);
-      for (; j < cols; ++j) dp[j] = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t i = nz[k];
-        const double* p = ap + i * cols;
-        const double di = d[i];
-        const __m256d dv = _mm256_set1_pd(di);
-        j = 0;
-        for (; j < cols4; j += 4) {
-          const __m256d pv = _mm256_loadu_pd(p + j);
-          const __m256d cur = _mm256_loadu_pd(dp + j);
-          _mm256_storeu_pd(dp + j, _mm256_add_pd(cur, _mm256_mul_pd(pv, dv)));
-        }
-        for (; j < cols; ++j) dp[j] += p[j] * di;
-      }
-    }
-    return;
-  }
-
   // Each 16-column tile of DP[r,:] stays in 4 registers while the nonzero
   // deltas of row r stream past in ascending i: per element the scalar
   // sequence 0.0, += A(i,j) * d_i over the same i.
@@ -334,27 +306,6 @@ void gemm_grad_accum_avx2(const double* d, std::size_t batch, std::size_t ldd,
   }
 
   std::vector<std::size_t>& nz = nz_buffer();
-  if (cols < kTile) {
-    // Narrow rows: batch outermost, one 4-wide pass per nonzero d_ri.
-    for (std::size_t r = 0; r < batch; ++r, d += ldd, x += ldx) {
-      const std::size_t n = nonzero_indices(d, rows, 1, nz);
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t i = nz[k];
-        double* p = dw.data() + i * cols;
-        const double di = d[i];
-        const __m256d dv = _mm256_set1_pd(di);
-        std::size_t j = 0;
-        for (; j < cols4; j += 4) {
-          const __m256d xv = _mm256_loadu_pd(x + j);
-          const __m256d cur = _mm256_loadu_pd(p + j);
-          _mm256_storeu_pd(p + j, _mm256_add_pd(cur, _mm256_mul_pd(dv, xv)));
-        }
-        for (; j < cols; ++j) p[j] += di * x[j];
-      }
-    }
-    return;
-  }
-
   // Per output row i, each 16-column tile of dW(i,:) stays in 4 registers
   // while the batch streams past innermost: per element the scalar
   // sequence dW(i,j) += d_ri * x_rj over ascending r with d_ri != 0.
