@@ -4,7 +4,7 @@
 # workflow jobs call this script with step flags; running it bare executes
 # the full pipeline for one matrix cell:
 #
-#   scripts/ci.sh [--compiler gcc|clang] [--config Release|Sanitize]
+#   scripts/ci.sh [--compiler gcc|clang] [--config Release|Sanitize|Tsan]
 #                 [--build-dir DIR] [--build-only] [--bench-only]
 #                 [--train-only] [--cert-only] [--mc-only] [--mc-rare-only]
 #                 [--fault-only] [--serve-only] [--perfbench-only]
@@ -13,7 +13,11 @@
 #   build+test   configure with -Werror, build everything, ctest twice:
 #                once as built (AVX2 dispatch on capable hosts) and once
 #                with OIC_SIMD=off pinning the scalar kernel tier; under
-#                config Sanitize this runs the AVX2 TU under ASan/UBSan
+#                config Sanitize this runs the AVX2 TU under ASan/UBSan;
+#                config Tsan instead builds and runs only the threaded
+#                suites (engine, mc, train, serve, serve_socket,
+#                mc_splitting) under ThreadSanitizer, halting on the first
+#                report
 #   bench smoke  scripts/bench.sh --quick (simd + scalar passes, ratio
 #                recorded) + JSON schema check against the committed
 #                BENCH_throughput.json + the perf-smoke guard (step_ns
@@ -60,7 +64,9 @@
 #                tools/ (blocking; skipped with a warning when clang-format
 #                is absent)
 #
-# Config "Sanitize" is Debug + address/undefined sanitizers.
+# Config "Sanitize" is Debug + address/undefined sanitizers.  Config "Tsan"
+# is RelWithDebInfo + -fsanitize=thread, passed through CMAKE_CXX_FLAGS /
+# CMAKE_EXE_LINKER_FLAGS (test_mc_splitting dominates: ~2.5 min on 4 cores).
 set -euo pipefail
 trap 'echo "ci.sh: FAILED at line $LINENO: $BASH_COMMAND" >&2' ERR
 
@@ -118,10 +124,16 @@ case "${compiler}" in
   *) echo "ci.sh: unknown compiler '${compiler}' (gcc|clang)" >&2; exit 2 ;;
 esac
 
+tsan_suites=(test_engine test_mc test_train test_serve test_serve_socket
+             test_mc_splitting)
+extra_cmake=()
 case "${config}" in
   Release) cmake_type=Release; sanitize=OFF ;;
   Sanitize) cmake_type=Debug; sanitize=ON ;;
-  *) echo "ci.sh: unknown config '${config}' (Release|Sanitize)" >&2; exit 2 ;;
+  Tsan) cmake_type=RelWithDebInfo; sanitize=OFF
+        extra_cmake=(-DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
+                     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread") ;;
+  *) echo "ci.sh: unknown config '${config}' (Release|Sanitize|Tsan)" >&2; exit 2 ;;
 esac
 
 build_dir="${build_dir:-${repo_root}/build-ci-${compiler}-${config}}"
@@ -136,7 +148,17 @@ if [[ ${do_build} -eq 1 ]]; then
     -DCMAKE_BUILD_TYPE="${cmake_type}" \
     -DCMAKE_CXX_COMPILER="${cxx}" \
     -DOIC_SANITIZE="${sanitize}" \
-    -DOIC_WERROR=ON
+    -DOIC_WERROR=ON \
+    "${extra_cmake[@]}"
+fi
+
+if [[ ${do_build} -eq 1 && "${config}" == Tsan ]]; then
+  cmake --build "${build_dir}" -j"$(nproc)" --target "${tsan_suites[@]}"
+  for suite in "${tsan_suites[@]}"; do
+    echo "=== [${compiler}/${config}] ${suite} under ThreadSanitizer ==="
+    TSAN_OPTIONS=halt_on_error=1 "${build_dir}/${suite}"
+  done
+elif [[ ${do_build} -eq 1 ]]; then
   cmake --build "${build_dir}" -j"$(nproc)"
 
   echo "=== [${compiler}/${config}] ctest ==="

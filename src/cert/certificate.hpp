@@ -44,8 +44,8 @@ struct PlantCertificate {
 /// Content hash over the model: FNV-1a 64 over the id, every dynamics /
 /// weight / constraint double (exact bit patterns), the RMPC configuration
 /// fields that shape synthesis, the skip input, and the ladder depth.
-/// Solver-only knobs (RmpcConfig::reuse_lp / warm_start) are excluded --
-/// they do not change any synthesized set.
+/// The solver-only knob RmpcConfig::reuse_lp is excluded -- it does not
+/// change any synthesized set.
 std::uint64_t model_hash(const PlantModel& model);
 
 /// Hash rendered as 16 lowercase hex digits (file headers, CLI output).

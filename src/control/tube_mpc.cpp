@@ -242,11 +242,10 @@ Vector TubeMpc::control(const Vector& x) {
   // The LP structure is state-independent: x enters Equation (5) only via
   // the x(0) = x equality right-hand sides (the first nx constraint rows of
   // build_lp).  With reuse_lp the standard-form tableau is prepared once and
-  // each step patches those nx values and re-solves through the workspace.
-  // The cold re-solve is bit-identical to rebuilding the Problem from
-  // scratch; with warm_start the dual-simplex continuation returns the same
-  // optimal value but may pick a different argmin where the optimum is
-  // non-unique (see RmpcConfig::warm_start).
+  // each step patches those nx values and continues from the previous
+  // basis with the dual simplex: the same optimal value as rebuilding the
+  // Problem from scratch, though possibly a different argmin where the
+  // optimum is non-unique (see RmpcConfig::reuse_lp).
   LpLayout layout = make_layout(/*with_objective=*/true);
   lp::Result r;
   if (config_.reuse_lp) {
@@ -264,7 +263,7 @@ Vector TubeMpc::control(const Vector& x) {
       prepared_->set_hot_rows(x0_rows);
     }
     for (std::size_t i = 0; i < sys_.nx(); ++i) prepared_->set_rhs(i, x[i]);
-    r = config_.warm_start ? prepared_->solve_warm(ws_, warm_) : prepared_->solve(ws_);
+    r = prepared_->solve_warm(ws_, warm_);
   } else {
     const lp::Problem p = build_lp(x, /*with_objective=*/true, layout);
     r = lp::solve(p);

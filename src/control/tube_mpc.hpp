@@ -39,16 +39,14 @@ struct RmpcConfig {
   /// Fixed-point options for the terminal-set computation.
   InvariantOptions terminal_options = {};
   /// Reuse a prepared LP across control() calls: the constraint tableau is
-  /// built once and only the x(0) = x(t) right-hand sides are patched per
-  /// step.  Bit-identical results to rebuilding; ~2x faster per solve.
-  /// false recovers the historical rebuild-every-step path (benchmarking).
+  /// built once, only the x(0) = x(t) right-hand sides are patched per
+  /// step, and each solve continues from the previous step's optimal basis
+  /// with the dual simplex -- a few dual pivots instead of a full two-phase
+  /// restart.  The optimum is exact either way; the argmin can differ from
+  /// a cold solve only where the LP has multiple optima.  reset_solver()
+  /// drops the carried basis.  false recovers the historical
+  /// rebuild-every-step path (benchmarking).
   bool reuse_lp = true;
-  /// Continue each solve from the previous step's optimal basis with the
-  /// dual simplex (requires reuse_lp).  A receding-horizon solve then costs
-  /// a few dual pivots instead of a full two-phase restart.  The optimum is
-  /// exact either way; the argmin can differ from a cold solve only where
-  /// the LP has multiple optima.  reset_solver() drops the carried basis.
-  bool warm_start = true;
 };
 
 /// Diagnostics of the most recent successful solve.

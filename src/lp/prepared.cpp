@@ -17,10 +17,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Scheduled-refactorization cadence for warm-started solving: after this
 /// many warm continuations the carried tableau is rebuilt (from the
 /// canonical seed when one exists, through the two-phase path otherwise)
-/// to bound accumulated round-off.  At ~2 dual pivots per warm solve this
-/// caps the pivots compounded into one tableau at a few hundred --
-/// comfortable for the well-scaled MPC tableaus (the warm-vs-cold parity
-/// tests in test_perf run far past one refactor window and stay at 1e-6).
+/// to bound accumulated round-off.  At ~1.4 dual pivots per warm solve
+/// this caps the pivots compounded into one tableau at a few hundred --
+/// comfortable for the well-scaled MPC tableaus (the 300-step warm
+/// sequences in test_simd and the production-shape pins in test_tube_mpc
+/// cross refactor windows).
 constexpr std::size_t kRefactorEvery = 256;
 
 /// Monotonic token source shared by problem identities and warm-state /
@@ -298,6 +299,8 @@ PreparedProblem::PreparedProblem(const Problem& p,
       any_artificial_ = true;  // column layout is fixed; never changes again
     }
   }
+  hot_.assign(m_, 1);  // every row patchable until set_hot_rows narrows it
+  update_live_cols();
   for (std::size_t i = 0; i < mc_; ++i) set_rhs(i, p.constraint(i).rhs);
   for (std::size_t i = 0; i < bound_rows.size(); ++i) {
     const std::size_t r = mc_ + i;
@@ -312,6 +315,9 @@ PreparedProblem::PreparedProblem(const Problem& p,
 
 void PreparedProblem::set_rhs(std::size_t i, double rhs) {
   OIC_REQUIRE(i < mc_, "PreparedProblem::set_rhs: row index out of range");
+  OIC_REQUIRE(hot_[i],
+              "PreparedProblem::set_rhs: row is not hot; set_hot_rows dropped "
+              "its B^-1 column from the warm tableau");
   RowInfo& info = rows_[i];
 
   // Normalized right-hand side, accumulated in the same order as a fresh
@@ -366,6 +372,21 @@ void PreparedProblem::set_rhs(std::size_t i, double rhs) {
   info.emitted = true;
 }
 
+void PreparedProblem::update_live_cols() {
+  // A column is live when it may enter (not blocked) or when it is the
+  // artificial -- hence, for >= and equality rows, the B^-1 unit column --
+  // of a row whose rhs may still be patched.  Slack unit columns are never
+  // blocked, so they are always live.
+  std::vector<unsigned char> dead = blocked0_;
+  for (std::size_t r = 0; r < m_; ++r) {
+    if (hot_[r] && rows_[r].art_col != kNoCol) dead[rows_[r].art_col] = 0;
+  }
+  live_cols_.clear();
+  for (std::size_t j = 0; j < n_; ++j) {
+    if (!dead[j]) live_cols_.push_back(static_cast<std::uint32_t>(j));
+  }
+}
+
 void PreparedProblem::set_objective(const linalg::Vector& c) {
   OIC_REQUIRE(c.size() == nv_, "PreparedProblem::set_objective: dimension mismatch");
   ++objective_revision_;  // carried warm bases priced the old objective
@@ -393,6 +414,12 @@ void PreparedProblem::set_hot_rows(const std::vector<std::size_t>& rows) {
   for (std::size_t r : rows) {
     OIC_REQUIRE(r < m_, "PreparedProblem::set_hot_rows: row index out of range");
   }
+  hot_.assign(m_, 0);
+  for (std::size_t r : rows) hot_[r] = 1;
+  update_live_cols();
+  // A tableau carried under the old live set may hold stale columns that
+  // are live now: a fresh identity sends every existing WarmState cold.
+  problem_id_ = ++g_serial;
 
   // Canonical-seed capture: snapshot the template as it stands right now.
   // Callers invoke this immediately after construction (before any set_rhs
@@ -653,13 +680,15 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
     if (iter == max_dual_iters) break;  // stalled; fall back to a cold solve
 
     // Pack the leaving row's nonzeros once (fixed-stride gather across the
-    // columns); the dual ratio test and the pivot both run over the
-    // packed support.
+    // live columns); the dual ratio test and the pivot both run over the
+    // packed support.  Dead columns -- barred artificials of rows that are
+    // never patched -- are neither priced nor updated: no live value ever
+    // reads them (docs/perf.md, "The live-column argument").
     std::size_t nnz = 0;
-    for (std::size_t j = 0; j < n_; ++j) {
+    for (const std::uint32_t j : live_cols_) {
       const double v = ws.at[j * m_ + leave];
       if (v == 0.0) continue;
-      nzi[nnz] = static_cast<std::uint32_t>(j);
+      nzi[nnz] = j;
       nzv[nnz] = v;
       ++nnz;
     }

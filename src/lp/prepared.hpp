@@ -32,7 +32,9 @@
 /// construction-time template as a canonical warm-start seed -- every
 /// "cold" restart (episode reset, scheduled refactorization) then continues
 /// from the canonical optimum with a few dual pivots instead of re-running
-/// both phases.  See docs/perf.md.
+/// both phases -- and narrows the warm pivots to the *live* columns: those
+/// that may enter plus the B^-1 unit columns of the hot rows.  See
+/// docs/perf.md.
 ///
 /// This is the engine behind poly::SupportSolver (repeated support queries
 /// on one polytope) and the TubeMpc per-step solve (only the x(0) = x0
@@ -92,15 +94,25 @@ class PreparedProblem {
   std::size_t num_constraints() const { return mc_; }
 
   /// Patch the right-hand side of constraint row `i`.  See the class
-  /// comment for which rows accept which values.
+  /// comment for which rows accept which values.  After set_hot_rows only
+  /// the hot rows accept patches (PreconditionError otherwise).
   void set_rhs(std::size_t i, double rhs);
 
   /// Replace the objective vector (minimized); dimension must be num_vars().
   void set_objective(const linalg::Vector& c);
 
   /// Declare the constraint rows whose right-hand sides change between
-  /// warm solves (e.g. the x(0) = x0 equalities of an MPC step).  The
-  /// template AS IT STANDS RIGHT NOW is snapshotted as the canonical
+  /// warm solves (e.g. the x(0) = x0 equalities of an MPC step); every
+  /// other row is frozen from here on, and set_rhs on it throws
+  /// PreconditionError.  That contract is what lets the warm pivots skip
+  /// the dead columns: an artificial column never enters, and the warm
+  /// path reads it back only as the B^-1 unit column of a patched row, so
+  /// only the hot rows' artificials stay live (2 of 22 on the acc MPC).
+  /// Dead columns of the carried tableau go stale; the results are
+  /// bit-identical because no live value depends on them.  The call also
+  /// sends every existing WarmState of this problem cold.
+  ///
+  /// The template AS IT STANDS RIGHT NOW is snapshotted as the canonical
   /// warm-start seed: the first cold solve_warm lazily solves it once, and
   /// every later cold restart (reset, scheduled refactorization)
   /// re-anchors on that optimum with a short dual continuation instead of
@@ -211,6 +223,12 @@ class PreparedProblem {
 
   linalg::Vector c_;  ///< original objective (objective recovery)
 
+  /// Rows whose rhs may be patched: all of them until set_hot_rows.
+  std::vector<unsigned char> hot_;
+  /// Ascending columns the warm pivots pack, price and update: every
+  /// unblocked column plus the artificials of hot rows.
+  std::vector<std::uint32_t> live_cols_;
+
   // ---- canonical warm-start seed (set_hot_rows) ----
   // All seed state is mutable: it is a lazily materialized pure function
   // of the structure captured by set_hot_rows, and PreparedProblem's
@@ -235,6 +253,7 @@ class PreparedProblem {
                           const SimplexOptions& options, bool allow_seed) const;
   void build_seed(SolverWorkspace& ws, const SimplexOptions& options) const;
   void transpose_into(SolverWorkspace& ws) const;
+  void update_live_cols();
 };
 
 }  // namespace oic::lp

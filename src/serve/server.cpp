@@ -91,6 +91,9 @@ void Server::run() {
     } catch (...) {
       fail_tick("oic-serve: unknown error while serving tick");
     }
+    // Count the tick before any response is delivered: a client that holds
+    // its answers must already see the tick that produced them.
+    ticks_.fetch_add(1);
     std::size_t cursor = 0;
     for (Envelope& env : envelopes) {
       std::vector<Response> slice(responses.begin() + static_cast<long>(cursor),
@@ -99,7 +102,6 @@ void Server::run() {
       cursor += env.batch.size();
       env.conn->responses_.push_all(std::move(slice));
     }
-    ticks_.fetch_add(1);
     envelopes.clear();
   }
 }

@@ -74,7 +74,9 @@ class Server {
   const ServiceCounters& counters() const { return service_.counters(); }
   std::size_t open_sessions() const { return service_.open_sessions(); }
 
-  /// Ticks executed (each tick = one fused Service::serve pass).
+  /// Ticks executed (each tick = one fused Service::serve pass).  Counted
+  /// before the tick's responses are delivered, so once await() returns
+  /// the answers, ticks() already includes the tick that produced them.
   std::uint64_t ticks() const { return ticks_.load(); }
 
  private:

@@ -169,6 +169,76 @@ TEST(PreparedProblem, WarmSolveTracksDynamicInequalityRhs) {
   EXPECT_EQ(prep.solve_warm(ws, warm).status, oic::lp::Status::kInfeasible);
 }
 
+/// The drifting-rhs LP of the warm tests: equality row 0 (the patched
+/// "x(0) = x0" row), a <= row 1 and a >= row 2 whose artificial column is
+/// barred from entering.
+Problem hot_row_lp(Rng& rng) {
+  Problem p(3);
+  for (std::size_t j = 0; j < 3; ++j) {
+    p.set_objective_coeff(j, rng.uniform(0.2, 1.0));
+    p.set_bounds(j, -10.0, 10.0);
+  }
+  p.add_constraint(Vector{1, 0, 0}, Relation::kEqual, 0.0);
+  p.add_constraint(Vector{1, 1, 0}, Relation::kLessEq, 4.0);
+  p.add_constraint(Vector{0, 1, 1}, Relation::kGreaterEq, -4.0);
+  return p;
+}
+
+TEST(PreparedProblem, SetRhsOnColdRowAfterSetHotRowsThrows) {
+  // set_hot_rows freezes every other row: the warm pivots stop maintaining
+  // their B^-1 columns, so a patch there must be refused, not mis-solved.
+  Rng rng(31);
+  PreparedProblem prep(hot_row_lp(rng));
+  prep.set_hot_rows({0});
+  EXPECT_THROW(prep.set_rhs(1, 3.0), oic::PreconditionError);
+  EXPECT_THROW(prep.set_rhs(2, -3.0), oic::PreconditionError);
+  prep.set_rhs(0, 0.5);  // the hot row still accepts patches
+}
+
+TEST(PreparedProblem, HotRowPatchesContinueWarmAndMatchCold) {
+  Rng rng(37);
+  const Problem p = hot_row_lp(rng);
+  PreparedProblem hot(p), cold(p);
+  hot.set_hot_rows({0});
+  SolverWorkspace ws_warm, ws_cold;
+  PreparedProblem::WarmState warm;
+  double x0 = -1.5;
+  for (std::size_t k = 0; k < 60; ++k) {
+    x0 += rng.uniform(-0.3, 0.35);  // drifts across zero
+    hot.set_rhs(0, x0);
+    cold.set_rhs(0, x0);
+    const oic::lp::Result rw = hot.solve_warm(ws_warm, warm);
+    const oic::lp::Result rc = cold.solve(ws_cold);
+    ASSERT_EQ(rc.status, oic::lp::Status::kOptimal) << "step " << k;
+    ASSERT_EQ(rw.status, oic::lp::Status::kOptimal) << "step " << k;
+    EXPECT_NEAR(rc.objective, rw.objective, 1e-8) << "step " << k;
+    // Every solve is a dual continuation (the first one from the canonical
+    // seed); a fallback to the two-phase path would reset the count.
+    EXPECT_TRUE(warm.valid);
+    EXPECT_EQ(warm.solves_since_cold, k + 1) << "step " << k;
+  }
+}
+
+TEST(PreparedProblem, WithoutHotRowsEveryRowAcceptsWarmPatches) {
+  // No set_hot_rows: every row stays patchable, including the >= row whose
+  // B^-1 unit column is its (barred) artificial.
+  Rng rng(41);
+  const Problem p = hot_row_lp(rng);
+  PreparedProblem prep(p);
+  SolverWorkspace ws_warm, ws_cold;
+  PreparedProblem::WarmState warm;
+  for (int k = 0; k < 30; ++k) {
+    prep.set_rhs(0, rng.uniform(-2.0, 2.0));
+    prep.set_rhs(1, rng.uniform(3.0, 5.0));
+    prep.set_rhs(2, rng.uniform(-5.0, -3.0));
+    const oic::lp::Result rw = prep.solve_warm(ws_warm, warm);
+    const oic::lp::Result rc = prep.solve(ws_cold);
+    ASSERT_EQ(rc.status, rw.status) << "step " << k;
+    if (rc.status != oic::lp::Status::kOptimal) continue;
+    EXPECT_NEAR(rc.objective, rw.objective, 1e-8) << "step " << k;
+  }
+}
+
 TEST(PreparedProblem, WarmStateFromAnotherProblemFallsBackCold) {
   // Two different problems sharing one (workspace, warm) pair: the second
   // solve must not continue from the first problem's tableau.

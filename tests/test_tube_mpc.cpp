@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/random.hpp"
 #include "control/lqr.hpp"
 #include "control/tube_mpc.hpp"
+#include "eval/registry.hpp"
 
 namespace {
 
@@ -229,6 +235,59 @@ TEST(TubeMpc, InvocationCounterTracksCalls) {
   mpc.control(Vector{0, 0});
   mpc.control(Vector{0.1, 0.1});
   EXPECT_EQ(mpc.invocations(), 2u);
+}
+
+// ---- Golden pins at the production LP shape ----
+// The warm-LP parity tests elsewhere run a 3-variable toy LP, and the
+// golden traces are 40-step episodes; neither reaches the real MPC tableau
+// (110-190 rows, most artificial columns barred from entering) across a
+// refactorization window.  These cases do: 600 states drawn from each
+// registry plant's X' are driven through a private TubeMpc copy twice --
+// once without a reset (crossing two 256-solve refactor windows), once
+// with reset_solver() every 100 solves (canonical-seed restarts) -- and an
+// FNV-1a hash over the bit patterns of every returned u and optimal cost
+// is pinned.  The pins must hold in both kernel tiers (OIC_SIMD=off too).
+
+std::uint64_t production_lp_hash(const std::string& plant_id) {
+  const auto plant = oic::eval::ScenarioRegistry::builtin().make_plant(plant_id);
+  oic::Rng rng(0x6c705f676f6c64ull);
+  std::vector<Vector> states;
+  for (int i = 0; i < 600; ++i) {
+    states.push_back(
+        oic::eval::sample_from_set(plant->sets().x_prime, rng, "production_lp_hash"));
+  }
+  oic::Fnv1a h;
+  for (const bool resets : {false, true}) {
+    TubeMpc mpc = plant->rmpc();  // fresh solver state
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      if (resets && i % 100 == 0) mpc.reset_solver();
+      const Vector u = mpc.control(states[i]);
+      for (std::size_t j = 0; j < u.size(); ++j) h.f64(u[j]);
+      h.f64(mpc.last_solve().cost);
+    }
+  }
+  return h.value();
+}
+
+TEST(TubeMpcProductionLp, AccSolveStreamPinned) {
+  EXPECT_EQ(production_lp_hash("acc"), 0xe0c98b8740b94e16ull);
+}
+
+TEST(TubeMpcProductionLp, LaneKeepSolveStreamPinned) {
+  EXPECT_EQ(production_lp_hash("lane-keep"), 0x6df9b5ce16e27328ull);
+}
+
+TEST(TubeMpcProductionLp, QuadAltSolveStreamPinned) {
+  EXPECT_EQ(production_lp_hash("quad-alt"), 0x7d90ba15b8cb5e30ull);
+}
+
+TEST(TubeMpcProductionLp, Toy2dSolveStreamPinned) {
+  EXPECT_EQ(production_lp_hash("toy2d"), 0x20470bbcb7aca28bull);
+}
+
+TEST(TubeMpcProductionLp, EveryProductionPlantIsPinned) {
+  const std::vector<std::string> pinned = {"acc", "lane-keep", "quad-alt", "toy2d"};
+  EXPECT_EQ(oic::eval::ScenarioRegistry::builtin().production_plant_ids(), pinned);
 }
 
 }  // namespace
