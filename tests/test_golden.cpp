@@ -21,19 +21,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
+#include "common/hash.hpp"
 #include "common/random.hpp"
 #include "core/policy.hpp"
 #include "core/runner.hpp"
+#include "eval/engine.hpp"
 #include "eval/harness.hpp"
+#include "eval/policy_spec.hpp"
 #include "eval/registry.hpp"
 
 namespace {
 
 using oic::Rng;
 using oic::eval::CaseData;
+using oic::eval::EpisodeResult;
 using oic::eval::ScenarioRegistry;
 
 #ifndef OIC_GOLDEN_DIR
@@ -166,6 +171,102 @@ TEST(GoldenTrace, CoversTheWholeRegistry) {
   const auto ids = ScenarioRegistry::builtin().production_plant_ids();
   ASSERT_EQ(ids.size(), std::size(kCases));
   for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], kCases[i].plant);
+}
+
+// Episode golden: every EpisodeResult field of a small paired grid (each
+// production plant x {fault-free, lossy, fresh-lossy} x {bang-bang,
+// periodic-5, burst:4, w-trend}, 4 cases x 100 steps), hashed with FNV-1a
+// over exact bit patterns.  The lossy preset delays every measurement, so
+// its monitor never sees a fresh one; fresh-lossy drops packets without a
+// delay, which keeps the faulted loop's fresh branch (Omega consulted, the
+// disturbance history rebuilt from measurements) in the pin.  run_episode
+// (the plant's RMPC driven in place, a fresh controller per episode) and a
+// reused EpisodeEngine must both reproduce the same pinned constant; the
+// engine's observer additionally pins every successor state x_{t+1}.  On
+// an intentional stream change, rerun and copy the reported values in.
+constexpr std::uint64_t kEpisodeResultsHash = 0xff5ec906c21ede70ull;
+constexpr std::uint64_t kEpisodeStatesHash = 0x7436d7f183868f7cull;
+constexpr std::size_t kEpisodeCases = 4;
+constexpr std::size_t kEpisodeSteps = 100;
+
+/// Skips while the newest observed disturbance is no larger than the one
+/// before it.  Its decisions read the disturbance history the loop feeds
+/// through record_transition, which the registry policies never consult,
+/// so the pin also covers what that history is built from on the
+/// fault-free and the faulted path.
+class DisturbanceTrendPolicy final : public oic::core::SkipPolicy {
+ public:
+  int decide(const oic::linalg::Vector&, const oic::core::WHistory& w) override {
+    if (w.size() < 2) return 1;
+    return w[w.size() - 1].norm2() <= w[w.size() - 2].norm2() ? 0 : 1;
+  }
+  std::string name() const override { return "w-trend"; }
+};
+
+std::unique_ptr<oic::core::SkipPolicy> make_episode_policy(const std::string& spec) {
+  if (spec == "w-trend") return std::make_unique<DisturbanceTrendPolicy>();
+  return oic::eval::make_policy(spec);
+}
+
+void hash_result(oic::Fnv1a& h, const EpisodeResult& r) {
+  h.f64(r.fuel);
+  h.f64(r.energy);
+  h.u64(r.skipped);
+  h.u64(r.forced);
+  h.u64(r.steps);
+  h.u64(r.left_x ? 1 : 0);
+  h.u64(r.left_xi ? 1 : 0);
+  h.u64(r.degraded_steps);
+  h.u64(r.stale_forced);
+  h.u64(r.policy_unavail);
+  h.u64(r.meas_dropped);
+  h.u64(r.act_dropped);
+}
+
+TEST(EpisodeGolden, HarnessAndEngineReplayThePinnedStreams) {
+  const ScenarioRegistry& registry = ScenarioRegistry::builtin();
+  const oic::fault::FaultSpec fault_modes[] = {
+      oic::fault::FaultSpec{}, registry.resolve_faults("lossy"),
+      oic::fault::FaultSpec::parse("meas_drop:0.1,act_drop:0.05,hold,policy_drop:0.05")};
+  ASSERT_TRUE(fault_modes[1].active());
+  oic::Fnv1a harness, engine, states;
+  std::size_t skipped = 0, degraded = 0;
+  for (const auto& gc : kCases) {
+    const auto plant = registry.make_plant(gc.plant);
+    const auto scenario = registry.make_scenario(gc.plant, gc.scenario);
+    for (const auto& faults : fault_modes) {
+      for (const char* spec : {"bang-bang", "periodic-5", "burst:4", "w-trend"}) {
+        SCOPED_TRACE(std::string(gc.plant) + " " + spec);
+        const auto harness_policy = make_episode_policy(spec);
+        const auto engine_policy = make_episode_policy(spec);
+        oic::eval::EpisodeEngine eng(*plant, *engine_policy, faults);
+        eng.set_observer([&](std::size_t t, const oic::linalg::Vector& x_next) {
+          states.u64(t);
+          for (std::size_t i = 0; i < x_next.size(); ++i) states.f64(x_next[i]);
+        });
+        Rng rng(kSeed);
+        for (std::size_t c = 0; c < kEpisodeCases; ++c) {
+          const CaseData data = oic::eval::make_case(*plant, scenario, rng, kEpisodeSteps,
+                                                     faults.active());
+          hash_result(harness,
+                      oic::eval::run_episode(*plant, *harness_policy, data, faults));
+          const EpisodeResult r = eng.run(data);
+          hash_result(engine, r);
+          skipped += r.skipped;
+          degraded += r.degraded_steps;
+        }
+      }
+    }
+  }
+  // The grid must exercise skips and degraded periods, or the pin is vacuous.
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(degraded, 0u);
+  EXPECT_EQ(harness.value(), kEpisodeResultsHash)
+      << "run_episode results hash 0x" << std::hex << harness.value();
+  EXPECT_EQ(engine.value(), kEpisodeResultsHash)
+      << "EpisodeEngine results hash 0x" << std::hex << engine.value();
+  EXPECT_EQ(states.value(), kEpisodeStatesHash)
+      << "EpisodeEngine successor-state hash 0x" << std::hex << states.value();
 }
 
 }  // namespace
