@@ -12,10 +12,12 @@
 #include <chrono>
 #include <cstdio>
 
-#include "acc/harness.hpp"
+#include "acc/acc.hpp"
+#include "acc/scenarios.hpp"
 #include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "core/model_based.hpp"
+#include "eval/harness.hpp"
 
 namespace {
 
@@ -115,8 +117,8 @@ int main(int argc, char** argv) {
   core::ModelBasedPolicy mb(acc_case.system(), acc_case.sets(), kappa,
                             acc_case.u_skip(), oracle, cfg);
   core::BangBangPolicy bb;
-  const auto cmp = acc::compare_policies(acc_case, noiseless, {&bb, &mb}, cases,
-                                         steps, 777001);
+  const auto cmp = eval::compare_policies(acc_case, noiseless, {&bb, &mb}, cases,
+                                          steps, 777001);
   std::printf("  bang-bang    : %6.2f %% fuel saving vs RMPC-only\n",
               100.0 * mean(cmp.savings[0]));
   std::printf("  model-based  : %6.2f %% fuel saving vs RMPC-only (H=8, exact)\n",

@@ -16,11 +16,13 @@
 
 #include <cstdio>
 
-#include "acc/harness.hpp"
-#include "acc/trainer.hpp"
+#include "acc/acc.hpp"
+#include "acc/scenarios.hpp"
 #include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "core/drl_policy.hpp"
+#include "eval/harness.hpp"
+#include "train/trainer.hpp"
 
 int main(int argc, char** argv) {
   using namespace oic;
@@ -35,20 +37,20 @@ int main(int argc, char** argv) {
   acc::AccCase acc_case;
   const acc::Scenario scen = acc::fig4_scenario(acc_case.params());
 
-  acc::TrainerConfig tcfg;
+  train::TrainerConfig tcfg;
   tcfg.episodes = episodes;
   tcfg.steps_per_episode = steps;
   std::printf("[train] double-DQN skipping agent (r=%zu, w1=%g, w2=%g)...\n",
               tcfg.memory, tcfg.w1, tcfg.w2);
-  acc::TrainingLog log;
-  const acc::TrainedAgent trained = acc::train_dqn(acc_case, scen, tcfg, &log);
+  train::TrainingLog log;
+  const train::TrainedAgent trained = train::train_dqn(acc_case, scen, tcfg, &log);
   std::printf("[train] done: %zu gradient steps, final-episode skip ratio %.2f\n\n",
               trained.agent->train_steps(), log.episode_skip_ratio.back());
 
   core::BangBangPolicy bangbang;
   const auto drl = trained.make_policy();
-  const auto cmp = acc::compare_policies(acc_case, scen, {&bangbang, drl.get()},
-                                         cases, steps, /*seed=*/20200406);
+  const auto cmp = eval::compare_policies(acc_case, scen, {&bangbang, drl.get()},
+                                          cases, steps, /*seed=*/20200406);
 
   // Histogram exactly as the paper buckets it: 0-10 % ... 50-60 %.
   Histogram hist_bb(0.0, 0.6, 6);

@@ -10,10 +10,12 @@
 #include <future>
 #include <vector>
 
-#include "acc/harness.hpp"
-#include "acc/trainer.hpp"
+#include "acc/acc.hpp"
+#include "acc/scenarios.hpp"
 #include "common/stats.hpp"
 #include "core/drl_policy.hpp"
+#include "eval/harness.hpp"
+#include "train/trainer.hpp"
 
 namespace oic::benchutil {
 
@@ -36,15 +38,15 @@ inline ScenarioOutcome evaluate_scenario(const acc::Scenario& scenario,
   // unlucky seed (single-seed variance the paper also inherits); train two
   // seeds and keep the better one by mean reward over the final quarter of
   // episodes -- model selection on the *training* signal only.
-  acc::TrainedAgent trained;
+  train::TrainedAgent trained;
   double best_tail = -std::numeric_limits<double>::infinity();
   for (int attempt = 0; attempt < 2; ++attempt) {
-    acc::TrainerConfig tcfg;
+    train::TrainerConfig tcfg;
     tcfg.episodes = episodes;
     tcfg.steps_per_episode = steps;
     tcfg.seed = seed + static_cast<std::uint64_t>(attempt) * 7919;
-    acc::TrainingLog log;
-    acc::TrainedAgent candidate = acc::train_dqn(acc_case, scenario, tcfg, &log);
+    train::TrainingLog log;
+    train::TrainedAgent candidate = train::train_dqn(acc_case, scenario, tcfg, &log);
     const std::size_t tail = std::max<std::size_t>(1, log.episode_reward.size() / 4);
     double tail_reward = 0.0;
     for (std::size_t i = log.episode_reward.size() - tail;
@@ -60,8 +62,8 @@ inline ScenarioOutcome evaluate_scenario(const acc::Scenario& scenario,
 
   core::BangBangPolicy bangbang;
   const auto drl = trained.make_policy();
-  const auto cmp = acc::compare_policies(acc_case, scenario, {&bangbang, drl.get()},
-                                         cases, steps, seed ^ 0x5bd1e995u);
+  const auto cmp = eval::compare_policies(acc_case, scenario, {&bangbang, drl.get()},
+                                          cases, steps, seed ^ 0x5bd1e995u);
 
   ScenarioOutcome out;
   out.id = scenario.id;

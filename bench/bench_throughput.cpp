@@ -1,13 +1,8 @@
 /// \file bench_throughput.cpp
 /// Episode-throughput benchmark: the Fig-4-style policy-comparison sweep
 /// (paired fuel savings of skipping policies vs the always-run baseline)
-/// timed three ways:
+/// timed two ways:
 ///
-///   legacy          -- the pre-PR path: IntermittentController rebuilt and
-///                      re-verified per episode, the MPC LP rebuilt and
-///                      converted from scratch every step
-///                      (RmpcConfig::reuse_lp = false + harness
-///                      compare_policies);
 ///   engine-serial   -- EpisodeEngine contexts (hoisted construction,
 ///                      prepared LP, warm-started dual simplex), 1 worker;
 ///   engine-parallel -- the same sharded over a thread pool.
@@ -31,8 +26,7 @@
 #include <system_error>
 #include <thread>
 
-#include "acc/engine.hpp"
-#include "acc/harness.hpp"
+#include "acc/acc.hpp"
 #include "acc/scenarios.hpp"
 #include "bench_kernels.hpp"
 #include "bench_util.hpp"
@@ -42,6 +36,8 @@
 #include "common/jsonout.hpp"
 #include "common/stats.hpp"
 #include "core/policy.hpp"
+#include "eval/engine.hpp"
+#include "eval/harness.hpp"
 #include "eval/registry.hpp"
 #include "mc/campaign.hpp"
 #include "rl/dqn.hpp"
@@ -380,46 +376,32 @@ int main(int argc, char** argv) {
   const std::size_t episodes_per_sweep = cases * 3;
   const std::size_t steps_per_sweep = episodes_per_sweep * steps;
 
-  // ---- Legacy path (pre-PR behavior) ----
-  std::printf("[setup] building legacy AccCase (rebuild-every-step solver)...\n");
-  control::RmpcConfig legacy_rmpc = acc::AccCase::default_rmpc();
-  legacy_rmpc.reuse_lp = false;
-  acc::AccCase acc_legacy({}, legacy_rmpc);
-  const acc::Scenario scen = acc::fig4_scenario(acc_legacy.params());
-
-  core::BangBangPolicy bb_legacy;
-  core::PeriodicPolicy per_legacy(5);
-  auto t0 = Clock::now();
-  const auto cmp_legacy = acc::compare_policies(
-      acc_legacy, scen, {&bb_legacy, &per_legacy}, cases, steps, seed);
-  Timing legacy{seconds_since(t0), episodes_per_sweep, steps_per_sweep};
-  print_timing("legacy", legacy);
-
   // ---- Engine paths ----
   std::printf("[setup] building engine AccCase (prepared LP + warm start)...\n");
   acc::AccCase acc_fast;
-  const acc::PolicySetFactory factory = [] {
+  const acc::Scenario scen = acc::fig4_scenario(acc_fast.params());
+  const eval::PolicySetFactory factory = [] {
     std::vector<std::unique_ptr<core::SkipPolicy>> ps;
     ps.push_back(std::make_unique<core::BangBangPolicy>());
     ps.push_back(std::make_unique<core::PeriodicPolicy>(5));
     return ps;
   };
 
-  acc::SweepConfig sweep;
+  eval::SweepConfig sweep;
   sweep.cases = cases;
   sweep.steps = steps;
   sweep.seed = seed;
 
   sweep.workers = 1;
-  t0 = Clock::now();
-  const auto cmp_serial = acc::compare_policies_parallel(acc_fast, scen, factory, sweep);
+  auto t0 = Clock::now();
+  const auto cmp_serial = eval::compare_policies_parallel(acc_fast, scen, factory, sweep);
   Timing serial{seconds_since(t0), episodes_per_sweep, steps_per_sweep};
   print_timing("engine-serial", serial);
 
   sweep.workers = workers;
   t0 = Clock::now();
   const auto cmp_parallel =
-      acc::compare_policies_parallel(acc_fast, scen, factory, sweep);
+      eval::compare_policies_parallel(acc_fast, scen, factory, sweep);
   Timing parallel{seconds_since(t0), episodes_per_sweep, steps_per_sweep};
   print_timing("engine-parallel", parallel);
 
@@ -430,36 +412,16 @@ int main(int argc, char** argv) {
                 cmp_serial.mean_skipped[p] == cmp_parallel.mean_skipped[p];
   }
 
-  // ---- Result agreement between paths ----
-  // legacy/engine trajectories may differ where the MPC LP has multiple
-  // optima (the warm-started dual simplex is free to return another
-  // argmin), so savings agree closely but not bitwise.
-  double max_delta = 0.0;
-  for (std::size_t p = 0; p < cmp_legacy.savings.size(); ++p) {
-    for (std::size_t c = 0; c < cases; ++c) {
-      max_delta = std::max(max_delta,
-                           std::abs(cmp_legacy.savings[p][c] - cmp_serial.savings[p][c]));
-    }
-  }
-
-  const double speedup_serial = legacy.wall_s / serial.wall_s;
-  const double speedup_parallel = legacy.wall_s / parallel.wall_s;
   benchutil::rule('=');
-  std::printf("speedup (engine-serial  vs legacy): %6.2fx\n", speedup_serial);
-  std::printf("speedup (engine-parallel vs legacy): %6.2fx  (%zu workers)\n",
-              speedup_parallel, workers);
-  std::printf("parallel bit-identical to serial  : %s\n",
-              identical ? "yes" : "NO (BUG!)");
-  std::printf("max |saving delta| legacy vs engine: %.2e\n", max_delta);
+  std::printf("parallel bit-identical to serial: %s  (%zu workers)\n",
+              identical ? "yes" : "NO (BUG!)", workers);
   for (std::size_t p = 0; p < cmp_serial.policy_names.size(); ++p) {
-    std::printf("  %-12s mean saving: engine %6.2f %% (legacy %6.2f %%), "
-                "mean skipped %5.1f\n",
+    std::printf("  %-12s mean saving %6.2f %%, mean skipped %5.1f\n",
                 cmp_serial.policy_names[p].c_str(), 100.0 * mean(cmp_serial.savings[p]),
-                100.0 * mean(cmp_legacy.savings[p]), cmp_serial.mean_skipped[p]);
+                cmp_serial.mean_skipped[p]);
   }
   bool violation = false;
   for (bool v : cmp_serial.any_violation) violation = violation || v;
-  for (bool v : cmp_legacy.any_violation) violation = violation || v;
   std::printf("safety violations: %s (Theorem 1: must be none)\n\n",
               violation ? "YES (BUG!)" : "none");
 
@@ -570,14 +532,10 @@ int main(int argc, char** argv) {
                     "\"episodes_per_s\": %.3f, \"step_ns\": %.1f},\n",
                     k, t.wall_s, t.episodes, t.episodes_per_s(), t.step_ns());
     };
-    emit("legacy", legacy);
     emit("engine_serial", serial);
     emit("engine_parallel", parallel);
-    append_format(out, "  \"speedup_serial\": %.3f,\n", speedup_serial);
-    append_format(out, "  \"speedup_parallel\": %.3f,\n", speedup_parallel);
     append_format(out, "  \"parallel_bit_identical\": %s,\n",
                   identical ? "true" : "false");
-    append_format(out, "  \"max_saving_delta_vs_legacy\": %.3e,\n", max_delta);
     append_format(out,
                   "  \"train_minibatch\": {\"updates\": %zu, \"per_sample_us\": %.2f, "
                   "\"batched_us\": %.2f, \"speedup\": %.3f, "

@@ -18,9 +18,11 @@
 #include <chrono>
 #include <cstdio>
 
-#include "acc/harness.hpp"
-#include "acc/trainer.hpp"
+#include "acc/acc.hpp"
+#include "acc/scenarios.hpp"
 #include "core/drl_policy.hpp"
+#include "eval/harness.hpp"
+#include "train/trainer.hpp"
 
 namespace {
 
@@ -29,12 +31,12 @@ oic::acc::AccCase& acc_case() {
   return acc;
 }
 
-const oic::acc::TrainedAgent& trained_agent() {
-  static oic::acc::TrainedAgent trained = [] {
-    oic::acc::TrainerConfig cfg;
+const oic::train::TrainedAgent& trained_agent() {
+  static oic::train::TrainedAgent trained = [] {
+    oic::train::TrainerConfig cfg;
     cfg.episodes = 40;  // timing only needs a representative network
     const auto scen = oic::acc::fig4_scenario(acc_case().params());
-    return oic::acc::train_dqn(acc_case(), scen, cfg);
+    return oic::train::train_dqn(acc_case(), scen, cfg);
   }();
   return trained;
 }
@@ -114,7 +116,7 @@ void print_section_iva_summary() {
 
   // Skip count from an actual evaluation (same scenario as Fig. 4).
   const auto scen = oic::acc::fig4_scenario(acc.params());
-  const auto cmp = oic::acc::compare_policies(acc, scen, {drl.get()}, 20, 100, 424242);
+  const auto cmp = oic::eval::compare_policies(acc, scen, {drl.get()}, 20, 100, 424242);
   const double skipped = cmp.mean_skipped[0];
 
   const double total_rmpc_only = t_rmpc * 100.0;

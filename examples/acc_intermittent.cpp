@@ -10,10 +10,12 @@
 #include <cstdio>
 #include <cstring>
 
-#include "acc/harness.hpp"
-#include "acc/trainer.hpp"
+#include "acc/acc.hpp"
+#include "acc/scenarios.hpp"
 #include "common/stats.hpp"
 #include "core/drl_policy.hpp"
+#include "eval/harness.hpp"
+#include "train/trainer.hpp"
 
 namespace {
 std::size_t arg_flag(int argc, char** argv, const char* key, std::size_t fallback) {
@@ -46,18 +48,18 @@ int main(int argc, char** argv) {
 
   const acc::Scenario scen = acc::fig4_scenario(acc_case.params());
   std::printf("[2/4] training the DQN skipping agent (%zu episodes)...\n", episodes);
-  acc::TrainerConfig tcfg;
+  train::TrainerConfig tcfg;
   tcfg.episodes = episodes;
-  acc::TrainingLog log;
-  const acc::TrainedAgent trained = acc::train_dqn(acc_case, scen, tcfg, &log);
+  train::TrainingLog log;
+  const train::TrainedAgent trained = train::train_dqn(acc_case, scen, tcfg, &log);
   std::printf("      done; final-episode skip ratio %.2f, reward %.4f\n",
               log.episode_skip_ratio.back(), log.episode_reward.back());
 
   std::printf("[3/4] evaluating %zu paired cases x 100 steps...\n", cases);
   core::BangBangPolicy bangbang;
   const auto drl = trained.make_policy();
-  const auto cmp = acc::compare_policies(acc_case, scen, {&bangbang, drl.get()},
-                                         cases, 100, 4242);
+  const auto cmp = eval::compare_policies(acc_case, scen, {&bangbang, drl.get()},
+                                          cases, 100, 4242);
 
   std::printf("[4/4] results (fuel saving vs RMPC-only):\n\n");
   std::printf("  %-34s %10s %12s %10s\n", "policy", "saving", "skipped/100", "safe");

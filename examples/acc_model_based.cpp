@@ -10,8 +10,10 @@
 #include <cmath>
 #include <cstdio>
 
-#include "acc/harness.hpp"
+#include "acc/acc.hpp"
+#include "acc/scenarios.hpp"
 #include "core/model_based.hpp"
+#include "eval/harness.hpp"
 
 namespace {
 

@@ -64,35 +64,37 @@ int main() {
   icfg.u_skip = Vector{0.0};
   core::IntermittentController ic(sys, sets, kappa, policy, icfg);
 
+  constexpr std::size_t kSteps = 200;
   Rng rng(2020);
-  core::RunConfig rcfg;
-  rcfg.steps = 200;
+  sim::Trace trace;
   const auto rr = core::run_closed_loop(
-      sys, ic, Vector{1.0, 0.5},
-      [&](std::size_t) {
-        return Vector{rng.uniform(-0.04, 0.04), rng.uniform(-0.04, 0.04)};
+      sys, ic, Vector{1.0, 0.5}, kSteps,
+      [&](std::size_t, Vector& w) {
+        w[0] = rng.uniform(-0.04, 0.04);
+        w[1] = rng.uniform(-0.04, 0.04);
       },
-      rcfg);
+      [&](const core::Period& p) { trace.add(core::trace_step(p)); });
 
-  std::printf("\nran %zu steps from x0 = (1.0, 0.5):\n", rr.trace.size());
+  std::printf("\nran %zu steps from x0 = (1.0, 0.5):\n", trace.size());
   std::printf("  skipped control computations : %zu / %zu (%.0f %%)\n",
-              rr.trace.skipped_steps(), rr.trace.size(),
-              100.0 * rr.trace.skip_ratio());
-  std::printf("  monitor interventions        : %zu\n", rr.trace.forced_steps());
+              trace.skipped_steps(), trace.size(), 100.0 * trace.skip_ratio());
+  std::printf("  monitor interventions        : %zu\n", trace.forced_steps());
   std::printf("  total actuation energy       : %.3f (always-run for comparison: ",
-              rr.trace.total_energy());
+              trace.total_energy());
 
   // Same rollout without skipping.
   core::AlwaysRunPolicy always;
   core::IntermittentController ic2(sys, sets, kappa, always, icfg);
   Rng rng2(2020);
-  const auto rr2 = core::run_closed_loop(
-      sys, ic2, Vector{1.0, 0.5},
-      [&](std::size_t) {
-        return Vector{rng2.uniform(-0.04, 0.04), rng2.uniform(-0.04, 0.04)};
+  sim::Trace trace2;
+  core::run_closed_loop(
+      sys, ic2, Vector{1.0, 0.5}, kSteps,
+      [&](std::size_t, Vector& w) {
+        w[0] = rng2.uniform(-0.04, 0.04);
+        w[1] = rng2.uniform(-0.04, 0.04);
       },
-      rcfg);
-  std::printf("%.3f)\n", rr2.trace.total_energy());
+      [&](const core::Period& p) { trace2.add(core::trace_step(p)); });
+  std::printf("%.3f)\n", trace2.total_energy());
   std::printf("  left XI (must be false)      : %s\n", rr.left_xi ? "YES" : "no");
   std::printf("  left X  (must be false)      : %s\n", rr.left_x ? "YES" : "no");
   std::printf("\nDone.  See examples/acc_intermittent.cpp for the full ACC case "

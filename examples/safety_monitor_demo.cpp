@@ -11,8 +11,10 @@
 #include <string>
 #include <vector>
 
-#include "acc/harness.hpp"
+#include "acc/acc.hpp"
+#include "acc/scenarios.hpp"
 #include "core/runner.hpp"
+#include "eval/harness.hpp"
 
 namespace {
 
@@ -49,17 +51,14 @@ int main() {
   Rng rng(99);
   Vector x0 = acc_case.sample_x0(rng);
   std::vector<Vector> visited;
-  core::RunConfig rcfg;
-  rcfg.steps = 300;
   const auto rr = core::run_closed_loop(
-      acc_case.system(), ic, x0,
-      [&](std::size_t) {
+      acc_case.system(), ic, x0, 300,
+      [&](std::size_t, Vector& w) {
         const double vf = rng.bernoulli(0.5) ? acc_case.params().vf_max
                                              : acc_case.params().vf_min;
-        return Vector{acc_case.w_from_vf(vf)};
+        w[0] = acc_case.w_from_vf(vf);
       },
-      rcfg,
-      [&](sim::TraceStep& step, const Vector&) { visited.push_back(step.x); });
+      [&](const core::Period& p) { visited.push_back(p.x); });
 
   // ---- ASCII phase portrait: gap error (x) vs speed error (y). ----
   const int w = 64, h = 24;
@@ -93,8 +92,8 @@ int main() {
   std::printf("  '+' = strengthened safe set X', '.' = XI \\ X', '*' = trajectory\n\n");
   for (const auto& row : canvas) std::printf("  |%s|\n", row.c_str());
 
-  std::printf("\n%zu steps: skipped=%zu, monitor overrides=%zu\n", rr.trace.size(),
-              rr.trace.skipped_steps(), rr.trace.forced_steps());
+  std::printf("\n%zu steps: skipped=%zu, monitor overrides=%zu\n", visited.size(),
+              rr.skipped, rr.forced);
   std::printf("left XI: %s, left X: %s  (Theorem 1 requires: no, no)\n",
               rr.left_xi ? "YES (BUG!)" : "no", rr.left_x ? "YES (BUG!)" : "no");
   return (rr.left_xi || rr.left_x) ? 1 : 0;

@@ -39,7 +39,7 @@ for arg in "$@"; do
 done
 
 if [[ ${quick} -eq 1 ]]; then
-  # Smoke sizing: exercises every code path (legacy + engine + parallel +
+  # Smoke sizing: exercises every code path (serial + parallel engine +
   # JSON emission) in a few seconds.  Explicit --cases/--steps/--workers
   # flags stay first so they win (bench_util takes the first match).
   passthrough=("${passthrough[@]+"${passthrough[@]}"}" --cases=4 --steps=40 --workers=2)

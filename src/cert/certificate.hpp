@@ -42,10 +42,9 @@ struct PlantCertificate {
 };
 
 /// Content hash over the model: FNV-1a 64 over the id, every dynamics /
-/// weight / constraint double (exact bit patterns), the RMPC configuration
-/// fields that shape synthesis, the skip input, and the ladder depth.
-/// The solver-only knob RmpcConfig::reuse_lp is excluded -- it does not
-/// change any synthesized set.
+/// weight / constraint double (exact bit patterns), every RMPC
+/// configuration field (each one shapes synthesis), the skip input, and
+/// the ladder depth.
 std::uint64_t model_hash(const PlantModel& model);
 
 /// Hash rendered as 16 lowercase hex digits (file headers, CLI output).

@@ -241,33 +241,26 @@ Vector TubeMpc::control(const Vector& x) {
 
   // The LP structure is state-independent: x enters Equation (5) only via
   // the x(0) = x equality right-hand sides (the first nx constraint rows of
-  // build_lp).  With reuse_lp the standard-form tableau is prepared once and
-  // each step patches those nx values and continues from the previous
-  // basis with the dual simplex: the same optimal value as rebuilding the
-  // Problem from scratch, though possibly a different argmin where the
-  // optimum is non-unique (see RmpcConfig::reuse_lp).
+  // build_lp).  The standard-form tableau is prepared once; each step
+  // patches those nx values and continues from the previous step's optimal
+  // basis with the dual simplex -- a few dual pivots instead of a full
+  // two-phase restart.  reset_solver() drops the carried basis.
   LpLayout layout = make_layout(/*with_objective=*/true);
-  lp::Result r;
-  if (config_.reuse_lp) {
-    if (!prepared_) {
-      // Build from the CANONICAL zero-state template, not from x: the x(0)
-      // equality rows enter the LP only through their right-hand sides (the
-      // structure is state-independent), and a state-independent template
-      // lets set_hot_rows capture one canonical warm-start seed shared by
-      // every copy of this controller -- which keeps parallel-worker
-      // episode schedules bit-identical to serial (see lp/prepared.hpp).
-      const lp::Problem p = build_lp(Vector(sys_.nx()), /*with_objective=*/true, layout);
-      prepared_ = std::make_unique<lp::PreparedProblem>(p);
-      std::vector<std::size_t> x0_rows(sys_.nx());
-      for (std::size_t i = 0; i < sys_.nx(); ++i) x0_rows[i] = i;
-      prepared_->set_hot_rows(x0_rows);
-    }
-    for (std::size_t i = 0; i < sys_.nx(); ++i) prepared_->set_rhs(i, x[i]);
-    r = prepared_->solve_warm(ws_, warm_);
-  } else {
-    const lp::Problem p = build_lp(x, /*with_objective=*/true, layout);
-    r = lp::solve(p);
+  if (!prepared_) {
+    // Build from the CANONICAL zero-state template, not from x: the x(0)
+    // equality rows enter the LP only through their right-hand sides (the
+    // structure is state-independent), and a state-independent template
+    // lets set_hot_rows capture one canonical warm-start seed shared by
+    // every copy of this controller -- which keeps parallel-worker
+    // episode schedules bit-identical to serial (see lp/prepared.hpp).
+    const lp::Problem p = build_lp(Vector(sys_.nx()), /*with_objective=*/true, layout);
+    prepared_ = std::make_unique<lp::PreparedProblem>(p);
+    std::vector<std::size_t> x0_rows(sys_.nx());
+    for (std::size_t i = 0; i < sys_.nx(); ++i) x0_rows[i] = i;
+    prepared_->set_hot_rows(x0_rows);
   }
+  for (std::size_t i = 0; i < sys_.nx(); ++i) prepared_->set_rhs(i, x[i]);
+  const lp::Result r = prepared_->solve_warm(ws_, warm_);
   if (r.status == lp::Status::kInfeasible) {
     throw NumericalError("TubeMpc::control: optimization infeasible at this state");
   }

@@ -38,15 +38,6 @@ struct RmpcConfig {
   bool closed_loop_tightening = false;
   /// Fixed-point options for the terminal-set computation.
   InvariantOptions terminal_options = {};
-  /// Reuse a prepared LP across control() calls: the constraint tableau is
-  /// built once, only the x(0) = x(t) right-hand sides are patched per
-  /// step, and each solve continues from the previous step's optimal basis
-  /// with the dual simplex -- a few dual pivots instead of a full two-phase
-  /// restart.  The optimum is exact either way; the argmin can differ from
-  /// a cold solve only where the LP has multiple optima.  reset_solver()
-  /// drops the carried basis.  false recovers the historical
-  /// rebuild-every-step path (benchmarking).
-  bool reuse_lp = true;
 };
 
 /// Diagnostics of the most recent successful solve.
@@ -134,9 +125,9 @@ class TubeMpc : public Controller {
   std::vector<poly::HPolytope> tightened_;  // X(0) ... X(N)
   poly::HPolytope terminal_;
   MpcSolveInfo last_;
-  /// Prepared Equation-(5) LP (built lazily on the first control() call
-  /// when config_.reuse_lp): only the first nx right-hand sides depend on
-  /// the query state, so each step is a rhs patch + workspace solve.
+  /// Prepared Equation-(5) LP (built lazily on the first control() call):
+  /// only the first nx right-hand sides depend on the query state, so each
+  /// step is a rhs patch + workspace solve.
   std::unique_ptr<lp::PreparedProblem> prepared_;
   lp::SolverWorkspace ws_;
   lp::PreparedProblem::WarmState warm_;

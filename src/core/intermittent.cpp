@@ -621,14 +621,4 @@ void IntermittentController::reset() {
   omega_.reset();
 }
 
-void IntermittentController::reset_stats() {
-  total_steps_ = 0;
-  skipped_steps_ = 0;
-  forced_steps_ = 0;
-  burst_steps_ = 0;
-  degraded_steps_ = 0;
-  stale_forced_ = 0;
-  policy_unavail_ = 0;
-}
-
 }  // namespace oic::core

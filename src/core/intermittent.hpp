@@ -146,12 +146,9 @@ class IntermittentController {
   /// Observed state-space disturbances, oldest first (up to w_memory).
   const WHistory& w_history() const { return w_history_; }
 
-  /// Reset per-episode state (history, counters stay cumulative; use
-  /// reset_stats for those).  Also resets the policy.
+  /// Reset per-episode state (history, burst, estimate; the counters stay
+  /// cumulative).  Also resets the policy.
   void reset();
-
-  /// Zero the cumulative statistics.
-  void reset_stats();
 
   /// Steps decided so far.
   std::size_t total_steps() const { return total_steps_; }

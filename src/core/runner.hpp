@@ -1,9 +1,11 @@
 #pragma once
 /// \file runner.hpp
-/// Generic closed-loop rollout of the intermittent framework against the
-/// true (disturbed) plant: steps the plant, consults Algorithm 1, records a
-/// sim::Trace, and flags safety violations.  Domain harnesses (the ACC case
-/// study) hook per-step callbacks to add domain metrics such as fuel.
+/// The closed loop of Algorithm 1 against the true (disturbed) plant: the
+/// one place a monitored control period runs.  Each period checks x
+/// against X', asks Omega or forces z = 1, applies kappa(x) or the skip
+/// input, steps the plant, and flags safety violations.  Callers add their
+/// own per-period bookkeeping (fuel sums, sim::Trace records, level
+/// observers) through one callback.
 
 #include <functional>
 
@@ -13,18 +15,12 @@
 
 namespace oic::core {
 
-/// Rollout configuration.
-struct RunConfig {
-  std::size_t steps = 100;  ///< the paper evaluates 100-step episodes
-};
-
-/// Rollout outcome.
+/// Rollout outcome.  Counters cover this rollout only.
 struct RunResult {
-  sim::Trace trace;
-  bool left_x = false;            ///< original safe set violated (never, by Thm 1)
-  bool left_xi = false;           ///< invariant set violated (model mismatch)
-  std::size_t first_violation = 0;
-  linalg::Vector final_state;
+  bool left_x = false;   ///< original safe set violated (never, by Thm 1)
+  bool left_xi = false;  ///< invariant set violated (model mismatch)
+  std::size_t skipped = 0;  ///< periods where the controller was skipped
+  std::size_t forced = 0;   ///< periods where the monitor forced z = 1
   /// Fault accounting (all zero on the fault-free path).
   std::size_t degraded_steps = 0;  ///< steps handled in degraded mode
   std::size_t stale_forced = 0;    ///< stale/missing measurement forced z = 1
@@ -33,33 +29,50 @@ struct RunResult {
   std::size_t act_dropped = 0;     ///< actuation packets lost on the link
 };
 
-/// Source of the true disturbance at each step, in W-space (dimension nw).
-using DisturbanceFn = std::function<linalg::Vector(std::size_t t)>;
+/// One finished period, as handed to the per-period callback.  The
+/// references are valid only during the call.
+struct Period {
+  std::size_t t;
+  const linalg::Vector& x;       ///< true state entering the period
+  const StepDecision& decision;  ///< the monitor's output (commanded input)
+  const linalg::Vector& u;       ///< input the plant received
+  const linalg::Vector& w;       ///< true disturbance, in W-space
+  const linalg::Vector& x_next;  ///< successor state
+};
 
-/// Optional per-step hook: called after the plant stepped; may annotate the
-/// TraceStep (e.g. fuel) before it is committed to the trace.
-using StepHook = std::function<void(sim::TraceStep&, const linalg::Vector& x_next)>;
+/// Fills the true disturbance of period t into `w` (dimension nw, owned by
+/// the loop and reused across periods).
+using DisturbanceFn = std::function<void(std::size_t t, linalg::Vector& w)>;
 
-/// Run `cfg.steps` periods of Algorithm 1 from x0.  The plant evolves with
-/// the *true* disturbance from `disturbance`; the framework only observes
-/// states.  Violations are recorded, not thrown (the runner is also used to
-/// probe deliberately broken configurations in tests); configure the
-/// controller with strict_invariant = false for such probes.
+/// Called once per period, after the plant stepped.
+using PeriodFn = std::function<void(const Period&)>;
+
+/// The period as a trace record (fuel left at 0 for the caller to fill).
+sim::TraceStep trace_step(const Period& p);
+
+/// Run `steps` periods of Algorithm 1 from x0.  The plant evolves with the
+/// true disturbance; the framework only observes states.  Per period the
+/// calls run in the order decide, disturbance, plant step,
+/// record_transition (fault-free path only), on_period, then the X / XI
+/// membership checks.
+/// Violations are recorded, not thrown (the runner also probes
+/// deliberately broken configurations in tests); configure the controller
+/// with strict_invariant = false for such probes.
 ///
 /// With a non-null, active fault `link` the loop routes every channel
 /// through it: the monitor sees only measurements the link delivers
 /// (decide_measured, degraded mode), the plant receives the link's applied
 /// input (actuation drops), and the policy sees compute outages.  The
-/// disturbance-history residual is reconstructed only between consecutive
-/// FRESH measurements (from measured states and the commanded input): the
-/// framework never peeks at the true state.  The link must be reset for
-/// this episode's stream; configure strict_invariant = false (actuation
-/// drops can push the true state out of XI -- that is what left_xi
-/// accounts).  A null or inactive link takes the historical fault-free
-/// path, bit for bit.
+/// disturbance-history residual is then reconstructed only between
+/// consecutive FRESH measurements, from measured states and the commanded
+/// input, so the framework never peeks at the true state.  The link must
+/// be reset for this episode's stream; configure strict_invariant = false
+/// (actuation drops can push the true state out of XI -- that is what
+/// left_xi accounts).  A null or inactive link is the identity: decide()
+/// on the true state and record_transition on the true successor.
 RunResult run_closed_loop(const control::AffineLTI& sys, IntermittentController& ic,
-                          const linalg::Vector& x0, const DisturbanceFn& disturbance,
-                          const RunConfig& cfg = {}, const StepHook& hook = {},
-                          fault::Link* link = nullptr);
+                          const linalg::Vector& x0, std::size_t steps,
+                          const DisturbanceFn& disturbance,
+                          const PeriodFn& on_period = {}, fault::Link* link = nullptr);
 
 }  // namespace oic::core

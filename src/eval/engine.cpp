@@ -5,8 +5,6 @@
 
 namespace oic::eval {
 
-using linalg::Vector;
-
 EpisodeEngine::EpisodeEngine(const PlantCase& plant, core::SkipPolicy& policy,
                              const fault::FaultSpec& faults)
     : plant_(plant),
@@ -14,197 +12,137 @@ EpisodeEngine::EpisodeEngine(const PlantCase& plant, core::SkipPolicy& policy,
       rmpc_(plant.rmpc()),
       ic_(plant.system(), plant.sets(), rmpc_, policy,
           make_intermittent_config(plant, policy, faults.active())),
-      link_(faults, 0),
-      w_(plant.system().nw()) {}
+      link_(faults, 0) {}
 
 EpisodeResult EpisodeEngine::run(const CaseData& data) {
-  OIC_REQUIRE(!data.signal.empty(), "EpisodeEngine::run: empty case");
-  if (link_.active()) return run_faulted(data);
-  ic_.reset();
-  ic_.reset_stats();
-  rmpc_.reset_solver();
-
-  const control::AffineLTI& sys = plant_.system();
-  EpisodeResult out;
-  x_ = data.x0;
-  // Same step sequence as core::run_closed_loop + the harness cost hook,
-  // with the per-step temporaries replaced by engine-owned scratch.
-  for (std::size_t t = 0; t < data.signal.size(); ++t) {
-    const core::StepDecision d = ic_.decide(x_);
-    plant_.signal_to_w(data.signal[t], w_);
-    sys.step_into(x_, d.u, w_, x_next_);
-    ic_.record_transition(x_, d.u, x_next_);
-
-    out.fuel += plant_.cost_step(x_, d.u, d.z == 1);
-    out.energy += plant_.energy_raw(d.u);
-
-    if (!out.left_xi && !ic_.sets().xi.contains(x_next_, 1e-6)) {
-      out.left_xi = true;
-    }
-    if (!out.left_x && !ic_.sets().x.contains(x_next_, 1e-6)) {
-      out.left_x = true;
-    }
-    if (observer_) observer_(t, x_next_);
-    x_ = x_next_;
-  }
-  out.skipped = ic_.skipped_steps();
-  out.forced = ic_.forced_steps();
-  out.steps = data.signal.size();
-  return out;
+  return run_monitored_episode(plant_, rmpc_, ic_, data, &link_, observer_);
 }
 
-EpisodeResult EpisodeEngine::run_faulted(const CaseData& data) {
-  ic_.reset();
-  ic_.reset_stats();
-  rmpc_.reset_solver();
-  link_.reset(data.fault_stream);
-  ic_.seed_state(data.x0);
+namespace {
 
-  const control::AffineLTI& sys = plant_.system();
-  EpisodeResult out;
-  x_ = data.x0;
-  // Same step sequence as the faulted branch of core::run_closed_loop plus
-  // the harness cost hook (bit-parity tested); temporaries replaced by
-  // engine scratch.
-  core::MeasuredState m;
-  bool prev_fresh = false;
-  for (std::size_t t = 0; t < data.signal.size(); ++t) {
-    const fault::Measurement& meas = link_.sense_and_observe(t, x_);
-    const bool fresh = meas.available && meas.age == 0;
-    if (fresh && prev_fresh) {
-      ic_.record_transition(prev_meas_x_, prev_u_cmd_, meas.x);
+/// Per-case results of one paired sweep: the cases are drawn up front,
+/// chunks of them are run into the table by index, and one aggregation
+/// turns the table into a ComparisonResult.
+class SweepTable {
+ public:
+  SweepTable(const PlantCase& plant, const Scenario& scenario, const SweepConfig& cfg,
+             std::size_t num_policies)
+      : plant_(plant), faults_(cfg.faults) {
+    OIC_REQUIRE(cfg.cases >= 1, "compare_policies: need at least one case");
+    // One Rng::split() stream, independent of worker count.  Faulted
+    // sweeps append the per-case fault stream (an extra split taken only
+    // then, so fault-free streams are the historical ones).
+    Rng rng(cfg.seed);
+    cases_.reserve(cfg.cases);
+    for (std::size_t c = 0; c < cfg.cases; ++c) {
+      cases_.push_back(make_case(plant, scenario, rng, cfg.steps, faults_.active()));
     }
-    m.available = meas.available;
-    m.age = meas.age;
-    if (meas.available) m.x = meas.x;
-
-    const core::StepDecision d = ic_.decide_measured(m, link_.policy_available(t));
-    const Vector& u_applied = link_.actuate(t, d.u);
-    plant_.signal_to_w(data.signal[t], w_);
-    sys.step_into(x_, u_applied, w_, x_next_);
-
-    out.fuel += plant_.cost_step(x_, u_applied, d.z == 1);
-    out.energy += plant_.energy_raw(u_applied);
-
-    if (!out.left_xi && !ic_.sets().xi.contains(x_next_, 1e-6)) {
-      out.left_xi = true;
-    }
-    if (!out.left_x && !ic_.sets().x.contains(x_next_, 1e-6)) {
-      out.left_x = true;
-    }
-    prev_fresh = fresh;
-    if (fresh) {
-      prev_meas_x_ = meas.x;
-      prev_u_cmd_ = d.u;
-    }
-    if (observer_) observer_(t, x_next_);
-    x_ = x_next_;
+    savings_.assign(num_policies, std::vector<double>(cfg.cases, 0.0));
+    results_.assign(num_policies, std::vector<EpisodeResult>(cfg.cases));
   }
-  out.skipped = ic_.skipped_steps();
-  out.forced = ic_.forced_steps();
-  out.steps = data.signal.size();
-  out.degraded_steps = ic_.degraded_steps();
-  out.stale_forced = ic_.stale_forced();
-  out.policy_unavail = ic_.policy_unavail();
-  out.meas_dropped = link_.meas_dropped();
-  out.act_dropped = link_.act_dropped();
-  return out;
-}
+
+  /// Run cases [begin, end) for the baseline and every policy, on engines
+  /// private to this call (own controller, solver and fault-link state).
+  void run_chunk(const std::vector<core::SkipPolicy*>& policies, std::size_t begin,
+                 std::size_t end) {
+    OIC_REQUIRE(policies.size() == results_.size(),
+                "compare_policies_parallel: factory is not stable");
+    core::AlwaysRunPolicy baseline;
+    EpisodeEngine base_engine(plant_, baseline, faults_);
+    std::vector<std::unique_ptr<EpisodeEngine>> engines;
+    engines.reserve(policies.size());
+    for (auto* p : policies) {
+      engines.push_back(std::make_unique<EpisodeEngine>(plant_, *p, faults_));
+    }
+    for (std::size_t c = begin; c < end; ++c) {
+      const EpisodeResult base = base_engine.run(cases_[c]);
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        results_[p][c] = engines[p]->run(cases_[c]);
+        savings_[p][c] = fuel_saving(base, results_[p][c]);
+      }
+    }
+  }
+
+  /// Per-policy means and violation flags, accumulated in case order.
+  ComparisonResult aggregate(std::vector<std::string> names) {
+    const std::size_t num_policies = results_.size();
+    const auto cases = static_cast<double>(cases_.size());
+    ComparisonResult out;
+    out.policy_names = std::move(names);
+    out.savings = std::move(savings_);
+    out.mean_skipped.assign(num_policies, 0.0);
+    out.any_violation.assign(num_policies, false);
+    out.any_left_x.assign(num_policies, false);
+    out.any_left_xi.assign(num_policies, false);
+    out.mean_degraded.assign(num_policies, 0.0);
+    out.mean_stale_forced.assign(num_policies, 0.0);
+    out.mean_act_dropped.assign(num_policies, 0.0);
+    for (std::size_t p = 0; p < num_policies; ++p) {
+      for (const EpisodeResult& r : results_[p]) {
+        out.mean_skipped[p] += static_cast<double>(r.skipped);
+        out.mean_degraded[p] += static_cast<double>(r.degraded_steps);
+        out.mean_stale_forced[p] += static_cast<double>(r.stale_forced);
+        out.mean_act_dropped[p] += static_cast<double>(r.act_dropped);
+        if (r.left_x || r.left_xi) out.any_violation[p] = true;
+        if (r.left_x) out.any_left_x[p] = true;
+        if (r.left_xi) out.any_left_xi[p] = true;
+      }
+      out.mean_skipped[p] /= cases;
+      out.mean_degraded[p] /= cases;
+      out.mean_stale_forced[p] /= cases;
+      out.mean_act_dropped[p] /= cases;
+    }
+    return out;
+  }
+
+ private:
+  const PlantCase& plant_;
+  const fault::FaultSpec faults_;
+  std::vector<CaseData> cases_;
+  std::vector<std::vector<double>> savings_;  ///< [policy][case]
+  std::vector<std::vector<EpisodeResult>> results_;  ///< [policy][case]
+};
+
+}  // namespace
 
 ComparisonResult compare_policies_parallel(const PlantCase& plant,
                                            const Scenario& scenario,
                                            const PolicySetFactory& factory,
                                            const SweepConfig& cfg) {
   OIC_REQUIRE(static_cast<bool>(factory), "compare_policies_parallel: factory required");
-  OIC_REQUIRE(cfg.cases >= 1, "compare_policies_parallel: need at least one case");
-
-  // Draw every case up front on the calling thread: the exact Rng::split()
-  // stream of the serial harness, independent of worker count.  Faulted
-  // sweeps append the per-case fault stream (an extra split taken only
-  // then, so fault-free streams are the historical ones).
-  const bool faulted = cfg.faults.active();
-  std::vector<CaseData> case_data;
-  case_data.reserve(cfg.cases);
-  Rng rng(cfg.seed);
-  for (std::size_t c = 0; c < cfg.cases; ++c) {
-    case_data.push_back(make_case(plant, scenario, rng, cfg.steps, faulted));
-  }
-
   // Probe one worker's policy set for names/count.
   const auto probe = factory();
   OIC_REQUIRE(!probe.empty(), "compare_policies_parallel: factory returned no policies");
-  const std::size_t num_policies = probe.size();
+  std::vector<std::string> names;
+  for (const auto& p : probe) names.push_back(p->name());
 
-  ComparisonResult out;
-  for (const auto& p : probe) out.policy_names.push_back(p->name());
-  out.savings.assign(num_policies, std::vector<double>(cfg.cases, 0.0));
-  out.mean_skipped.assign(num_policies, 0.0);
-  out.any_violation.assign(num_policies, false);
-  out.any_left_x.assign(num_policies, false);
-  out.any_left_xi.assign(num_policies, false);
-  out.mean_degraded.assign(num_policies, 0.0);
-  out.mean_stale_forced.assign(num_policies, 0.0);
-  out.mean_act_dropped.assign(num_policies, 0.0);
-  std::vector<std::vector<std::size_t>> skipped(num_policies,
-                                                std::vector<std::size_t>(cfg.cases, 0));
-  std::vector<std::vector<unsigned char>> left_x_flags(
-      num_policies, std::vector<unsigned char>(cfg.cases, 0));
-  std::vector<std::vector<unsigned char>> left_xi_flags(
-      num_policies, std::vector<unsigned char>(cfg.cases, 0));
-  std::vector<std::vector<std::size_t>> degraded(
-      num_policies, std::vector<std::size_t>(cfg.cases, 0));
-  std::vector<std::vector<std::size_t>> stale(num_policies,
-                                              std::vector<std::size_t>(cfg.cases, 0));
-  std::vector<std::vector<std::size_t>> act_drops(
-      num_policies, std::vector<std::size_t>(cfg.cases, 0));
-
+  SweepTable table(plant, scenario, cfg, probe.size());
   run_chunked(cfg.cases, cfg.workers,
               [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-                // Per-worker context: own policies, own engines (and thus
-                // own controller/solver/fault-link state).
-                auto policies = factory();
-                OIC_REQUIRE(policies.size() == num_policies,
-                            "compare_policies_parallel: factory is not stable");
-                core::AlwaysRunPolicy baseline;
-                EpisodeEngine base_engine(plant, baseline, cfg.faults);
-                std::vector<std::unique_ptr<EpisodeEngine>> engines;
-                engines.reserve(num_policies);
-                for (auto& p : policies) {
-                  engines.push_back(
-                      std::make_unique<EpisodeEngine>(plant, *p, cfg.faults));
-                }
-
-                for (std::size_t c = begin; c < end; ++c) {
-                  const EpisodeResult base = base_engine.run(case_data[c]);
-                  for (std::size_t p = 0; p < num_policies; ++p) {
-                    const EpisodeResult r = engines[p]->run(case_data[c]);
-                    out.savings[p][c] = fuel_saving(base, r);
-                    skipped[p][c] = r.skipped;
-                    left_x_flags[p][c] = r.left_x ? 1 : 0;
-                    left_xi_flags[p][c] = r.left_xi ? 1 : 0;
-                    degraded[p][c] = r.degraded_steps;
-                    stale[p][c] = r.stale_forced;
-                    act_drops[p][c] = r.act_dropped;
-                  }
-                }
+                // Per-worker policies: own decision state per chunk.
+                const auto owned = factory();
+                std::vector<core::SkipPolicy*> policies;
+                for (const auto& p : owned) policies.push_back(p.get());
+                table.run_chunk(policies, begin, end);
               });
+  return table.aggregate(std::move(names));
+}
 
-  for (std::size_t p = 0; p < num_policies; ++p) {
-    for (std::size_t c = 0; c < cfg.cases; ++c) {
-      out.mean_skipped[p] += static_cast<double>(skipped[p][c]);
-      out.mean_degraded[p] += static_cast<double>(degraded[p][c]);
-      out.mean_stale_forced[p] += static_cast<double>(stale[p][c]);
-      out.mean_act_dropped[p] += static_cast<double>(act_drops[p][c]);
-      if (left_x_flags[p][c] || left_xi_flags[p][c]) out.any_violation[p] = true;
-      if (left_x_flags[p][c]) out.any_left_x[p] = true;
-      if (left_xi_flags[p][c]) out.any_left_xi[p] = true;
-    }
-    out.mean_skipped[p] /= static_cast<double>(cfg.cases);
-    out.mean_degraded[p] /= static_cast<double>(cfg.cases);
-    out.mean_stale_forced[p] /= static_cast<double>(cfg.cases);
-    out.mean_act_dropped[p] /= static_cast<double>(cfg.cases);
-  }
-  return out;
+ComparisonResult compare_policies(PlantCase& plant, const Scenario& scenario,
+                                  const std::vector<core::SkipPolicy*>& policies,
+                                  std::size_t cases, std::size_t steps,
+                                  std::uint64_t seed) {
+  OIC_REQUIRE(!policies.empty(), "compare_policies: need at least one policy");
+  std::vector<std::string> names;
+  for (const auto* p : policies) names.push_back(p->name());
+
+  SweepConfig cfg;
+  cfg.cases = cases;
+  cfg.steps = steps;
+  cfg.seed = seed;
+  SweepTable table(plant, scenario, cfg, policies.size());
+  table.run_chunk(policies, 0, cases);
+  return table.aggregate(std::move(names));
 }
 
 }  // namespace oic::eval

@@ -2,25 +2,21 @@
 /// \file engine.hpp
 /// Throughput-oriented episode evaluation, generic over PlantCase.
 ///
-/// The original harness rebuilt the full Algorithm-1 runtime inside
-/// run_episode: a fresh IntermittentController per episode (whose
-/// constructor re-verifies the X' subset XI subset X nesting with a pile of
-/// LP solves) driving the shared, cold-started RMPC.  For one episode that
-/// is fine; for the paper's Monte-Carlo sweeps (hundreds of cases times
-/// several policies) it is the difference between minutes and seconds.
-///
-/// An EpisodeEngine is the hoisted per-policy context: controller
-/// construction, set verification and the MPC's prepared LP happen once,
-/// and each run() only resets per-episode state.  Engines own a private
-/// TubeMpc copy, so any number of engines can run concurrently against one
-/// shared (const) PlantCase.
+/// run_episode builds the Algorithm-1 runtime per episode: a fresh
+/// IntermittentController (whose constructor re-verifies the
+/// X' subset XI subset X nesting with a pile of LP solves) around the
+/// plant's own RMPC.  An EpisodeEngine is the hoisted per-policy context:
+/// controller construction, set verification and the MPC's prepared LP
+/// happen once, and each run() only resets per-episode state before the
+/// shared episode body (run_monitored_episode -> core::run_closed_loop).
+/// Engines own a private TubeMpc copy, so any number of engines can run
+/// concurrently against one shared (const) PlantCase.
 ///
 /// compare_policies_parallel shards the case list over a thread pool with
-/// one engine set per worker.  Cases are drawn serially up front with the
-/// same Rng::split() stream as the serial harness, each episode resets all
-/// carried solver state, and the partition is a pure function of
-/// (cases, workers) -- so the output is bit-identical to the serial path
-/// for a fixed seed, at any worker count.
+/// one engine set per worker.  Cases are drawn serially up front from one
+/// Rng::split() stream, each episode resets all carried solver state, and
+/// the partition is a pure function of (cases, workers) -- so the output
+/// is bit-identical at any worker count for a fixed seed.
 
 #include <functional>
 #include <memory>
@@ -40,8 +36,7 @@ class EpisodeEngine {
   /// this is where the nesting verification LPs run.  The policy and plant
   /// must outlive the engine.  An active fault spec routes every episode
   /// through a per-engine fault::Link (re-armed from data.fault_stream);
-  /// the default (inactive) spec is the historical fault-free engine, bit
-  /// for bit.
+  /// the default (inactive) spec runs fault-free.
   EpisodeEngine(const PlantCase& plant, core::SkipPolicy& policy,
                 const fault::FaultSpec& faults = {});
 
@@ -50,11 +45,9 @@ class EpisodeEngine {
   EpisodeEngine(const EpisodeEngine&) = delete;
   EpisodeEngine& operator=(const EpisodeEngine&) = delete;
 
-  /// Evaluate one episode.  Equivalent to harness run_episode() -- same
-  /// decisions, same cost/energy/served counters -- minus the per-episode
-  /// setup.  Carried solver state is dropped first, so results do not
-  /// depend on what this engine ran before.  Bit-parity with the harness
-  /// holds on both the fault-free and the faulted path (tested).
+  /// Evaluate one episode: the same episode body as run_episode() minus
+  /// the per-episode setup.  Carried solver state is dropped first, so
+  /// results do not depend on what this engine ran before.
   EpisodeResult run(const CaseData& data);
 
   /// The policy driving this engine.
@@ -65,25 +58,16 @@ class EpisodeEngine {
   /// level traces (distance-to-boundary) without the engine storing
   /// trajectories.  Pass {} to clear.  Observers must not touch the
   /// engine (re-entrancy is undefined); they do not affect any result
-  /// field, so the bit-parity contract is unchanged.
-  void set_observer(std::function<void(std::size_t, const linalg::Vector&)> obs) {
-    observer_ = std::move(obs);
-  }
+  /// field.
+  void set_observer(StateObserver obs) { observer_ = std::move(obs); }
 
  private:
-  EpisodeResult run_faulted(const CaseData& data);
-
   const PlantCase& plant_;
   core::SkipPolicy& policy_;
   control::TubeMpc rmpc_;  ///< private copy: per-engine solver state
   core::IntermittentController ic_;
   fault::Link link_;        ///< per-engine fault realization (inactive = unused)
-  linalg::Vector x_;        ///< current state scratch
-  linalg::Vector x_next_;   ///< successor scratch
-  linalg::Vector w_;        ///< disturbance scratch (dimension nw)
-  linalg::Vector prev_meas_x_;  ///< last fresh measured state (fault path)
-  linalg::Vector prev_u_cmd_;   ///< input commanded at that step (fault path)
-  std::function<void(std::size_t, const linalg::Vector&)> observer_;
+  StateObserver observer_;
 };
 
 /// Per-worker policy set builder for the parallel sweep.  Invoked once per
@@ -115,8 +99,8 @@ struct SweepConfig {
 };
 
 /// Paired policy comparison against the always-run baseline, sharded over
-/// a thread pool.  Bit-identical to the serial compare_policies stream for
-/// the same seed (see the file comment for why).
+/// a thread pool (see the file comment).  compare_policies is its
+/// one-chunk case.
 ComparisonResult compare_policies_parallel(const PlantCase& plant,
                                            const Scenario& scenario,
                                            const PolicySetFactory& factory,

@@ -53,106 +53,46 @@ CaseData make_case(const PlantCase& plant, const Scenario& scenario, Rng& rng,
   return data;
 }
 
-namespace {
-
-EpisodeResult run_episode_impl(PlantCase& plant, core::SkipPolicy& policy,
-                               const CaseData& data, fault::Link* link) {
-  const bool faulted = link != nullptr && link->active();
-  core::IntermittentController ic(plant.system(), plant.sets(), plant.rmpc(), policy,
-                                  make_intermittent_config(plant, policy, faulted));
+EpisodeResult run_monitored_episode(const PlantCase& plant, control::TubeMpc& rmpc,
+                                    core::IntermittentController& ic,
+                                    const CaseData& data, fault::Link* link,
+                                    const StateObserver& observer) {
+  OIC_REQUIRE(!data.signal.empty(), "run_monitored_episode: empty case");
   ic.reset();
-  // Episodes are independent by contract (fresh controller runtime above);
-  // drop the RMPC's carried warm-start basis for the same reason.
-  plant.rmpc().reset_solver();
-
-  core::RunConfig rcfg;
-  rcfg.steps = data.signal.size();
+  rmpc.reset_solver();
+  if (link != nullptr && link->active()) link->reset(data.fault_stream);
 
   double fuel = 0.0;
   double energy = 0.0;
-  const auto hook = [&](sim::TraceStep& step, const Vector&) {
-    step.fuel = plant.cost_step(step.x, step.u, step.z == 1);
-    fuel += step.fuel;
-    energy += plant.energy_raw(step.u);
-  };
-  const std::size_t nw = plant.system().nw();
-  const auto disturbance = [&](std::size_t t) {
-    Vector w(nw);
+  const auto disturbance = [&](std::size_t t, Vector& w) {
     plant.signal_to_w(data.signal[t], w);
-    return w;
   };
-
-  const core::RunResult rr = core::run_closed_loop(plant.system(), ic, data.x0,
-                                                   disturbance, rcfg, hook, link);
-
+  const auto on_period = [&](const core::Period& p) {
+    fuel += plant.cost_step(p.x, p.u, p.decision.z == 1);
+    energy += plant.energy_raw(p.u);
+    if (observer) observer(p.t, p.x_next);
+  };
   EpisodeResult out;
+  static_cast<core::RunResult&>(out) = core::run_closed_loop(
+      plant.system(), ic, data.x0, data.signal.size(), disturbance, on_period, link);
   out.fuel = fuel;
   out.energy = energy;
-  out.skipped = rr.trace.skipped_steps();
-  out.forced = rr.trace.forced_steps();
-  out.steps = rr.trace.size();
-  out.left_x = rr.left_x;
-  out.left_xi = rr.left_xi;
-  out.degraded_steps = rr.degraded_steps;
-  out.stale_forced = rr.stale_forced;
-  out.policy_unavail = rr.policy_unavail;
-  out.meas_dropped = rr.meas_dropped;
-  out.act_dropped = rr.act_dropped;
+  out.steps = data.signal.size();
   return out;
-}
-
-}  // namespace
-
-EpisodeResult run_episode(PlantCase& plant, core::SkipPolicy& policy,
-                          const CaseData& data) {
-  return run_episode_impl(plant, policy, data, nullptr);
 }
 
 EpisodeResult run_episode(PlantCase& plant, core::SkipPolicy& policy,
                           const CaseData& data, const fault::FaultSpec& faults) {
-  if (!faults.active()) return run_episode_impl(plant, policy, data, nullptr);
+  core::IntermittentController ic(
+      plant.system(), plant.sets(), plant.rmpc(), policy,
+      make_intermittent_config(plant, policy, faults.active()));
   fault::Link link(faults, data.fault_stream);
-  return run_episode_impl(plant, policy, data, &link);
+  return run_monitored_episode(plant, plant.rmpc(), ic, data, &link);
 }
 
 double fuel_saving(const EpisodeResult& baseline, const EpisodeResult& ours) {
   OIC_REQUIRE(baseline.fuel > 0.0, "fuel_saving: baseline consumed no fuel");
   return (baseline.fuel - ours.fuel) / baseline.fuel;
-}
-
-ComparisonResult compare_policies(PlantCase& plant, const Scenario& scenario,
-                                  const std::vector<core::SkipPolicy*>& policies,
-                                  std::size_t cases, std::size_t steps,
-                                  std::uint64_t seed) {
-  OIC_REQUIRE(!policies.empty(), "compare_policies: need at least one policy");
-  ComparisonResult out;
-  out.policy_names.reserve(policies.size());
-  for (const auto* p : policies) out.policy_names.push_back(p->name());
-  out.savings.assign(policies.size(), {});
-  out.mean_skipped.assign(policies.size(), 0.0);
-  out.any_violation.assign(policies.size(), false);
-  out.any_left_x.assign(policies.size(), false);
-  out.any_left_xi.assign(policies.size(), false);
-  out.mean_degraded.assign(policies.size(), 0.0);
-  out.mean_stale_forced.assign(policies.size(), 0.0);
-  out.mean_act_dropped.assign(policies.size(), 0.0);
-
-  core::AlwaysRunPolicy baseline;
-  Rng rng(seed);
-  for (std::size_t c = 0; c < cases; ++c) {
-    const CaseData data = make_case(plant, scenario, rng, steps);
-    const EpisodeResult base = run_episode(plant, baseline, data);
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      const EpisodeResult r = run_episode(plant, *policies[p], data);
-      out.savings[p].push_back(fuel_saving(base, r));
-      out.mean_skipped[p] += static_cast<double>(r.skipped);
-      if (r.left_x || r.left_xi) out.any_violation[p] = true;
-      if (r.left_x) out.any_left_x[p] = true;
-      if (r.left_xi) out.any_left_xi[p] = true;
-    }
-  }
-  for (auto& m : out.mean_skipped) m /= static_cast<double>(cases);
-  return out;
 }
 
 }  // namespace oic::eval

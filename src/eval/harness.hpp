@@ -7,6 +7,7 @@
 /// oic_eval sweep driver go through this code so numbers are comparable
 /// across plants.
 
+#include <functional>
 #include <vector>
 
 #include "core/intermittent.hpp"
@@ -35,53 +36,52 @@ struct CaseData {
 CaseData make_case(const PlantCase& plant, const Scenario& scenario, Rng& rng,
                    std::size_t steps, bool with_fault_stream = false);
 
-/// Result of one episode.  `fuel` is the plant's running-cost metric (the
-/// ACC's ml of fuel; actuator duty / battery draw for other plants);
-/// `energy` is sum ||u_raw||_1.
-struct EpisodeResult {
+/// Result of one episode: the closed-loop outcome (skip, violation and
+/// fault counters) plus the plant's totals.  `fuel` is the plant's
+/// running-cost metric (the ACC's ml of fuel; actuator duty / battery draw
+/// for other plants); `energy` is sum ||u_raw||_1.
+struct EpisodeResult : core::RunResult {
   double fuel = 0.0;
   double energy = 0.0;
-  std::size_t skipped = 0;
-  std::size_t forced = 0;
   std::size_t steps = 0;
-  bool left_x = false;   ///< safety violation (Theorem 1 says: never)
-  bool left_xi = false;  ///< invariant violation (model mismatch)
-  /// Fault accounting (all zero on fault-free runs).
-  std::size_t degraded_steps = 0;  ///< degraded-mode periods
-  std::size_t stale_forced = 0;    ///< stale/missing measurement forced z = 1
-  std::size_t policy_unavail = 0;  ///< Omega outage conservative defaults
-  std::size_t meas_dropped = 0;    ///< measurement packets lost
-  std::size_t act_dropped = 0;     ///< actuation packets lost
 };
 
-/// Disturbance observations the framework retains per evaluation episode;
-/// shared by run_episode and the EpisodeEngine so their histories -- and
-/// therefore policy decisions -- agree bit for bit.  (The DQN trainer's
-/// state memory r is a separate knob: TrainerConfig::memory.)
+/// Disturbance observations the framework retains per evaluation episode.
+/// (The DQN trainer's state memory r is a separate knob:
+/// TrainerConfig::memory.)
 inline constexpr std::size_t kEpisodeWMemory = 4;
 
-/// The Algorithm-1 framework configuration run_episode and the
-/// EpisodeEngine share: episode disturbance memory, the plant's skip
-/// input, and -- for burst-requesting policies
-/// (core::SkipPolicy::burst_depth) -- the certificate's k-step ladder.
-/// One function so the two paths can never disagree (bit-parity tested).
-/// `faults_active` relaxes strict_invariant: actuation drops are genuine
-/// plant/model mismatch, and a fault campaign must measure XI excursions
-/// (left_xi) rather than abort on the first one.
+/// The Algorithm-1 framework configuration of every evaluation episode:
+/// episode disturbance memory, the plant's skip input, and -- for
+/// burst-requesting policies (core::SkipPolicy::burst_depth) -- the
+/// certificate's k-step ladder.  `faults_active` relaxes
+/// strict_invariant: actuation drops are genuine plant/model mismatch, and
+/// a fault campaign must measure XI excursions (left_xi) rather than abort
+/// on the first one.
 core::IntermittentConfig make_intermittent_config(const PlantCase& plant,
                                                   const core::SkipPolicy& policy,
                                                   bool faults_active = false);
 
-/// Run one policy over one case through the intermittent framework with
-/// the plant's RMPC as the underlying controller.
-EpisodeResult run_episode(PlantCase& plant, core::SkipPolicy& policy,
-                          const CaseData& data);
+/// Per-period successor observer: (t, x_{t+1}).
+using StateObserver = std::function<void(std::size_t, const linalg::Vector&)>;
 
-/// Same, with the episode routed through a faulted network link (spec
-/// realized from data.fault_stream).  An inactive spec is exactly the
-/// fault-free overload.
+/// The episode body run_episode and EpisodeEngine share.  Drops all
+/// carried state first (the controller runtime, `rmpc`'s warm-start basis,
+/// and, when `link` is active, re-arms it from data.fault_stream), then
+/// runs data.signal through core::run_closed_loop, summing the plant's
+/// running cost and raw energy per period.  `ic` must drive `rmpc`.
+EpisodeResult run_monitored_episode(const PlantCase& plant, control::TubeMpc& rmpc,
+                                    core::IntermittentController& ic,
+                                    const CaseData& data, fault::Link* link,
+                                    const StateObserver& observer = {});
+
+/// Run one policy over one case through the intermittent framework with
+/// the plant's RMPC, driven in place, as the underlying controller.  An
+/// active `faults` spec routes the episode through a faulted network link
+/// realized from data.fault_stream.  Each call builds a fresh controller
+/// runtime; EpisodeEngine hoists that out of sweeps.
 EpisodeResult run_episode(PlantCase& plant, core::SkipPolicy& policy,
-                          const CaseData& data, const fault::FaultSpec& faults);
+                          const CaseData& data, const fault::FaultSpec& faults = {});
 
 /// Relative running-cost saving of `ours` against `baseline` (paper's
 /// Fig. 4/5/6 metric): (baseline - ours) / baseline.
@@ -110,6 +110,9 @@ struct ComparisonResult {
   std::vector<double> mean_act_dropped;
 };
 
+/// Paired comparison of caller-owned policies: the one-chunk, fault-free
+/// case of compare_policies_parallel (eval/engine.hpp), so both produce
+/// the same numbers for the same seed.  Needs cases >= 1.
 ComparisonResult compare_policies(PlantCase& plant, const Scenario& scenario,
                                   const std::vector<core::SkipPolicy*>& policies,
                                   std::size_t cases, std::size_t steps,

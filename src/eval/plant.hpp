@@ -53,7 +53,7 @@ class PlantCase {
   virtual const control::AffineLTI& system() const = 0;
 
   /// The underlying safe controller kappa_R (tube RMPC).  Engines copy it;
-  /// the legacy per-episode path drives this shared instance directly.
+  /// run_episode and the trainer drive this shared instance directly.
   virtual control::TubeMpc& rmpc() = 0;
   virtual const control::TubeMpc& rmpc() const = 0;
 

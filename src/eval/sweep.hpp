@@ -88,8 +88,8 @@ void require_policies_trained_for(const std::vector<std::string>& policy_specs,
 
 /// Run the grid.  Plants are built once each and reused across their
 /// scenarios and seeds; each cell is a compare_policies_parallel call, so
-/// cell results are bit-identical to the serial harness for any worker
-/// count.  Throws PreconditionError for unknown ids or empty grids.
+/// cell results are bit-identical for any worker count.  Throws
+/// PreconditionError for unknown ids or empty grids.
 SweepResult run_sweep(const ScenarioRegistry& registry, const SweepSpec& spec);
 
 /// Render the sweep as a JSON document (schema shared with

@@ -59,8 +59,8 @@ struct FaultSpec {
   ActDropMode act_mode = ActDropMode::kZero;  ///< receiver drop semantics
   double policy_drop = 0.0;      ///< P(skip-policy compute unavailable)
 
-  /// Any channel faulted?  False for the default spec: consumers branch to
-  /// the historical fault-free code path (bit-identity guarantee).
+  /// Any channel faulted?  False for the default spec: consumers then run
+  /// the fault-free path, bit-identical to a run without a link.
   bool active() const;
 
   /// Canonical spec string: non-default fields in fixed key order (the

@@ -20,8 +20,8 @@
 ///     transition carries the *executed* action so the agent observes the
 ///     override and pays its energy penalty.
 ///
-/// src/acc/trainer.hpp is a thin alias view of this layer; the ACC numbers
-/// are pinned bit-for-bit by the golden test in tests/test_train.cpp.
+/// The ACC agent this layer trains is pinned bit-for-bit by the golden test
+/// in tests/test_train.cpp.
 
 #include <memory>
 #include <vector>
@@ -89,7 +89,7 @@ struct TrainedAgent {
 };
 
 /// Plant-generic DQN training driver.  Holds the plant (whose RMPC it
-/// drives, like the evaluation's legacy path) and the configuration; each
+/// drives in place, like eval::run_episode) and the configuration; each
 /// train() call is deterministic for a fixed config and independent of
 /// previous calls (all carried solver state is reset per episode).
 class Trainer {

@@ -5,11 +5,13 @@
 
 #include <cmath>
 
-#include "acc/harness.hpp"
-#include "acc/trainer.hpp"
+#include "acc/acc.hpp"
+#include "acc/scenarios.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "core/drl_policy.hpp"
+#include "eval/harness.hpp"
+#include "train/trainer.hpp"
 
 namespace {
 
@@ -122,8 +124,8 @@ TEST(AccHarness, CaseGenerationIsDeterministic) {
   auto& acc = shared_acc();
   const auto scen = oic::acc::fig4_scenario(acc.params());
   Rng rng1(77), rng2(77);
-  const auto c1 = oic::acc::make_case(acc, scen, rng1, 50);
-  const auto c2 = oic::acc::make_case(acc, scen, rng2, 50);
+  const auto c1 = oic::eval::make_case(acc, scen, rng1, 50);
+  const auto c2 = oic::eval::make_case(acc, scen, rng2, 50);
   EXPECT_TRUE(approx_equal(c1.x0, c2.x0, 0.0));
   ASSERT_EQ(c1.signal.size(), c2.signal.size());
   for (std::size_t i = 0; i < c1.signal.size(); ++i) {
@@ -139,9 +141,9 @@ TEST(AccHarness, BangBangSavesFuelAndStaysSafe) {
   Rng rng(123);
   double base_sum = 0.0, bb_sum = 0.0;
   for (int c = 0; c < 4; ++c) {
-    const auto data = oic::acc::make_case(acc, scen, rng, 100);
-    const auto base = oic::acc::run_episode(acc, always, data);
-    const auto ours = oic::acc::run_episode(acc, bb, data);
+    const auto data = oic::eval::make_case(acc, scen, rng, 100);
+    const auto base = oic::eval::run_episode(acc, always, data);
+    const auto ours = oic::eval::run_episode(acc, bb, data);
     EXPECT_FALSE(base.left_x);
     EXPECT_FALSE(ours.left_x);
     EXPECT_FALSE(ours.left_xi);
@@ -154,12 +156,12 @@ TEST(AccHarness, BangBangSavesFuelAndStaysSafe) {
 }
 
 TEST(AccHarness, FuelSavingMetric) {
-  oic::acc::EpisodeResult base, ours;
+  oic::eval::EpisodeResult base, ours;
   base.fuel = 100.0;
   ours.fuel = 80.0;
-  EXPECT_NEAR(oic::acc::fuel_saving(base, ours), 0.2, 1e-12);
+  EXPECT_NEAR(oic::eval::fuel_saving(base, ours), 0.2, 1e-12);
   base.fuel = 0.0;
-  EXPECT_THROW(oic::acc::fuel_saving(base, ours), oic::PreconditionError);
+  EXPECT_THROW(oic::eval::fuel_saving(base, ours), oic::PreconditionError);
 }
 
 TEST(AccHarness, ComparePoliciesShapes) {
@@ -168,7 +170,7 @@ TEST(AccHarness, ComparePoliciesShapes) {
   oic::core::BangBangPolicy bb;
   oic::core::PeriodicPolicy periodic(2);
   const auto cmp =
-      oic::acc::compare_policies(acc, scen, {&bb, &periodic}, 3, 60, 2024);
+      oic::eval::compare_policies(acc, scen, {&bb, &periodic}, 3, 60, 2024);
   ASSERT_EQ(cmp.policy_names.size(), 2u);
   ASSERT_EQ(cmp.savings[0].size(), 3u);
   ASSERT_EQ(cmp.savings[1].size(), 3u);
@@ -180,12 +182,12 @@ TEST(AccHarness, ComparePoliciesShapes) {
 TEST(AccTrainer, ShortTrainingRunsAndLearnsToSkip) {
   auto& acc = shared_acc();
   const auto scen = oic::acc::fig4_scenario(acc.params());
-  oic::acc::TrainerConfig cfg;
+  oic::train::TrainerConfig cfg;
   cfg.episodes = 12;
   cfg.steps_per_episode = 60;
   cfg.seed = 7;
-  oic::acc::TrainingLog log;
-  const oic::acc::TrainedAgent trained = oic::acc::train_dqn(acc, scen, cfg, &log);
+  oic::train::TrainingLog log;
+  const oic::train::TrainedAgent trained = oic::train::train_dqn(acc, scen, cfg, &log);
   ASSERT_NE(trained.agent, nullptr);
   EXPECT_EQ(log.episode_reward.size(), 12u);
   EXPECT_EQ(log.episode_skip_ratio.size(), 12u);
@@ -196,8 +198,8 @@ TEST(AccTrainer, ShortTrainingRunsAndLearnsToSkip) {
   // The trained policy must be usable through the framework and safe.
   const auto drl = trained.make_policy();
   Rng rng(31);
-  const auto data = oic::acc::make_case(acc, scen, rng, 60);
-  const auto r = oic::acc::run_episode(acc, *drl, data);
+  const auto data = oic::eval::make_case(acc, scen, rng, 60);
+  const auto r = oic::eval::run_episode(acc, *drl, data);
   EXPECT_FALSE(r.left_x);
   EXPECT_FALSE(r.left_xi);
   EXPECT_EQ(r.steps, 60u);

@@ -336,24 +336,6 @@ TEST(Burst, DepthOneMatchesBangBangBitwise) {
   EXPECT_FALSE(result.safety_violations);
 }
 
-TEST(Burst, EngineMatchesHarnessUnderBurst) {
-  auto& plant = shared_plant("toy2d");
-  const auto scenario = ScenarioRegistry::builtin().make_scenario("toy2d", "white");
-  Rng rng(777);
-  oic::core::BurstSkipPolicy burst(3);
-  oic::eval::EpisodeEngine engine(plant, burst);
-  for (int c = 0; c < 2; ++c) {
-    const auto data = oic::eval::make_case(plant, scenario, rng, 50);
-    const auto legacy = oic::eval::run_episode(plant, burst, data);
-    const auto fast = engine.run(data);
-    EXPECT_DOUBLE_EQ(legacy.fuel, fast.fuel);
-    EXPECT_EQ(legacy.skipped, fast.skipped);
-    EXPECT_EQ(legacy.forced, fast.forced);
-    EXPECT_EQ(legacy.left_x, fast.left_x);
-    EXPECT_EQ(legacy.left_xi, fast.left_xi);
-  }
-}
-
 TEST(Burst, CertifiedBurstsEngageAndNeverLeaveXi) {
   // Drive the monitor directly so the burst counters are observable: with
   // a depth-3 ladder the policy's skips must trigger multi-step bursts

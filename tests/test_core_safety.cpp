@@ -199,22 +199,26 @@ TEST(Runner, TraceAccountingAndHook) {
   IntermittentController ic(rig.sys, rig.sets, kappa, policy, cfg);
 
   Rng rng(5);
-  int hook_calls = 0;
-  const auto hook = [&](oic::sim::TraceStep& step, const Vector&) {
-    step.fuel = 1.0;
-    ++hook_calls;
-  };
-  oic::core::RunConfig rcfg;
-  rcfg.steps = 40;
+  oic::sim::Trace trace;
   const auto rr = oic::core::run_closed_loop(
-      rig.sys, ic, Vector{0.0, 0.0},
-      [&](std::size_t) {
-        return Vector{rng.uniform(-0.04, 0.04), rng.uniform(-0.04, 0.04)};
+      rig.sys, ic, Vector{0.0, 0.0}, 40,
+      [&](std::size_t, Vector& w) {
+        w[0] = rng.uniform(-0.04, 0.04);
+        w[1] = rng.uniform(-0.04, 0.04);
       },
-      rcfg, hook);
-  EXPECT_EQ(rr.trace.size(), 40u);
-  EXPECT_EQ(hook_calls, 40);
-  EXPECT_DOUBLE_EQ(rr.trace.total_fuel(), 40.0);
+      [&](const oic::core::Period& p) {
+        EXPECT_EQ(p.t, trace.size());
+        oic::sim::TraceStep step = oic::core::trace_step(p);
+        step.fuel = 1.0;
+        trace.add(std::move(step));
+      });
+  EXPECT_EQ(trace.size(), 40u);
+  EXPECT_DOUBLE_EQ(trace.total_fuel(), 40.0);
+  // Periodic-2 skips every other period; the runner's counters agree with
+  // the trace it was given.
+  EXPECT_EQ(rr.skipped, trace.skipped_steps());
+  EXPECT_EQ(rr.forced, trace.forced_steps());
+  EXPECT_GT(rr.skipped, 0u);
   EXPECT_FALSE(rr.left_x);
   EXPECT_FALSE(rr.left_xi);
 }
@@ -256,16 +260,12 @@ TEST_P(Theorem1Property, NeverLeavesInvariantSet) {
   } while (!rig.sets.xi.contains(x0, -1e-9));
 
   // Adversarial disturbances: always a vertex of W.
-  oic::core::RunConfig rcfg;
-  rcfg.steps = 120;
   const auto rr = oic::core::run_closed_loop(
-      rig.sys, ic, x0,
-      [&](std::size_t) {
-        return Vector{rng.bernoulli(0.5) ? 0.04 : -0.04,
-                      rng.bernoulli(0.5) ? 0.04 : -0.04};
-      },
-      rcfg);
-  EXPECT_FALSE(rr.left_xi) << "Theorem 1 violated at step " << rr.first_violation;
+      rig.sys, ic, x0, 120, [&](std::size_t, Vector& w) {
+        w[0] = rng.bernoulli(0.5) ? 0.04 : -0.04;
+        w[1] = rng.bernoulli(0.5) ? 0.04 : -0.04;
+      });
+  EXPECT_FALSE(rr.left_xi) << "Theorem 1 violated";
   EXPECT_FALSE(rr.left_x);
 }
 

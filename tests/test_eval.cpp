@@ -7,15 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "acc/engine.hpp"
-#include "common/error.hpp"
+#include "acc/acc.hpp"
 #include "acc/scenarios.hpp"
+#include "common/error.hpp"
 #include "core/policy.hpp"
+#include "eval/engine.hpp"
+#include "eval/harness.hpp"
 #include "eval/plants/lane_keep.hpp"
 #include "eval/plants/quad_alt.hpp"
 #include "eval/registry.hpp"
@@ -25,17 +26,6 @@ namespace {
 
 using oic::Rng;
 using oic::eval::ScenarioRegistry;
-
-// Plant construction derives the invariant and strengthened sets (many LP
-// solves); share one instance of each across the tests in this binary.
-oic::eval::PlantCase& shared_plant(const std::string& id) {
-  static std::map<std::string, std::unique_ptr<oic::eval::PlantCase>> plants;
-  auto it = plants.find(id);
-  if (it == plants.end()) {
-    it = plants.emplace(id, ScenarioRegistry::builtin().make_plant(id)).first;
-  }
-  return *it->second;
-}
 
 // ---------------------------------------------------------------- registry
 
@@ -160,36 +150,14 @@ TEST(NewPlants, QuadAltFullSweepIsSafe) { expect_safe_full_sweep("quad-alt"); }
 
 TEST(NewPlants, Toy2dFullSweepIsSafe) { expect_safe_full_sweep("toy2d"); }
 
-TEST(NewPlants, EngineMatchesLegacyRunEpisode) {
-  // The generic engine must agree with the generic per-episode harness on
-  // the new plants exactly, as it does for the ACC (test_engine).
-  for (const std::string pid : {"lane-keep", "quad-alt"}) {
-    auto& plant = shared_plant(pid);
-    const auto scenario = ScenarioRegistry::builtin().make_scenario(pid, "sine");
-    Rng rng(321);
-    oic::core::BangBangPolicy bb;
-    oic::eval::EpisodeEngine engine(plant, bb);
-    for (int c = 0; c < 2; ++c) {
-      const auto data = oic::eval::make_case(plant, scenario, rng, 50);
-      const auto legacy = oic::eval::run_episode(plant, bb, data);
-      const auto fast = engine.run(data);
-      EXPECT_DOUBLE_EQ(legacy.fuel, fast.fuel) << pid;
-      EXPECT_DOUBLE_EQ(legacy.energy, fast.energy) << pid;
-      EXPECT_EQ(legacy.skipped, fast.skipped) << pid;
-      EXPECT_EQ(legacy.left_x, fast.left_x) << pid;
-      EXPECT_EQ(legacy.left_xi, fast.left_xi) << pid;
-    }
-  }
-}
-
 // ------------------------------------------------ ACC parity (golden values)
 
 TEST(SweepDriver, ReproducesGoldenAccHarnessNumbers) {
   // Golden values pinning the full sweep-driver stream (Ex.1, bang-bang +
   // periodic-5, cases=4, steps=50, seed=20200406, workers=1) -- the exact
   // code path behind `oic_eval --plant acc --scenario Ex.1 --policies
-  // bang-bang,periodic-5` must reproduce them bit for bit; test_engine
-  // separately pins the engine to the per-episode harness.  Re-pinned
+  // bang-bang,periodic-5` must reproduce them bit for bit; test_golden
+  // separately pins the per-episode streams.  Re-pinned
   // when Rng::split() moved to splitmix64 stream derivation (the case
   // stream -- x0 draws and profile seeds -- changed with it), and again
   // when warm-solve cold restarts moved to the canonical-seed dual

@@ -52,21 +52,6 @@ std::unique_ptr<oic::eval::PlantCase> build_plant(const std::string& id) {
   return ScenarioRegistry::builtin().make_plant(id, shared_store().provider());
 }
 
-void expect_same_episode(const EpisodeResult& a, const EpisodeResult& b) {
-  EXPECT_EQ(a.fuel, b.fuel);
-  EXPECT_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.skipped, b.skipped);
-  EXPECT_EQ(a.forced, b.forced);
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.left_x, b.left_x);
-  EXPECT_EQ(a.left_xi, b.left_xi);
-  EXPECT_EQ(a.degraded_steps, b.degraded_steps);
-  EXPECT_EQ(a.stale_forced, b.stale_forced);
-  EXPECT_EQ(a.policy_unavail, b.policy_unavail);
-  EXPECT_EQ(a.meas_dropped, b.meas_dropped);
-  EXPECT_EQ(a.act_dropped, b.act_dropped);
-}
-
 // ------------------------------------------------------------------ spec
 
 TEST(FaultSpec, ParsesTheGrammarAndCanonicalizes) {
@@ -210,29 +195,22 @@ TEST(Link, HoldSemanticsReapplyTheLastDeliveredInput) {
 
 // ----------------------------------------------------- episode/engine
 
-TEST(FaultedEpisode, InactiveSpecIsBitIdenticalToTheLegacyPath) {
+TEST(FaultedEpisode, InactiveSpecNeverDegrades) {
+  // The fault-free episode streams themselves are pinned by the episode
+  // golden in test_golden.
   auto plant = build_plant("toy2d");
   const auto scen = ScenarioRegistry::builtin().make_scenario("toy2d", "sine");
   auto bb = oic::eval::make_policy("bang-bang");
   Rng rng(123);
   for (int c = 0; c < 3; ++c) {
-    // with_fault_stream=false: the case stream must match history exactly.
     const CaseData data = oic::eval::make_case(*plant, scen, rng, 50);
-    bb->reset();
-    const EpisodeResult legacy = oic::eval::run_episode(*plant, *bb, data);
-    bb->reset();
-    const EpisodeResult via_spec =
-        oic::eval::run_episode(*plant, *bb, data, FaultSpec{});
-    expect_same_episode(legacy, via_spec);
-    EXPECT_EQ(via_spec.degraded_steps, 0u);
-    EXPECT_EQ(via_spec.meas_dropped, 0u);
-
-    oic::eval::EpisodeEngine engine(*plant, *bb, FaultSpec{});
-    expect_same_episode(legacy, engine.run(data));
+    const EpisodeResult r = oic::eval::run_episode(*plant, *bb, data, FaultSpec{});
+    EXPECT_EQ(r.degraded_steps, 0u);
+    EXPECT_EQ(r.meas_dropped, 0u);
   }
 }
 
-TEST(FaultedEpisode, HarnessAndEngineAgreeBitForBitUnderFaults) {
+TEST(FaultedEpisode, DegradesButNeverLeavesXUnderFaults) {
   auto plant = build_plant("toy2d");
   const auto scen = ScenarioRegistry::builtin().make_scenario("toy2d", "sine");
   const FaultSpec spec = FaultSpec::parse(
@@ -245,15 +223,11 @@ TEST(FaultedEpisode, HarnessAndEngineAgreeBitForBitUnderFaults) {
     bool any_degraded = false;
     for (int c = 0; c < 4; ++c) {
       const CaseData data = oic::eval::make_case(*plant, scen, rng, 60, true);
-      policy->reset();
-      const EpisodeResult harness =
-          oic::eval::run_episode(*plant, *policy, data, spec);
-      const EpisodeResult fast = engine.run(data);
-      expect_same_episode(harness, fast);
-      any_degraded = any_degraded || harness.degraded_steps > 0;
+      const EpisodeResult r = engine.run(data);
+      any_degraded = any_degraded || r.degraded_steps > 0;
       // Degraded-mode conservatism: even under faults the hard safe set
       // holds on this plant.
-      EXPECT_FALSE(harness.left_x) << pspec << " case " << c;
+      EXPECT_FALSE(r.left_x) << pspec << " case " << c;
     }
     EXPECT_TRUE(any_degraded) << pspec;
   }

