@@ -263,4 +263,55 @@ TEST(EpisodeGolden, HarnessAndEngineReplayThePinnedStreams) {
       << "EpisodeEngine successor-state hash 0x" << std::hex << states.value();
 }
 
+// Stale-input override golden: the degraded monitor's robust check of a
+// stale period (IntermittentController::robustify_stale_input) replaces
+// the planned input by the hypothesis-robust contraction-LP input only
+// when an actuation-drop counterfactual would leave XI.  The episode
+// golden above never reaches that branch; this grid does -- every
+// production plant x its full scenario catalogue x {lossy, a hold-receiver
+// mode with heavy actuation drops} under bang-bang, 3 cases x 40 steps --
+// and pins every EpisodeResult field and every successor state.  On an
+// intentional stream change, rerun and copy the reported values in.
+constexpr std::uint64_t kOverrideResultsHash = 0x94e580493dab8452ull;
+constexpr std::uint64_t kOverrideStatesHash = 0xd9043f80080da4c4ull;
+
+TEST(EpisodeGolden, FaultedCataloguePinsTheStaleInputOverride) {
+  const ScenarioRegistry& registry = ScenarioRegistry::builtin();
+  const oic::fault::FaultSpec fault_modes[] = {
+      registry.resolve_faults("lossy"),
+      oic::fault::FaultSpec::parse("meas_drop:0.2,act_drop:0.1,hold")};
+  oic::Fnv1a results, states;
+  std::size_t degraded = 0, stale_forced = 0;
+  for (const std::string& plant_id : registry.production_plant_ids()) {
+    const auto plant = registry.make_plant(plant_id);
+    for (const std::string& scenario_id : registry.plant(plant_id).scenario_ids) {
+      const auto scenario = registry.make_scenario(plant_id, scenario_id);
+      for (const auto& faults : fault_modes) {
+        SCOPED_TRACE(plant_id + " " + scenario_id);
+        oic::core::BangBangPolicy policy;
+        oic::eval::EpisodeEngine eng(*plant, policy, faults);
+        eng.set_observer([&](std::size_t t, const oic::linalg::Vector& x_next) {
+          states.u64(t);
+          for (std::size_t i = 0; i < x_next.size(); ++i) states.f64(x_next[i]);
+        });
+        Rng rng(kSeed);
+        for (std::size_t c = 0; c < 3; ++c) {
+          const CaseData data = oic::eval::make_case(*plant, scenario, rng, kSteps,
+                                                     /*with_fault_stream=*/true);
+          const EpisodeResult r = eng.run(data);
+          hash_result(results, r);
+          degraded += r.degraded_steps;
+          stale_forced += r.stale_forced;
+        }
+      }
+    }
+  }
+  EXPECT_GT(degraded, 0u);
+  EXPECT_GT(stale_forced, 0u);
+  EXPECT_EQ(results.value(), kOverrideResultsHash)
+      << "faulted catalogue results hash 0x" << std::hex << results.value();
+  EXPECT_EQ(states.value(), kOverrideStatesHash)
+      << "faulted catalogue successor-state hash 0x" << std::hex << states.value();
+}
+
 }  // namespace
