@@ -2,12 +2,18 @@
 /// Throughput micro-benchmarks of the substrate primitives every
 /// experiment leans on: the simplex LP solver, polytope queries, Minkowski
 /// operations, Fourier-Motzkin projection, and DQN inference/training
-/// steps.  These establish the per-operation budgets behind the Sec. IV-A
-/// computation-saving claim.
+/// steps, and the tube-MPC solve a monitored period runs.  These establish
+/// the per-operation budgets behind the Sec. IV-A computation-saving claim.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/random.hpp"
+#include "control/tube_mpc.hpp"
+#include "eval/harness.hpp"
+#include "eval/registry.hpp"
 #include "linalg/lu.hpp"
 #include "lp/simplex.hpp"
 #include "poly/fourier_motzkin.hpp"
@@ -274,6 +280,77 @@ void BM_DqnStageUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DqnStageUpdate);
+
+// The tube-MPC layer of a monitored period on the acc plant: kappa's warm
+// dual-simplex re-solve, and the canonical-seed restart an episode reset
+// (or the scheduled refactorization) pays.  Both replay one fixed
+// closed-loop state sequence -- 100 periods of the always-run RMPC loop
+// under the Fig.4 scenario -- with reset_solver() every 100 solves, so
+// every run re-solves the same LPs.  Only the public control/eval API is
+// used, so this file builds against older revisions for before/after
+// comparisons.
+struct AccMpcRun {
+  static constexpr std::size_t kSolves = 100;
+  std::unique_ptr<eval::PlantCase> plant;
+  std::vector<Vector> states;
+
+  AccMpcRun() {
+    const eval::ScenarioRegistry& registry = eval::ScenarioRegistry::builtin();
+    plant = registry.make_plant("acc");
+    Rng rng(2020);
+    const eval::CaseData data =
+        eval::make_case(*plant, registry.make_scenario("acc", "Fig.4"), rng, kSolves);
+    control::TubeMpc mpc = plant->rmpc();
+    Vector x = data.x0;
+    Vector w(plant->system().nw());
+    for (std::size_t t = 0; t < kSolves; ++t) {
+      states.push_back(x);
+      const Vector u = mpc.control(x);
+      plant->signal_to_w(data.signal[t], w);
+      x = plant->system().step(x, u, w);
+    }
+  }
+
+  /// Built once per process: the acc certificate synthesis takes seconds.
+  static const AccMpcRun& get() {
+    static const AccMpcRun run;
+    return run;
+  }
+};
+
+void BM_TubeMpcWarmSolve(benchmark::State& state) {
+  const AccMpcRun& run = AccMpcRun::get();
+  control::TubeMpc mpc = run.plant->rmpc();
+  std::size_t t = 0;
+  for (auto _ : state) {
+    if (t == 0) {
+      // Every 100 solves: drop the carried basis and re-anchor, untimed.
+      state.PauseTiming();
+      mpc.reset_solver();
+      benchmark::DoNotOptimize(mpc.control(run.states[0]));
+      t = 1;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(mpc.control(run.states[t]));
+    t = (t + 1) % AccMpcRun::kSolves;
+  }
+  state.SetLabel("acc, warm re-solves");
+}
+BENCHMARK(BM_TubeMpcWarmSolve);
+
+void BM_TubeMpcSeedRestart(benchmark::State& state) {
+  const AccMpcRun& run = AccMpcRun::get();
+  control::TubeMpc mpc = run.plant->rmpc();
+  benchmark::DoNotOptimize(mpc.control(run.states[0]));  // builds the seed
+  std::size_t t = 0;
+  for (auto _ : state) {
+    mpc.reset_solver();
+    benchmark::DoNotOptimize(mpc.control(run.states[t]));
+    t = (t + 1) % AccMpcRun::kSolves;
+  }
+  state.SetLabel("acc, seed restart per solve");
+}
+BENCHMARK(BM_TubeMpcSeedRestart);
 
 }  // namespace
 

@@ -73,6 +73,26 @@ Vector AffineLTI::step_nominal(const Vector& x, const Vector& u) const {
   return a_ * x + b_ * u + c_;
 }
 
+void AffineLTI::step_nominal_into(const Vector& x, const Vector& u, Vector& out) const {
+  OIC_REQUIRE(x.size() == nx(), "AffineLTI::step_nominal_into: state dimension mismatch");
+  OIC_REQUIRE(u.size() == nu(), "AffineLTI::step_nominal_into: input dimension mismatch");
+  OIC_REQUIRE(&out != &x && &out != &u,
+              "AffineLTI::step_nominal_into: out must not alias an input (row i "
+              "reads entries the loop has already overwritten)");
+  out.data().resize(nx());
+  const double* xp = x.data().data();
+  const double* up = u.data().data();
+  // Same per-row grouping as step_nominal()'s (A x + B u) + c.
+  for (std::size_t i = 0; i < nx(); ++i) {
+    double ax = 0.0, bu = 0.0;
+    const double* ar = a_.row_data(i);
+    for (std::size_t j = 0; j < nx(); ++j) ax += ar[j] * xp[j];
+    const double* br = b_.row_data(i);
+    for (std::size_t j = 0; j < nu(); ++j) bu += br[j] * up[j];
+    out[i] = (ax + bu) + c_[i];
+  }
+}
+
 HPolytope AffineLTI::disturbance_in_state_space() const {
   // E W as a polytope in R^nx.  For square invertible E the image is exact;
   // otherwise project the graph (handles rectangular / singular E).

@@ -54,6 +54,12 @@ class AffineLTI {
   /// Nominal step (w = 0).
   linalg::Vector step_nominal(const linalg::Vector& x, const linalg::Vector& u) const;
 
+  /// Nominal step into a caller-owned vector (allocation-free once `out`
+  /// is warm); bit-identical to step_nominal().  `out` must not alias `x`
+  /// or `u`.
+  void step_nominal_into(const linalg::Vector& x, const linalg::Vector& u,
+                         linalg::Vector& out) const;
+
   /// The disturbance set mapped into state space, E W, materialized as a
   /// polytope (exact for invertible E; template-based outer approximation
   /// otherwise -- exact in all library use cases where E selects coordinates).

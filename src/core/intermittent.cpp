@@ -1,6 +1,7 @@
 #include "core/intermittent.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/kernels.hpp"
@@ -161,6 +162,7 @@ void IntermittentController::seed_state(const Vector& x0) {
   last_meas_step_ = 0;
   const std::size_t ring = std::max<std::size_t>(config_.stale_limit, 1);
   if (issued_u_.size() != ring) issued_u_.assign(ring, Vector(sys_.nu()));
+  if (zero_u_.size() != sys_.nu()) zero_u_ = Vector(sys_.nu());
   if (!ew_set_ready_) {
     // The disturbance observer's clamp region, built once per controller:
     // only degraded-mode users (faulted episode loops) ever reach here.
@@ -174,11 +176,18 @@ void IntermittentController::track_issued(const Vector& u) {
   // Prior for the next period: nominal step plus the held disturbance
   // estimate; a fresh measurement overwrites it, a stale one re-rolls from
   // its own sample.
-  x_hat_ = sys_.step_nominal(x_hat_, u);
-  if (have_ew_hold_) {
-    for (std::size_t i = 0; i < x_hat_.size(); ++i) x_hat_[i] += ew_hold_[i];
-  }
+  roll_nominal(x_hat_, u);
   ++step_index_;
+}
+
+void IntermittentController::roll_nominal(Vector& x, const Vector& u) {
+  sys_.step_nominal_into(x, u, roll_scratch_);
+  std::swap(x, roll_scratch_);
+  if (have_ew_hold_) {
+    double* xp = x.data().data();
+    const double* ew = ew_hold_.data().data();
+    for (std::size_t i = 0; i < x.size(); ++i) xp[i] += ew[i];
+  }
 }
 
 void IntermittentController::observe_delivered(const Vector& x_meas,
@@ -192,25 +201,26 @@ void IntermittentController::observe_delivered(const Vector& x_meas,
   // both):  E w(s-1) = x(s) - A x(s-1) - B u(s-1) - c.
   if (have_last_meas_ && sample == last_meas_step_ + 1 &&
       step_index_ - last_meas_step_ <= issued_u_.size()) {
-    roll_scratch_ = sys_.step_nominal(last_meas_x_,
-                                      issued_u_[last_meas_step_ % issued_u_.size()]);
+    sys_.step_nominal_into(last_meas_x_, issued_u_[last_meas_step_ % issued_u_.size()],
+                           roll_scratch_);
     ew_hold_ = x_meas;
-    for (std::size_t i = 0; i < ew_hold_.size(); ++i) ew_hold_[i] -= roll_scratch_[i];
+    const std::size_t nx = ew_hold_.size();
+    double* ew = ew_hold_.data().data();
+    for (std::size_t i = 0; i < nx; ++i) ew[i] -= roll_scratch_[i];
     // Ray-clamp into E W: scale the estimate toward the origin until every
     // face of the disturbance set admits it.  A corrupted residual then
     // never feeds forward more than the worst-case disturbance it stands
     // in for (0 is in E W whenever the disturbance set admits rest, w = 0).
     double lam = 1.0;
     for (std::size_t i = 0; i < ew_set_.num_constraints(); ++i) {
+      const double* ai = ew_set_.a().row_data(i);
       double dot = 0.0;
-      for (std::size_t j = 0; j < ew_hold_.size(); ++j) {
-        dot += ew_set_.a()(i, j) * ew_hold_[j];
-      }
+      for (std::size_t j = 0; j < nx; ++j) dot += ai[j] * ew[j];
       const double bi = ew_set_.b()[i];
       if (dot > bi) lam = std::min(lam, bi > 0.0 ? bi / dot : 0.0);
     }
     if (lam < 1.0) {
-      for (std::size_t i = 0; i < ew_hold_.size(); ++i) ew_hold_[i] *= lam;
+      for (std::size_t i = 0; i < nx; ++i) ew[i] *= lam;
     }
     have_ew_hold_ = true;
   }
@@ -242,16 +252,10 @@ StepDecision IntermittentController::decide_measured(const MeasuredState& m,
   // issued-input ring no longer covers the gap and the propagated estimate
   // carries on.
   if (m.available && m.age <= config_.stale_limit && m.age <= step_index_) {
-    roll_scratch_ = m.x;
+    x_hat_ = m.x;
     for (std::size_t s = step_index_ - m.age; s < step_index_; ++s) {
-      roll_scratch_ = sys_.step_nominal(roll_scratch_, issued_u_[s % issued_u_.size()]);
-      if (have_ew_hold_) {
-        for (std::size_t i = 0; i < roll_scratch_.size(); ++i) {
-          roll_scratch_[i] += ew_hold_[i];
-        }
-      }
+      roll_nominal(x_hat_, issued_u_[s % issued_u_.size()]);
     }
-    x_hat_ = roll_scratch_;
   }
 
   ++total_steps_;
@@ -388,27 +392,25 @@ void IntermittentController::robustify_stale_input(StepDecision& d) {
   // first-period drop -- nothing.  One roll per (period, candidate) whose
   // applied input would differ from the issued one; in steady state
   // consecutive issues coincide and the nominal roll is the only
-  // hypothesis.  hyps[0] is the nominal roll (equal to x_hat_ whenever a
-  // stale measurement was just reconciled).
-  std::vector<Vector> hyps;
+  // hypothesis.  hyps_[0] is the nominal roll (equal to x_hat_ whenever a
+  // stale measurement was just reconciled).  The hypotheses live in
+  // member scratch: slots are reassigned, never freed, between periods.
+  std::size_t num_hyps = 0;
   const auto roll = [&](std::size_t drop_at, const Vector* applied) {
-    Vector x = anchor;
+    if (hyps_.size() == num_hyps) hyps_.emplace_back();
+    Vector& x = hyps_[num_hyps++];
+    x = anchor;
     for (std::size_t j = s; j < step_index_; ++j) {
       const Vector& u = (applied != nullptr && j == drop_at)
                             ? *applied
                             : issued_u_[j % issued_u_.size()];
-      x = sys_.step_nominal(x, u);
-      if (have_ew_hold_) {
-        for (std::size_t i = 0; i < x.size(); ++i) x[i] += ew_hold_[i];
-      }
+      roll_nominal(x, u);
     }
-    hyps.push_back(std::move(x));
   };
   roll(0, nullptr);
-  const Vector zero_u(sys_.nu());
   for (std::size_t j = s; j < step_index_; ++j) {
     const Vector& issued = issued_u_[j % issued_u_.size()];
-    const Vector* candidates[2] = {&zero_u, nullptr};
+    const Vector* candidates[2] = {&zero_u_, nullptr};
     // The hold register re-applies the previous issued input -- usable
     // only while that slot is still live in the ring.
     if (j >= 1 && step_index_ - (j - 1) <= issued_u_.size()) {
@@ -428,7 +430,7 @@ void IntermittentController::robustify_stale_input(StepDecision& d) {
   // territory -- the tube margins absorb in-E W disturbances by design --
   // so overriding here would second-guess a controller with strictly more
   // lookahead than this one-step check.
-  if (hyps.size() <= 1) return;
+  if (num_hyps <= 1) return;
 
   // Robust-check the planned input: worst-case next-step XI violation
   // over the COUNTERFACTUAL hypotheses, each face inflated by the support
@@ -446,59 +448,56 @@ void IntermittentController::robustify_stale_input(StepDecision& d) {
   // branch inside XI this step.
   const std::vector<double>& infl = stale_inflation(g + 1);
   const poly::HPolytope& xi = sets_.xi;
+  const std::size_t faces = xi.num_constraints();
+  const std::size_t nx = sys_.nx();
+  const std::size_t nu = sys_.nu();
   if (u_pull_.empty()) {
+    // face_b_ row i = a_i B (k-ascending sums), the per-face input gain
+    // every hypothesis's planned-input pull reuses.
     const linalg::Matrix& b_mat = sys_.b();
-    const std::size_t nu = sys_.nu();
-    linalg::Matrix dirs(xi.num_constraints(), nu);
-    for (std::size_t i = 0; i < xi.num_constraints(); ++i) {
+    face_b_ = linalg::Matrix(faces, nu);
+    linalg::Matrix dirs(faces, nu);
+    for (std::size_t i = 0; i < faces; ++i) {
       for (std::size_t j = 0; j < nu; ++j) {
         double v = 0.0;
-        for (std::size_t k = 0; k < sys_.nx(); ++k) {
-          v += xi.a()(i, k) * b_mat(k, j);
-        }
+        for (std::size_t k = 0; k < nx; ++k) v += xi.a()(i, k) * b_mat(k, j);
+        face_b_(i, j) = v;
         dirs(i, j) = -v;
       }
     }
     poly::SupportSolver u_solver(sys_.u_set());
-    u_pull_.reserve(xi.num_constraints());
-    for (const poly::Support& s : u_solver.support_batch(dirs)) {
+    u_pull_.reserve(faces);
+    for (const poly::Support& sup : u_solver.support_batch(dirs)) {
       // U is bounded nonempty by construction; degrade to "never screen"
       // on a degenerate input set rather than excluding rescuable
       // branches.
-      u_pull_.push_back((s.bounded && s.feasible) ? -s.value : -1e300);
+      u_pull_.push_back((sup.bounded && sup.feasible) ? -sup.value : -1e300);
     }
   }
   double worst = 0.0;
   double nominal = -1e300;
-  std::vector<Vector> actionable;
-  actionable.reserve(hyps.size());
-  actionable.push_back(hyps[0]);
-  const Vector no_input(sys_.nu());
-  for (std::size_t h = 0; h < hyps.size(); ++h) {
+  actionable_.clear();
+  actionable_.push_back(0);
+  const double* up = d.u.data().data();
+  const double* bp = xi.b().data().data();
+  for (std::size_t h = 0; h < num_hyps; ++h) {
     // Drift-only prediction (B u contributes nothing): base_i plus the
     // planned input's pull gives the violation under d.u; plus the best
     // pull, the fixability bound.
-    roll_scratch_ = sys_.step_nominal(hyps[h], no_input);
+    sys_.step_nominal_into(hyps_[h], zero_u_, drift_);
     if (have_ew_hold_) {
-      for (std::size_t i = 0; i < roll_scratch_.size(); ++i) {
-        roll_scratch_[i] += ew_hold_[i];
-      }
+      for (std::size_t i = 0; i < nx; ++i) drift_[i] += ew_hold_[i];
     }
+    const double* xp = drift_.data().data();
     double v_planned = -1e300;
     double fix_bound = -1e300;
-    for (std::size_t i = 0; i < xi.num_constraints(); ++i) {
-      double base = infl[i] - xi.b()[i];
-      for (std::size_t k = 0; k < roll_scratch_.size(); ++k) {
-        base += xi.a()(i, k) * roll_scratch_[k];
-      }
+    for (std::size_t i = 0; i < faces; ++i) {
+      const double* ai = xi.a().row_data(i);
+      double base = infl[i] - bp[i];
+      for (std::size_t k = 0; k < nx; ++k) base += ai[k] * xp[k];
+      const double* gi = face_b_.row_data(i);
       double pull = 0.0;
-      for (std::size_t j = 0; j < d.u.size(); ++j) {
-        double coeff = 0.0;
-        for (std::size_t k = 0; k < sys_.nx(); ++k) {
-          coeff += xi.a()(i, k) * sys_.b()(k, j);
-        }
-        pull += coeff * d.u[j];
-      }
+      for (std::size_t j = 0; j < nu; ++j) pull += gi[j] * up[j];
       v_planned = std::max(v_planned, base + pull);
       fix_bound = std::max(fix_bound, base + u_pull_[i]);
     }
@@ -507,18 +506,20 @@ void IntermittentController::robustify_stale_input(StepDecision& d) {
       continue;
     }
     if (fix_bound > 0.0) continue;  // provably unfixable: excluded
-    actionable.push_back(hyps[h]);
+    actionable_.push_back(h);
     worst = std::max(worst, v_planned);
   }
-  if (worst > 0.0 && actionable.size() > 1) {
-    hyps.swap(actionable);
+  if (worst > 0.0 && actionable_.size() > 1) {
+    std::vector<Vector> states;
+    states.reserve(actionable_.size());
+    for (const std::size_t h : actionable_) states.push_back(hyps_[h]);
     // The nominal branch may not end up worse off than under the plan
     // being replaced (and never pushed outside XI when the plan kept it
     // inside): the plan itself satisfies the cap, so the constrained
     // minimax is always feasible.
     const double cap = std::max(nominal, 0.0);
     Vector u_robust;
-    if (contraction_input(hyps, &infl, &cap, u_robust)) d.u = u_robust;
+    if (contraction_input(states, &infl, &cap, u_robust)) d.u = u_robust;
   }
 }
 

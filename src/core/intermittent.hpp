@@ -191,6 +191,9 @@ class IntermittentController {
   /// (x_hat <- A x_hat + B u + c + ew_hold) and record u in the ring.
   void track_issued(const linalg::Vector& u);
 
+  /// x <- A x + B u + c (+ ew_hold when held), through roll_scratch_.
+  void roll_nominal(linalg::Vector& x, const linalg::Vector& u);
+
   /// Feed one delivered (possibly stale) measurement to the one-step
   /// disturbance observer: consecutive-period sample pairs update the held
   /// E w estimate (ray-clamped into E W).
@@ -254,8 +257,14 @@ class IntermittentController {
   std::size_t step_index_ = 0;     ///< periods consumed by decide_measured
   linalg::Vector x_hat_;           ///< nominal state estimate
   linalg::Vector seed_x0_;         ///< episode anchor before any delivery
-  linalg::Vector roll_scratch_;    ///< stale-measurement roll-forward scratch
+  linalg::Vector roll_scratch_;    ///< roll-forward scratch (see roll_nominal)
+  linalg::Vector zero_u_;          ///< the zero input (drop counterfactuals, drift)
   std::vector<linalg::Vector> issued_u_;  ///< ring of issued inputs (by step)
+  // robustify_stale_input scratch: estimate hypotheses (slots reused across
+  // periods), the indices of the actionable ones, and one drift prediction.
+  std::vector<linalg::Vector> hyps_;
+  std::vector<std::size_t> actionable_;
+  linalg::Vector drift_;
   // One-step disturbance observer (see decide_measured): held state-space
   // disturbance estimate, the last delivered sample it differences
   // against, and the E W clamp (built once per controller, on first
@@ -276,8 +285,10 @@ class IntermittentController {
   // u_pull_[i] = min_{u in U} a_i B u, the strongest per-face pull the
   // actuator offers toward XI face i.  Lazily built (one support LP per
   // face, once per controller); robustify_stale_input uses it to screen
-  // out counterfactual branches no input can rescue.
+  // out counterfactual branches no input can rescue.  face_b_ row i is
+  // a_i B itself, the per-face gain of the planned input; built with it.
   std::vector<double> u_pull_;
+  linalg::Matrix face_b_;
   std::size_t degraded_steps_ = 0;
   std::size_t stale_forced_ = 0;
   std::size_t policy_unavail_ = 0;

@@ -30,6 +30,7 @@ constexpr KernelTable kScalarTable = {
     &scalar::batch_max_violation,
     &scalar::lp_row_sub_scaled,
     &scalar::lp_row_add_scaled,
+    &scalar::lp_rhs_pivot,
     &scalar::lp_argmin,
     &scalar::lp_argmin_masked,
 };

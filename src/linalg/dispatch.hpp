@@ -52,6 +52,13 @@ struct KernelTable {
   /// dst[i] += src[i] * f for i in [0, n): warm-start rhs shift along a
   /// contiguous B^-1 panel column.
   void (*lp_row_add_scaled)(double* dst, const double* src, double f, std::size_t n);
+  /// Warm dual pivot's rhs update along the entering column `col`: for
+  /// i != leave with col[i] != 0.0, rhs[i] -= col[i] * rhs[leave] (mul then
+  /// sub), then a result in (-1e-11, 0) snaps to +0.0.  Zero factors (-0.0
+  /// included) skip the row and its clamp; NaN factors update it;
+  /// rhs[leave] is left untouched.
+  void (*lp_rhs_pivot)(double* rhs, const double* col, std::size_t leave,
+                       std::size_t m);
   /// First index attaining min(v[0..n)) when that min is strictly below
   /// `thresh`; -1 otherwise.  Equivalent to the sequential
   /// "if (v[j] < best) best = v[j], pick = j" scan seeded with

@@ -153,6 +153,23 @@ inline void lp_row_add_scaled(double* dst, const double* src, double f,
   for (std::size_t j = 0; j < n; ++j) dst[j] += src[j] * f;
 }
 
+/// Dual-pivot rhs update: for every row i != leave with col[i] != 0.0,
+/// rhs[i] -= col[i] * rhs[leave], then a result in (-1e-11, 0) snaps to
+/// +0.0.  Rows with col[i] == 0.0 (-0.0 included) are untouched -- they
+/// must not see the clamp -- while a NaN factor does update; rhs[leave]
+/// itself is left as it is.
+inline void lp_rhs_pivot(double* rhs, const double* col, std::size_t leave,
+                         std::size_t m) {
+  const double rl = rhs[leave];
+  for (std::size_t i = 0; i < m; ++i) {
+    if (i == leave) continue;
+    const double f = col[i];
+    if (f == 0.0) continue;
+    rhs[i] -= f * rl;
+    if (rhs[i] < 0.0 && rhs[i] > -1e-11) rhs[i] = 0.0;
+  }
+}
+
 /// First index attaining the minimum of v when min < thresh, else -1.
 /// Exactly the sequential "v[j] < best" scan seeded with best = thresh
 /// (ties keep the earliest index).

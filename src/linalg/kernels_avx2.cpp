@@ -414,6 +414,39 @@ void lp_row_add_scaled_avx2(double* dst, const double* src, double f,
   for (; j < n; ++j) dst[j] += src[j] * f;
 }
 
+/// Four rows per step: the update is computed in every lane and blended
+/// back only where the factor compares unequal to 0.0 (unordered, so a NaN
+/// factor updates, as in the scalar loop); the clamp snaps updated lanes
+/// in (-1e-11, 0) to +0.0.  The pivot row is restored afterwards -- every
+/// lane read the saved rhs[leave], so its own update fed nothing.
+void lp_rhs_pivot_avx2(double* rhs, const double* col, std::size_t leave,
+                       std::size_t m) {
+  const double rl = rhs[leave];
+  const __m256d rlv = _mm256_set1_pd(rl);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d snap = _mm256_set1_pd(-1e-11);
+  const std::size_t m4 = m & ~std::size_t{3};
+  std::size_t i = 0;
+  for (; i < m4; i += 4) {
+    const __m256d f = _mm256_loadu_pd(col + i);
+    const __m256d live = _mm256_cmp_pd(f, zero, _CMP_NEQ_UQ);
+    if (_mm256_movemask_pd(live) == 0) continue;
+    const __m256d r = _mm256_loadu_pd(rhs + i);
+    __m256d upd = _mm256_sub_pd(r, _mm256_mul_pd(f, rlv));
+    const __m256d tiny = _mm256_and_pd(_mm256_cmp_pd(upd, zero, _CMP_LT_OQ),
+                                       _mm256_cmp_pd(upd, snap, _CMP_GT_OQ));
+    upd = _mm256_andnot_pd(tiny, upd);
+    _mm256_storeu_pd(rhs + i, _mm256_blendv_pd(r, upd, live));
+  }
+  for (; i < m; ++i) {
+    const double f = col[i];
+    if (f == 0.0) continue;
+    rhs[i] -= f * rl;
+    if (rhs[i] < 0.0 && rhs[i] > -1e-11) rhs[i] = 0.0;
+  }
+  rhs[leave] = rl;
+}
+
 /// All-ones lanes where blocked[j + lane] != 0.
 inline __m256d blocked_mask4(const unsigned char* blocked, std::size_t j) {
   std::uint32_t raw;
@@ -502,6 +535,7 @@ constexpr KernelTable kAvx2Table = {
     &batch_max_violation_avx2,
     &lp_row_sub_scaled_avx2,
     &lp_row_add_scaled_avx2,
+    &lp_rhs_pivot_avx2,
     &lp_argmin_avx2,
     &lp_argmin_masked_avx2,
 };

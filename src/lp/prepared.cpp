@@ -252,6 +252,24 @@ PreparedProblem::PreparedProblem(const Problem& p,
     OIC_REQUIRE(i < mc_, "PreparedProblem: dynamic row index out of range");
     rows_[i].dynamic = true;
   }
+  // Normalized-rhs shift terms, built once: set_rhs replays exactly these
+  // subtractions, in this order, on every patch.
+  shift_start_.assign(mc_ + 1, 0);
+  for (std::size_t i = 0; i < mc_; ++i) {
+    const linalg::Vector& coeffs = row_coeffs_[i];
+    for (std::size_t j = 0; j < nv_; ++j) {
+      const double aij = coeffs[j];
+      if (aij == 0.0) continue;
+      if (vmap_[j].kind != VarMap::Kind::kSplit) {
+        shift_terms_.push_back({aij, vmap_[j].offset});
+      }
+    }
+    shift_start_[i + 1] = shift_terms_.size();
+  }
+  for (const VarMap& v : vmap_) {
+    read_cols_.push_back(v.col);
+    if (v.kind == VarMap::Kind::kSplit) read_cols_.push_back(v.col2);
+  }
 
   // ---------- Column reservation ----------
   // Walk the rows in emission order assigning slack/artificial columns, so
@@ -261,14 +279,7 @@ PreparedProblem::PreparedProblem(const Problem& p,
   for (std::size_t i = 0; i < mc_; ++i) {
     RowInfo& info = rows_[i];
     // The *effective* relation depends on the rhs sign at emission time.
-    double b = p.constraint(i).rhs;
-    const linalg::Vector& coeffs = row_coeffs_[i];
-    for (std::size_t j = 0; j < nv_; ++j) {
-      const double aij = coeffs[j];
-      if (aij == 0.0) continue;
-      if (vmap_[j].kind != VarMap::Kind::kSplit) b -= aij * vmap_[j].offset;
-    }
-    info.flipped = b < 0.0;
+    info.flipped = shifted_rhs(i, p.constraint(i).rhs) < 0.0;
     const Relation eff = effective_relation(info.rel, info.flipped);
     if (eff == Relation::kEqual) {
       info.art_col = next_extra++;
@@ -300,6 +311,8 @@ PreparedProblem::PreparedProblem(const Problem& p,
     }
   }
   hot_.assign(m_, 1);  // every row patchable until set_hot_rows narrows it
+  hot_rows_.resize(m_);
+  for (std::size_t r = 0; r < m_; ++r) hot_rows_[r] = r;
   update_live_cols();
   for (std::size_t i = 0; i < mc_; ++i) set_rhs(i, p.constraint(i).rhs);
   for (std::size_t i = 0; i < bound_rows.size(); ++i) {
@@ -320,15 +333,7 @@ void PreparedProblem::set_rhs(std::size_t i, double rhs) {
               "its B^-1 column from the warm tableau");
   RowInfo& info = rows_[i];
 
-  // Normalized right-hand side, accumulated in the same order as a fresh
-  // standard-form conversion (bit-parity matters for reproducibility).
-  double b = rhs;
-  const linalg::Vector& coeffs = row_coeffs_[i];
-  for (std::size_t j = 0; j < nv_; ++j) {
-    const double aij = coeffs[j];
-    if (aij == 0.0) continue;
-    if (vmap_[j].kind != VarMap::Kind::kSplit) b -= aij * vmap_[j].offset;
-  }
+  const double b = shifted_rhs(i, rhs);
   const bool flip = b < 0.0;
 
   // Hot path: orientation unchanged -- the structural row, slack/artificial
@@ -348,7 +353,7 @@ void PreparedProblem::set_rhs(std::size_t i, double rhs) {
   info.flipped = flip;
   const Relation eff = effective_relation(info.rel, flip);
 
-  emit_structural(i, coeffs, flip ? -1.0 : 1.0);
+  emit_structural(i, row_coeffs_[i], flip ? -1.0 : 1.0);
   double* row = &a_[i * n_];
   if (info.slack_col != kNoCol) row[info.slack_col] = 0.0;
   if (info.art_col != kNoCol) {
@@ -370,6 +375,16 @@ void PreparedProblem::set_rhs(std::size_t i, double rhs) {
   }
   rhs_[i] = flip ? -b : b;
   info.emitted = true;
+}
+
+double PreparedProblem::shifted_rhs(std::size_t i, double rhs) const {
+  // Normalized right-hand side, accumulated in the same order as a fresh
+  // standard-form conversion (bit-parity matters for reproducibility).
+  double b = rhs;
+  const ShiftTerm* t = shift_terms_.data() + shift_start_[i];
+  const ShiftTerm* end = shift_terms_.data() + shift_start_[i + 1];
+  for (; t != end; ++t) b -= t->coeff * t->offset;
+  return b;
 }
 
 void PreparedProblem::update_live_cols() {
@@ -416,6 +431,10 @@ void PreparedProblem::set_hot_rows(const std::vector<std::size_t>& rows) {
   }
   hot_.assign(m_, 0);
   for (std::size_t r : rows) hot_[r] = 1;
+  hot_rows_.clear();
+  for (std::size_t r = 0; r < m_; ++r) {
+    if (hot_[r]) hot_rows_.push_back(r);
+  }
   update_live_cols();
   // A tableau carried under the old live set may hold stale columns that
   // are live now: a fresh identity sends every existing WarmState cold.
@@ -515,8 +534,10 @@ Result PreparedProblem::run_phases(SolverWorkspace& ws, const SimplexOptions& op
 }
 
 Result PreparedProblem::extract(SolverWorkspace& ws) const {
-  // Recover the original variables from the basic solution.
-  ws.y.assign(n_, 0.0);
+  // Recover the original variables from the basic solution.  Only the
+  // columns the variable map reads need their nonbasic zero.
+  ws.y.resize(n_);
+  for (const std::size_t j : read_cols_) ws.y[j] = 0.0;
   for (std::size_t i = 0; i < m_; ++i) ws.y[ws.basis[i]] = ws.rhs[i];
 
   linalg::Vector x(nv_);
@@ -550,6 +571,20 @@ void PreparedProblem::transpose_into(SolverWorkspace& ws) const {
   }
 }
 
+void PreparedProblem::certify_unit_cols(SolverWorkspace& ws) const {
+  // A basic column is certified when every entry off its own row compares
+  // equal to 0.0 (either sign); anything else -- round-off residue left by
+  // the two-phase path -- stays uncertified and is gathered as before.
+  ws.unit.assign(n_, 0);
+  for (std::size_t r = 0; r < m_; ++r) {
+    const std::size_t j = ws.basis[r];
+    const double* c = &ws.at[j * m_];
+    bool exact = true;
+    for (std::size_t i = 0; i < m_ && exact; ++i) exact = i == r || c[i] == 0.0;
+    ws.unit[j] = exact ? 1 : 0;
+  }
+}
+
 void PreparedProblem::build_seed(SolverWorkspace& ws, const SimplexOptions& opt) const {
   seed_built_ = true;  // one attempt; failures fall back to two-phase colds
   ws.warm_serial = 0;
@@ -561,7 +596,9 @@ void PreparedProblem::build_seed(SolverWorkspace& ws, const SimplexOptions& opt)
   // Store the canonical optimum pre-transposed: every restart then copies
   // straight into the column-major working tableau.
   transpose_into(ws);
+  certify_unit_cols(ws);
   seed_at_ = ws.at;
+  seed_unit_ = ws.unit;
   seed_rhs_ = ws.rhs;
   seed_z_ = ws.z;
   seed_basis_ = ws.basis;
@@ -609,12 +646,14 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       ws.rhs.assign(seed_rhs_.begin(), seed_rhs_.end());
       ws.z.assign(seed_z_.begin(), seed_z_.end());
       ws.basis.assign(seed_basis_.begin(), seed_basis_.end());
+      ws.unit.assign(seed_unit_.begin(), seed_unit_.end());
       warm.b.assign(seed_b_.begin(), seed_b_.end());
       warm.flip.assign(seed_flip_.begin(), seed_flip_.end());
     } else {
       const Result r = solve(ws, opt);
       if (r.status != Status::kOptimal) return r;
       transpose_into(ws);
+      certify_unit_cols(ws);
       warm.b.assign(rhs_.begin(), rhs_.end());
       warm.flip.resize(m_);
       for (std::size_t i = 0; i < m_; ++i) warm.flip[i] = rows_[i].flipped ? 1 : 0;
@@ -640,8 +679,10 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   // an effectively-<= row, the artificial for >= and equality rows -- holds
   // the matching column of B^-1, so the basic solution shifts by
   // B^-1 e_r * delta_r.  In the transposed layout that column is one
-  // contiguous streaming axpy.
-  for (std::size_t r = 0; r < m_; ++r) {
+  // contiguous streaming axpy.  Only hot rows can carry a nonzero delta:
+  // every other row's rhs and orientation are frozen since set_hot_rows,
+  // and both the seed and a cold snapshot recorded them as they stand.
+  for (const std::size_t r : hot_rows_) {
     const double oriented =
         (rows_[r].flipped ? 1 : 0) == warm.flip[r] ? rhs_[r] : -rhs_[r];
     const double delta = oriented - warm.b[r];
@@ -667,6 +708,7 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   ws.nzv.resize(n_);
   std::uint32_t* nzi = ws.nz.data();
   double* nzv = ws.nzv.data();
+  unsigned char* unit = ws.unit.data();
   bool ok = false;
   for (std::size_t iter = 0; iter <= max_dual_iters; ++iter) {
     // Leaving row: most negative basic value (argmin kernel == the
@@ -683,9 +725,14 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
     // live columns); the dual ratio test and the pivot both run over the
     // packed support.  Dead columns -- barred artificials of rows that are
     // never patched -- are neither priced nor updated: no live value ever
-    // reads them (docs/perf.md, "The live-column argument").
+    // reads them (docs/perf.md, "The live-column argument").  Certified
+    // unit columns of other rows hold an exact zero in the leaving row and
+    // are skipped unread; the leaving row's own basic column is about to
+    // leave the basis, so it loses its certificate first and is packed.
+    unit[ws.basis[leave]] = 0;
     std::size_t nnz = 0;
     for (const std::uint32_t j : live_cols_) {
+      if (unit[j]) continue;
       const double v = ws.at[j * m_ + leave];
       if (v == 0.0) continue;
       nzi[nnz] = j;
@@ -748,13 +795,8 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       cj[leave] = sv;
     }
     ws.rhs[leave] *= inv;
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (i == leave) continue;
-      const double f = ecol[i];
-      if (f == 0.0) continue;  // untouched rows must NOT see the clamp
-      ws.rhs[i] -= f * ws.rhs[leave];
-      if (ws.rhs[i] < 0.0 && ws.rhs[i] > -1e-11) ws.rhs[i] = 0.0;
-    }
+    // Rows with a zero factor are untouched and must NOT see the clamp.
+    kt.lp_rhs_pivot(ws.rhs.data(), ecol, leave, m_);
     const double fz = ws.z[enter];
     if (fz != 0.0) {
       for (std::size_t k = 0; k < nnz; ++k) ws.z[nzi[k]] -= fz * nzv[k];
@@ -762,13 +804,15 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
     }
     // The entering column becomes a unit column: every row the update
     // touched (f != 0) is explicitly zeroed, untouched rows already held
-    // +0.0, and the pivot row gets the clean 1.0.
+    // +0.0, and the pivot row gets the clean 1.0 -- exact by construction,
+    // so it is certified on entry.
     {
       double* ce = &ws.at[enter * m_];
       for (std::size_t i = 0; i < m_; ++i) ce[i] = 0.0;
       ce[leave] = 1.0;
     }
     ws.basis[leave] = enter;
+    unit[enter] = 1;
   }
 
   if (!ok) {

@@ -74,6 +74,12 @@ struct SolverWorkspace {
   /// column j occupies [j*m, (j+1)*m).  Maintained bit-exactly through
   /// every dual pivot; refreshed from `a` on true-cold transitions.
   std::vector<double> at;
+  /// Certified unit columns of `at`: unit[j] != 0 marks a basic column
+  /// whose every entry off its own row compares equal to 0.0.  Set when
+  /// the warm tableau is anchored and for every column a dual pivot
+  /// enters; cleared when the column leaves.  The leaving-row gather skips
+  /// these columns -- their entry there is a zero it would drop anyway.
+  std::vector<unsigned char> unit;
 };
 
 /// A Problem converted to standard form once, solvable many times.
@@ -199,6 +205,8 @@ class PreparedProblem {
   static constexpr std::size_t kNoCol = static_cast<std::size_t>(-1);
 
   void emit_structural(std::size_t r, const linalg::Vector& coeffs, double sign);
+  /// `rhs` of constraint row i less the row's shift terms.
+  double shifted_rhs(std::size_t i, double rhs) const;
 
   std::size_t nv_ = 0;  ///< original variables
   std::size_t mc_ = 0;  ///< original constraint rows
@@ -209,6 +217,18 @@ class PreparedProblem {
   std::vector<VarMap> vmap_;
   std::vector<RowInfo> rows_;
   std::vector<linalg::Vector> row_coeffs_;  ///< original rows (for re-emission)
+  /// One term of a row's normalized-rhs shift b -= coeff * offset.
+  struct ShiftTerm {
+    double coeff;
+    double offset;
+  };
+  /// Per-row shift terms -- the nonzero coefficients of non-split
+  /// variables, j ascending -- for row i in
+  /// [shift_start_[i], shift_start_[i + 1]).
+  std::vector<ShiftTerm> shift_terms_;
+  std::vector<std::size_t> shift_start_;
+  /// Standard columns the variable map reads back (extract).
+  std::vector<std::size_t> read_cols_;
 
   // Immutable-per-structure template; rhs/cost blocks mutate via setters.
   std::vector<double> a_;             ///< m_ x n_ template tableau
@@ -225,6 +245,8 @@ class PreparedProblem {
 
   /// Rows whose rhs may be patched: all of them until set_hot_rows.
   std::vector<unsigned char> hot_;
+  /// The hot rows, ascending (the warm rhs patch walks only these).
+  std::vector<std::size_t> hot_rows_;
   /// Ascending columns the warm pivots pack, price and update: every
   /// unblocked column plus the artificials of hot rows.
   std::vector<std::uint32_t> live_cols_;
@@ -245,7 +267,7 @@ class PreparedProblem {
   // re-anchors on).
   mutable std::vector<double> seed_at_, seed_rhs_, seed_z_, seed_b_;
   mutable std::vector<std::size_t> seed_basis_;
-  mutable std::vector<unsigned char> seed_flip_;
+  mutable std::vector<unsigned char> seed_flip_, seed_unit_;
 
   Result run_phases(SolverWorkspace& ws, const SimplexOptions& options) const;
   Result extract(SolverWorkspace& ws) const;
@@ -253,6 +275,7 @@ class PreparedProblem {
                           const SimplexOptions& options, bool allow_seed) const;
   void build_seed(SolverWorkspace& ws, const SimplexOptions& options) const;
   void transpose_into(SolverWorkspace& ws) const;
+  void certify_unit_cols(SolverWorkspace& ws) const;
   void update_live_cols();
 };
 

@@ -75,11 +75,19 @@ bool HPolytope::contains(const Vector& x, double tol) const {
 
 double HPolytope::violation(const Vector& x) const {
   OIC_REQUIRE(x.size() == dim(), "HPolytope::violation: dimension mismatch");
+  const std::size_t m = num_constraints();
+  if (m == 0) return 0.0;
+  // Raw-row walk: the same j-ascending sum per face as the accessor form,
+  // without two out-of-line bounds-checked calls per coefficient (this
+  // runs several times per monitored period).
+  const std::size_t n = dim();
+  const double* xp = x.data().data();
+  const double* bp = b_.data().data();
   double worst = -std::numeric_limits<double>::infinity();
-  if (num_constraints() == 0) return 0.0;
-  for (std::size_t i = 0; i < num_constraints(); ++i) {
-    double s = -b_[i];
-    for (std::size_t j = 0; j < dim(); ++j) s += a_(i, j) * x[j];
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* ai = a_.row_data(i);
+    double s = -bp[i];
+    for (std::size_t j = 0; j < n; ++j) s += ai[j] * xp[j];
     worst = std::max(worst, s);
   }
   return worst;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "common/error.hpp"
+#include "common/random.hpp"
 #include "linalg/lu.hpp"
 #include "control/controller.hpp"
 #include "control/lqr.hpp"
@@ -50,6 +54,52 @@ TEST(AffineLTI, NominalStepDropsDisturbance) {
   const Vector x{1.0, 2.0};
   const Vector u{0.5};
   EXPECT_TRUE(approx_equal(sys.step_nominal(x, u), sys.step(x, u, Vector{0, 0}), 1e-12));
+}
+
+TEST(AffineLTI, NominalStepIntoIsBitIdenticalAndRejectsAliasing) {
+  // A 4-state, 3-input plant with a nonzero affine term: step_nominal_into
+  // must reproduce step_nominal's (A x + B u) + c bit for bit, signed
+  // zeros included, through a reused output vector.
+  oic::Rng rng(77);
+  const std::size_t nx = 4, nu = 3;
+  Matrix a(nx, nx), b(nx, nu);
+  Vector c(nx);
+  for (std::size_t i = 0; i < nx; ++i) {
+    for (std::size_t j = 0; j < nx; ++j) a(i, j) = rng.uniform(-1.5, 1.5);
+    for (std::size_t j = 0; j < nu; ++j) b(i, j) = rng.uniform(-1.5, 1.5);
+    c[i] = rng.uniform(-0.5, 0.5);
+  }
+  c[1] = -0.0;
+  const AffineLTI sys(a, b, Matrix::identity(nx), c,
+                      HPolytope::sym_box(Vector(nx, 10.0)),
+                      HPolytope::sym_box(Vector(nu, 10.0)),
+                      HPolytope::sym_box(Vector(nx, 0.1)));
+  const auto bits = [](double v) {
+    std::uint64_t u;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
+  Vector out;
+  for (int trial = 0; trial < 200; ++trial) {
+    Vector x(nx), u(nu);
+    for (std::size_t i = 0; i < nx; ++i) x[i] = rng.uniform(-3.0, 3.0);
+    for (std::size_t j = 0; j < nu; ++j) u[j] = rng.uniform(-3.0, 3.0);
+    if (trial % 7 == 0) {
+      x = Vector(nx, -0.0);
+      u = Vector(nu, -0.0);
+    }
+    const Vector ref = sys.step_nominal(x, u);
+    sys.step_nominal_into(x, u, out);
+    ASSERT_EQ(out.size(), nx);
+    for (std::size_t i = 0; i < nx; ++i) {
+      ASSERT_EQ(bits(out[i]), bits(ref[i])) << "trial " << trial << " row " << i;
+    }
+  }
+
+  Vector x(nx, 1.0), u(nu, 1.0);
+  EXPECT_THROW(sys.step_nominal_into(x, u, x), oic::PreconditionError);
+  EXPECT_THROW(sys.step_nominal_into(x, u, u), oic::PreconditionError);
+  EXPECT_THROW(sys.step_nominal_into(Vector(nx - 1), u, out), oic::PreconditionError);
 }
 
 TEST(AffineLTI, DimensionMismatchThrows) {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -169,6 +170,62 @@ TEST(SimdKernels, RowPrimitivesParityAllSizes) {
       for (std::size_t j = 0; j < n; ++j) ASSERT_BITEQ(c[j], d[j]);
     }
   }
+}
+
+TEST(SimdKernels, RhsPivotParityZerosNonFiniteAndClamp) {
+  if (!have_avx2()) GTEST_SKIP() << "AVX2 unavailable; scalar-only build/CPU";
+  const KernelTable& sc = table_for(simd::Isa::kScalar);
+  const KernelTable& vx = table_for(simd::Isa::kAvx2);
+  Rng rng(303);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Zero factors of either sign skip their row (clamp included); NaN and
+  // infinite factors update it.
+  const double col_specials[] = {0.0, -0.0, nan, inf, -inf};
+  const double rhs_specials[] = {0.0, -0.0, nan, inf, -inf, -5e-12, 1e-300};
+  // Offsets landing an update just inside, on, and just outside the
+  // (-1e-11, 0) snap window.
+  const double straddle[] = {-1e-11, -0.99e-11, -1.01e-11, -1e-15, 0.0, 1e-15};
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1));
+  };
+  for (std::size_t m = 1; m <= 33; ++m) {
+    for (std::size_t leave = 0; leave < m; ++leave) {
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<double> col = random_buf(rng, m);
+        std::vector<double> a = random_buf(rng, m);
+        if (trial == 1) a[leave] = 0.0;  // updates leave rows exactly as they were
+        for (std::size_t i = 0; i < m; ++i) {
+          if (i == leave) continue;
+          const int kind = rng.uniform_int(0, 5);
+          if (kind == 0) col[i] = col_specials[pick(std::size(col_specials))];
+          if (kind == 1) a[i] = rhs_specials[pick(std::size(rhs_specials))];
+          if (kind == 2) a[i] = col[i] * a[leave] + straddle[pick(std::size(straddle))];
+        }
+        if (trial == 3) a[leave] = rhs_specials[pick(std::size(rhs_specials))];
+        std::vector<double> b = a;
+        sc.lp_rhs_pivot(a.data(), col.data(), leave, m);
+        vx.lp_rhs_pivot(b.data(), col.data(), leave, m);
+        for (std::size_t i = 0; i < m; ++i) {
+          ASSERT_BITEQ_OR_NAN(a[i], b[i]) << "m=" << m << " leave=" << leave << " i=" << i;
+        }
+      }
+    }
+  }
+  // The contract itself, on the vector path: the pivot row keeps its
+  // value, a zero factor leaves a row (and its clamp) alone, a tiny
+  // negative update snaps to +0.0, and anything at or below -1e-11 stays.
+  std::vector<double> rhs = {-5e-12, 2.0, 1.0, 2.0 - 2e-11, 3.0, -5e-12, 2.0, 7.0};
+  const std::vector<double> col = {0.0, 5.0, 1.0, 1.0, 1.0, -0.0, 1.0 + 1e-12, nan};
+  vx.lp_rhs_pivot(rhs.data(), col.data(), 1, rhs.size());
+  EXPECT_BITEQ(rhs[0], -5e-12);
+  EXPECT_BITEQ(rhs[1], 2.0);
+  EXPECT_TRUE(rhs[2] < -1e-11);
+  EXPECT_TRUE(rhs[3] <= -1e-11 && rhs[3] > -3e-11);
+  EXPECT_BITEQ(rhs[4], 1.0);
+  EXPECT_BITEQ(rhs[5], -5e-12);
+  EXPECT_BITEQ(rhs[6], 0.0);
+  EXPECT_TRUE(std::isnan(rhs[7]));
 }
 
 TEST(SimdKernels, ArgminParityTiesThresholdsNaN) {
