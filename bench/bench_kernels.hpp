@@ -145,6 +145,14 @@ inline std::vector<KernelStat> run(double budget_ms = 20.0) {
   // into denormals or infinities that would skew the timing.
   const double f = 1e-12;
 
+  // Warm dual pivot rhs update: a B^-1-panel-height entering column with
+  // a quarter of its rows zero (skipped rows), scaled tiny like f above.
+  std::vector<double> piv_rhs(row_n), piv_col(row_n);
+  fill(piv_rhs.data(), row_n, 0.5, 1.5);
+  for (std::size_t i = 0; i < row_n; ++i) {
+    piv_col[i] = rng.uniform_int(0, 3) == 0 ? 0.0 : rng.uniform(-1.0, 1.0) * f;
+  }
+
   struct Spec {
     const char* name;
     const char* shape;
@@ -159,6 +167,10 @@ inline std::vector<KernelStat> run(double budget_ms = 20.0) {
       {"lp_row_add_scaled", "n=192", 8 * (3 * row_n),
        [&](const KernelTable& t) {
          t.lp_row_add_scaled(dst.data(), src.data(), f, row_n);
+       }},
+      {"lp_rhs_pivot", "m=192", 8 * (3 * row_n),
+       [&](const KernelTable& t) {
+         t.lp_rhs_pivot(piv_rhs.data(), piv_col.data(), row_n / 2, row_n);
        }},
       {"lp_argmin", "n=512", 8 * price_n,
        [&](const KernelTable& t) {
