@@ -484,10 +484,8 @@ void IntermittentController::robustify_stale_input(StepDecision& d) {
     // Drift-only prediction (B u contributes nothing): base_i plus the
     // planned input's pull gives the violation under d.u; plus the best
     // pull, the fixability bound.
-    sys_.step_nominal_into(hyps_[h], zero_u_, drift_);
-    if (have_ew_hold_) {
-      for (std::size_t i = 0; i < nx; ++i) drift_[i] += ew_hold_[i];
-    }
+    drift_ = hyps_[h];
+    roll_nominal(drift_, zero_u_);
     const double* xp = drift_.data().data();
     double v_planned = -1e300;
     double fix_bound = -1e300;
