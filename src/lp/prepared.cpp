@@ -1,5 +1,6 @@
 #include "lp/prepared.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -254,9 +255,9 @@ PreparedProblem::PreparedProblem(const Problem& p,
   }
   // Normalized-rhs shift terms, built once: set_rhs replays exactly these
   // subtractions, in this order, on every patch.
-  shift_start_.assign(mc_ + 1, 0);
   for (std::size_t i = 0; i < mc_; ++i) {
     const linalg::Vector& coeffs = row_coeffs_[i];
+    rows_[i].shift_begin = shift_terms_.size();
     for (std::size_t j = 0; j < nv_; ++j) {
       const double aij = coeffs[j];
       if (aij == 0.0) continue;
@@ -264,11 +265,7 @@ PreparedProblem::PreparedProblem(const Problem& p,
         shift_terms_.push_back({aij, vmap_[j].offset});
       }
     }
-    shift_start_[i + 1] = shift_terms_.size();
-  }
-  for (const VarMap& v : vmap_) {
-    read_cols_.push_back(v.col);
-    if (v.kind == VarMap::Kind::kSplit) read_cols_.push_back(v.col2);
+    rows_[i].shift_end = shift_terms_.size();
   }
 
   // ---------- Column reservation ----------
@@ -381,8 +378,8 @@ double PreparedProblem::shifted_rhs(std::size_t i, double rhs) const {
   // Normalized right-hand side, accumulated in the same order as a fresh
   // standard-form conversion (bit-parity matters for reproducibility).
   double b = rhs;
-  const ShiftTerm* t = shift_terms_.data() + shift_start_[i];
-  const ShiftTerm* end = shift_terms_.data() + shift_start_[i + 1];
+  const ShiftTerm* t = shift_terms_.data() + rows_[i].shift_begin;
+  const ShiftTerm* end = shift_terms_.data() + rows_[i].shift_end;
   for (; t != end; ++t) b -= t->coeff * t->offset;
   return b;
 }
@@ -534,10 +531,11 @@ Result PreparedProblem::run_phases(SolverWorkspace& ws, const SimplexOptions& op
 }
 
 Result PreparedProblem::extract(SolverWorkspace& ws) const {
-  // Recover the original variables from the basic solution.  Only the
-  // columns the variable map reads need their nonbasic zero.
+  // Recover the original variables from the basic solution.  The variable
+  // map reads only the structural columns [0, ncols_), so only those need
+  // their nonbasic zero.
   ws.y.resize(n_);
-  for (const std::size_t j : read_cols_) ws.y[j] = 0.0;
+  std::fill(ws.y.begin(), ws.y.begin() + static_cast<std::ptrdiff_t>(ncols_), 0.0);
   for (std::size_t i = 0; i < m_; ++i) ws.y[ws.basis[i]] = ws.rhs[i];
 
   linalg::Vector x(nv_);

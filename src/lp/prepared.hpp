@@ -201,6 +201,9 @@ class PreparedProblem {
     bool emitted = false;        ///< structural row written into the template
     std::size_t slack_col = kNoCol;
     std::size_t art_col = kNoCol;
+    /// The row's normalized-rhs shift terms: shift_terms_[shift_begin,
+    /// shift_end).
+    std::size_t shift_begin = 0, shift_end = 0;
   };
   static constexpr std::size_t kNoCol = static_cast<std::size_t>(-1);
 
@@ -217,18 +220,13 @@ class PreparedProblem {
   std::vector<VarMap> vmap_;
   std::vector<RowInfo> rows_;
   std::vector<linalg::Vector> row_coeffs_;  ///< original rows (for re-emission)
-  /// One term of a row's normalized-rhs shift b -= coeff * offset.
+  /// One term of a row's normalized-rhs shift b -= coeff * offset: the
+  /// nonzero coefficients of non-split variables, j ascending per row.
   struct ShiftTerm {
     double coeff;
     double offset;
   };
-  /// Per-row shift terms -- the nonzero coefficients of non-split
-  /// variables, j ascending -- for row i in
-  /// [shift_start_[i], shift_start_[i + 1]).
   std::vector<ShiftTerm> shift_terms_;
-  std::vector<std::size_t> shift_start_;
-  /// Standard columns the variable map reads back (extract).
-  std::vector<std::size_t> read_cols_;
 
   // Immutable-per-structure template; rhs/cost blocks mutate via setters.
   std::vector<double> a_;             ///< m_ x n_ template tableau
