@@ -573,22 +573,25 @@ void PreparedProblem::certify_unit_cols(SolverWorkspace& ws) const {
   // A basic column is certified when every entry off its own row compares
   // equal to 0.0 (either sign); anything else -- round-off residue left by
   // the two-phase path -- stays uncertified and is gathered as before.
+  // Counted branch-free over the whole column (NaN counts as nonzero).
   ws.unit.assign(n_, 0);
   for (std::size_t r = 0; r < m_; ++r) {
     const std::size_t j = ws.basis[r];
     const double* c = &ws.at[j * m_];
-    bool exact = true;
-    for (std::size_t i = 0; i < m_ && exact; ++i) exact = i == r || c[i] == 0.0;
-    ws.unit[j] = exact ? 1 : 0;
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < m_; ++i) nonzero += c[i] != 0.0 ? 1 : 0;
+    ws.unit[j] = nonzero == (c[r] != 0.0 ? 1u : 0u) ? 1 : 0;
   }
 }
 
 void PreparedProblem::build_seed(SolverWorkspace& ws, const SimplexOptions& opt) const {
   seed_built_ = true;  // one attempt; failures fall back to two-phase colds
   ws.warm_serial = 0;
-  ws.a = seed_src_a_;
+  // The capture is read exactly once, here: hand the template tableau to
+  // the workspace instead of copying it.
+  ws.a = std::move(seed_src_a_);
   ws.rhs = seed_src_rhs_;
-  ws.basis = seed_src_basis_;
+  ws.basis = std::move(seed_src_basis_);
   const Result r = run_phases(ws, opt);
   if (r.status != Status::kOptimal) return;
   // Store the canonical optimum pre-transposed: every restart then copies
@@ -602,9 +605,6 @@ void PreparedProblem::build_seed(SolverWorkspace& ws, const SimplexOptions& opt)
   seed_basis_ = ws.basis;
   seed_b_ = std::move(seed_src_rhs_);  // canonical pre-solve rhs
   seed_ok_ = true;
-  seed_src_a_ = {};
-  seed_src_rhs_ = {};
-  seed_src_basis_ = {};
 }
 
 Result PreparedProblem::solve_warm(SolverWorkspace& ws, WarmState& warm,
