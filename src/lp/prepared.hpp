@@ -257,7 +257,7 @@ class PreparedProblem {
   std::size_t seed_obj_revision_ = 0;
   mutable bool seed_built_ = false;  ///< build attempted (ok or not)
   mutable bool seed_ok_ = false;     ///< canonical solve reached optimality
-  // Canonical template capture (freed once the seed is built).
+  // Canonical template capture (moved out when the seed is built).
   mutable std::vector<double> seed_src_a_, seed_src_rhs_;
   mutable std::vector<std::size_t> seed_src_basis_;
   // Canonical optimum: transposed tableau/rhs/z/basis plus the pre-solve
