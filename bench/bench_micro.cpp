@@ -352,6 +352,23 @@ void BM_TubeMpcSeedRestart(benchmark::State& state) {
 }
 BENCHMARK(BM_TubeMpcSeedRestart);
 
+// One campaign episode's share of kappa: a seed restart followed by warm
+// re-solves of the whole 100-state sequence.  The two cases above repeat
+// one kind of solve on a cache the previous iteration left warm; this one
+// runs the restart-then-warm mix an episode pays, so the warm pivots start
+// on the freshly copied seed tableau.
+void BM_TubeMpcEpisode(benchmark::State& state) {
+  const AccMpcRun& run = AccMpcRun::get();
+  control::TubeMpc mpc = run.plant->rmpc();
+  benchmark::DoNotOptimize(mpc.control(run.states[0]));  // builds the seed
+  for (auto _ : state) {
+    mpc.reset_solver();
+    for (const Vector& x : run.states) benchmark::DoNotOptimize(mpc.control(x));
+  }
+  state.SetLabel("acc, seed restart + 100 solves");
+}
+BENCHMARK(BM_TubeMpcEpisode);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -574,13 +574,20 @@ void PreparedProblem::certify_unit_cols(SolverWorkspace& ws) const {
   // equal to 0.0 (either sign); anything else -- round-off residue left by
   // the two-phase path -- stays uncertified and is gathered as before.
   // Counted branch-free over the whole column (NaN counts as nonzero).
-  ws.unit.assign(n_, 0);
+  // Runs only when the warm tableau is anchored (seed build, two-phase
+  // cold), so the flag scratch is a local.
+  std::vector<unsigned char> unit(n_, 0);
   for (std::size_t r = 0; r < m_; ++r) {
     const std::size_t j = ws.basis[r];
     const double* c = &ws.at[j * m_];
     std::size_t nonzero = 0;
     for (std::size_t i = 0; i < m_; ++i) nonzero += c[i] != 0.0 ? 1 : 0;
-    ws.unit[j] = nonzero == (c[r] != 0.0 ? 1u : 0u) ? 1 : 0;
+    unit[j] = nonzero == (c[r] != 0.0 ? 1u : 0u) ? 1 : 0;
+  }
+  ws.gather.clear();
+  ws.gather.reserve(live_cols_.size());  // pivots insert without allocating
+  for (const std::uint32_t j : live_cols_) {
+    if (!unit[j]) ws.gather.push_back(j);
   }
 }
 
@@ -599,7 +606,7 @@ void PreparedProblem::build_seed(SolverWorkspace& ws, const SimplexOptions& opt)
   transpose_into(ws);
   certify_unit_cols(ws);
   seed_at_ = ws.at;
-  seed_unit_ = ws.unit;
+  seed_gather_ = ws.gather;
   seed_rhs_ = ws.rhs;
   seed_z_ = ws.z;
   seed_basis_ = ws.basis;
@@ -644,7 +651,7 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       ws.rhs.assign(seed_rhs_.begin(), seed_rhs_.end());
       ws.z.assign(seed_z_.begin(), seed_z_.end());
       ws.basis.assign(seed_basis_.begin(), seed_basis_.end());
-      ws.unit.assign(seed_unit_.begin(), seed_unit_.end());
+      ws.gather.assign(seed_gather_.begin(), seed_gather_.end());
       warm.b.assign(seed_b_.begin(), seed_b_.end());
       warm.flip.assign(seed_flip_.begin(), seed_flip_.end());
     } else {
@@ -706,7 +713,7 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   ws.nzv.resize(n_);
   std::uint32_t* nzi = ws.nz.data();
   double* nzv = ws.nzv.data();
-  unsigned char* unit = ws.unit.data();
+  std::vector<std::uint32_t>& gather = ws.gather;
   bool ok = false;
   for (std::size_t iter = 0; iter <= max_dual_iters; ++iter) {
     // Leaving row: most negative basic value (argmin kernel == the
@@ -719,23 +726,29 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
     const std::size_t leave = static_cast<std::size_t>(lv);
     if (iter == max_dual_iters) break;  // stalled; fall back to a cold solve
 
+    // The leaving row's basic column is about to leave the basis: it loses
+    // its certificate and joins the gather list at its sorted place, unless
+    // it is dead (never gathered) or uncertified (listed already).
+    const auto out = static_cast<std::uint32_t>(ws.basis[leave]);
+    if (std::binary_search(live_cols_.begin(), live_cols_.end(), out)) {
+      const auto pos = std::lower_bound(gather.begin(), gather.end(), out);
+      if (pos == gather.end() || *pos != out) gather.insert(pos, out);
+    }
+
     // Pack the leaving row's nonzeros once (fixed-stride gather across the
-    // live columns); the dual ratio test and the pivot both run over the
+    // listed columns); the dual ratio test and the pivot both run over the
     // packed support.  Dead columns -- barred artificials of rows that are
     // never patched -- are neither priced nor updated: no live value ever
     // reads them (docs/perf.md, "The live-column argument").  Certified
     // unit columns of other rows hold an exact zero in the leaving row and
-    // are skipped unread; the leaving row's own basic column is about to
-    // leave the basis, so it loses its certificate first and is packed.
-    unit[ws.basis[leave]] = 0;
+    // are not listed.  Branch-free: always store, advance past a nonzero
+    // (a NaN compares != 0.0 and is packed).
     std::size_t nnz = 0;
-    for (const std::uint32_t j : live_cols_) {
-      if (unit[j]) continue;
+    for (const std::uint32_t j : gather) {
       const double v = ws.at[j * m_ + leave];
-      if (v == 0.0) continue;
       nzi[nnz] = j;
       nzv[nnz] = v;
-      ++nnz;
+      nnz += v != 0.0 ? 1 : 0;
     }
 
     // Entering column: dual ratio test over the leaving row's negative
@@ -771,8 +784,15 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
 
     // --- Pivot over the packed support ---
     // The live entering column holds every row's update factor; it is read
-    // by all the axpys below and zeroed only afterwards.
-    const double* ecol = &ws.at[enter * m_];
+    // by all the updates below and zeroed only afterwards.  Its nonzeros
+    // span rows [lo, hi): every factor outside is 0.0, where the updates
+    // are exact no-ops on a -0.0-free tableau (docs/perf.md, "The row-span
+    // argument"), so they run on the span only.  ecol[leave] is the
+    // nonzero pivot, so both scans stop.
+    double* ecol = &ws.at[enter * m_];
+    std::size_t lo = 0, hi = m_;
+    while (ecol[lo] == 0.0) ++lo;
+    while (ecol[hi - 1] == 0.0) --hi;
     const double piv = ecol[leave];
     const double inv = 1.0 / piv;
     for (std::size_t k = 0; k < nnz; ++k) {
@@ -785,32 +805,31 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       nzv[k] = sv;
       double* cj = &ws.at[j * m_];
       // Classical update: cj[i] -= f_i * sv for every row i != leave with
-      // f_i != 0.  The axpy also runs the skipped cases -- f_i == 0 rows
-      // (subtracting sv*0.0 == +-0.0 is an exact no-op on a -0.0-free
-      // tableau) and the pivot row (overwritten right after with the
-      // scaled value, exactly what the row-major scale step stored).
-      kt.lp_row_sub_scaled(cj, ecol, sv, m_);
+      // f_i != 0.  The axpy also runs the skipped cases inside the span --
+      // f_i == 0 rows (subtracting sv*0.0 == +-0.0 is an exact no-op on a
+      // -0.0-free tableau) and the pivot row (overwritten right after with
+      // the scaled value, exactly what the row-major scale step stored).
+      kt.lp_row_sub_scaled(cj + lo, ecol + lo, sv, hi - lo);
       cj[leave] = sv;
     }
     ws.rhs[leave] *= inv;
     // Rows with a zero factor are untouched and must NOT see the clamp.
-    kt.lp_rhs_pivot(ws.rhs.data(), ecol, leave, m_);
+    kt.lp_rhs_pivot(ws.rhs.data() + lo, ecol + lo, leave - lo, hi - lo);
     const double fz = ws.z[enter];
     if (fz != 0.0) {
       for (std::size_t k = 0; k < nnz; ++k) ws.z[nzi[k]] -= fz * nzv[k];
       ws.z[enter] = 0.0;
     }
     // The entering column becomes a unit column: every row the update
-    // touched (f != 0) is explicitly zeroed, untouched rows already held
-    // +0.0, and the pivot row gets the clean 1.0 -- exact by construction,
-    // so it is certified on entry.
-    {
-      double* ce = &ws.at[enter * m_];
-      for (std::size_t i = 0; i < m_; ++i) ce[i] = 0.0;
-      ce[leave] = 1.0;
-    }
+    // touched (f != 0, all inside the span) is explicitly zeroed, the rows
+    // outside already held +0.0, and the pivot row gets the clean 1.0 --
+    // exact by construction, so it is certified on entry and leaves the
+    // gather list.
+    std::fill(ecol + lo, ecol + hi, 0.0);
+    ecol[leave] = 1.0;
     ws.basis[leave] = enter;
-    unit[enter] = 1;
+    gather.erase(std::lower_bound(gather.begin(), gather.end(),
+                                  static_cast<std::uint32_t>(enter)));
   }
 
   if (!ok) {

@@ -74,12 +74,13 @@ struct SolverWorkspace {
   /// column j occupies [j*m, (j+1)*m).  Maintained bit-exactly through
   /// every dual pivot; refreshed from `a` on true-cold transitions.
   std::vector<double> at;
-  /// Certified unit columns of `at`: unit[j] != 0 marks a basic column
-  /// whose every entry off its own row compares equal to 0.0.  Set when
-  /// the warm tableau is anchored and for every column a dual pivot
-  /// enters; cleared when the column leaves.  The leaving-row gather skips
-  /// these columns -- their entry there is a zero it would drop anyway.
-  std::vector<unsigned char> unit;
+  /// The warm leaving-row gather list: the live columns of `at`, ascending,
+  /// less the certified unit columns -- basic columns whose every entry off
+  /// their own row compares equal to 0.0, so their entry in any other
+  /// leaving row is a zero the gather would drop anyway.  Built when the
+  /// warm tableau is anchored; each dual pivot inserts the leaving column
+  /// at its sorted place and erases the entering one.
+  std::vector<std::uint32_t> gather;
 };
 
 /// A Problem converted to standard form once, solvable many times.
@@ -260,12 +261,13 @@ class PreparedProblem {
   // Canonical template capture (moved out when the seed is built).
   mutable std::vector<double> seed_src_a_, seed_src_rhs_;
   mutable std::vector<std::size_t> seed_src_basis_;
-  // Canonical optimum: transposed tableau/rhs/z/basis plus the pre-solve
-  // rhs+orientation it answers for (the warm snapshot every restart
-  // re-anchors on).
+  // Canonical optimum: transposed tableau/rhs/z/basis/gather list plus the
+  // pre-solve rhs+orientation it answers for (the warm snapshot every
+  // restart re-anchors on).
   mutable std::vector<double> seed_at_, seed_rhs_, seed_z_, seed_b_;
   mutable std::vector<std::size_t> seed_basis_;
-  mutable std::vector<unsigned char> seed_flip_, seed_unit_;
+  mutable std::vector<unsigned char> seed_flip_;
+  mutable std::vector<std::uint32_t> seed_gather_;
 
   Result run_phases(SolverWorkspace& ws, const SimplexOptions& options) const;
   Result extract(SolverWorkspace& ws) const;

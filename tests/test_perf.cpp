@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "core/w_history.hpp"
@@ -270,6 +272,106 @@ TEST(PreparedProblem, WarmStateWithForeignWorkspaceFallsBackCold) {
   ASSERT_EQ(r1.status, oic::lp::Status::kOptimal);
   ASSERT_EQ(r2.status, oic::lp::Status::kOptimal);
   EXPECT_EQ(r1.objective, r2.objective);
+}
+
+/// An MPC-shaped LP in the layout TubeMpc builds: a double integrator over
+/// horizon `n`, variables x(0..n), u(0..n-1) and the 1-norm auxiliaries
+/// tx, tu; rows x(0) = 0 (the hot rows), the dynamics equalities, box
+/// state rows for x(1..n), input rows, then the epigraph rows.
+Problem mpc_shaped_lp(std::size_t n) {
+  const std::size_t nx = 2, nu = 1;
+  const std::size_t u0 = nx * (n + 1), tx0 = u0 + nu * n, tu0 = tx0 + nx * n;
+  const std::size_t total = tu0 + nu * n;
+  const double a[2][2] = {{1.0, 0.1}, {0.0, 1.0}};
+  const double b[2] = {0.005, 0.1};
+  const double xmax[2] = {5.0, 2.0};
+  Problem p(total);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      p.set_objective_coeff(tx0 + k * nx + i, 1.0);
+      p.set_bounds(tx0 + k * nx + i, 0.0, Problem::kInf);
+    }
+    p.set_objective_coeff(tu0 + k, 0.1);
+    p.set_bounds(tu0 + k, 0.0, Problem::kInf);
+  }
+  auto row = [&](std::initializer_list<std::pair<std::size_t, double>> entries) {
+    Vector r(total);
+    for (const auto& [j, v] : entries) r[j] += v;
+    return r;
+  };
+  for (std::size_t i = 0; i < nx; ++i) p.add_constraint(row({{i, 1.0}}), Relation::kEqual, 0.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      p.add_constraint(row({{(k + 1) * nx + i, 1.0},
+                            {k * nx, -a[i][0]},
+                            {k * nx + 1, -a[i][1]},
+                            {u0 + k, -b[i]}}),
+                       Relation::kEqual, 0.0);
+    }
+  }
+  for (std::size_t k = 1; k <= n; ++k) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      // Tightened towards the horizon's end, as the tube sets are.
+      const double lim = xmax[i] * (1.0 - 0.02 * static_cast<double>(k));
+      p.add_constraint(row({{k * nx + i, 1.0}}), Relation::kLessEq, lim);
+      p.add_constraint(row({{k * nx + i, -1.0}}), Relation::kLessEq, lim);
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    p.add_constraint(row({{u0 + k, 1.0}}), Relation::kLessEq, 1.0);
+    p.add_constraint(row({{u0 + k, -1.0}}), Relation::kLessEq, 1.0);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      const std::size_t xi = k * nx + i, ti = tx0 + k * nx + i;
+      p.add_constraint(row({{xi, 1.0}, {ti, -1.0}}), Relation::kLessEq, 0.0);
+      p.add_constraint(row({{xi, -1.0}, {ti, -1.0}}), Relation::kLessEq, 0.0);
+    }
+    p.add_constraint(row({{u0 + k, 1.0}, {tu0 + k, -1.0}}), Relation::kLessEq, 0.0);
+    p.add_constraint(row({{u0 + k, -1.0}, {tu0 + k, -1.0}}), Relation::kLessEq, 0.0);
+  }
+  return p;
+}
+
+std::size_t count_negative_zeros(const std::vector<double>& v) {
+  std::size_t count = 0;
+  for (const double x : v) count += (x == 0.0 && std::signbit(x)) ? 1 : 0;
+  return count;
+}
+
+TEST(PreparedProblem, WarmTableauStaysFreeOfNegativeZeros) {
+  // The warm pivot skips the rows outside the entering column's nonzero
+  // span and zeroes only the span when the column enters.  Both are exact
+  // only while the carried tableau and rhs hold no -0.0 (docs/perf.md, "The
+  // row-span argument"); pin that invariant across seed restarts and the
+  // warm continuations between them.
+  const Problem p = mpc_shaped_lp(10);
+  PreparedProblem hot(p), cold(p);
+  hot.set_hot_rows({0, 1});
+  SolverWorkspace ws_warm, ws_cold;
+  PreparedProblem::WarmState warm;
+  Rng rng(53);
+  double x[2] = {0.0, 0.0};
+  std::size_t seed_restarts = 0;
+  for (std::size_t k = 0; k < 600; ++k) {
+    // A random walk pulled back towards the origin: states stay feasible
+    // while the active set keeps changing.
+    x[0] = 0.9 * x[0] + rng.uniform(-0.4, 0.4);
+    x[1] = 0.9 * x[1] + rng.uniform(-0.25, 0.25);
+    for (std::size_t i = 0; i < 2; ++i) {
+      hot.set_rhs(i, x[i]);
+      cold.set_rhs(i, x[i]);
+    }
+    const oic::lp::Result rw = hot.solve_warm(ws_warm, warm);
+    const oic::lp::Result rc = cold.solve(ws_cold);
+    ASSERT_EQ(rc.status, oic::lp::Status::kOptimal) << "step " << k;
+    ASSERT_EQ(rw.status, oic::lp::Status::kOptimal) << "step " << k;
+    EXPECT_NEAR(rc.objective, rw.objective, 1e-8) << "step " << k;
+    if (warm.solves_since_cold == 1) ++seed_restarts;
+    ASSERT_EQ(count_negative_zeros(ws_warm.at), 0u) << "step " << k;
+    ASSERT_EQ(count_negative_zeros(ws_warm.rhs), 0u) << "step " << k;
+  }
+  EXPECT_GE(seed_restarts, 2u);
 }
 
 TEST(SupportSolver, MatchesFreshProblemAnswers) {
