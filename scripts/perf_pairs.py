@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Alternating-pair comparison of two revisions on the benchmark of record.
+"""Alternating-pair comparison of a base revision against the checkout.
 
     python3 scripts/perf_pairs.py --base <rev> --workload campaign --pairs 10
 
-Exports the base revision (and --head, when given; otherwise the current
-checkout as it stands, uncommitted changes included) into separate trees,
-gives each side its own CARGO_TARGET_DIR, and runs
-`python3 perfbench/run.py --workload W --seed S --seconds T` on both sides
-for every pair.  The base side runs first on odd pairs and second on even
-ones.  Pair 1 always uses the held-out seed 9001; the other pairs use seeds
---first-seed, --first-seed + 1, ...
+Exports the base revision into its own tree and runs
+`python3 perfbench/run.py --workload W --seed S` on it and on the current
+checkout (uncommitted changes included) for every pair, at perfbench's own
+run length.  Each side builds into its own CARGO_TARGET_DIR; the base
+side's is keyed by the resolved commit, so a reused --work-dir never
+mixes objects of two base revisions.  The base side runs first on odd
+pairs and second on even ones.  Pair 1 always uses the held-out seed
+9001; the other pairs use seeds --first-seed, --first-seed + 1, ...
 
 For every end-to-end metric of BENCHMARK.json (per-layer with --trace 1)
 it prints each side's median and interquartile range, how many pairs the
@@ -19,7 +20,7 @@ default periods_per_s) it prints the verdict used to accept a gain: the
 head side wins at least 9 of every 10 pairs, and its median beats the base
 median by more than the base side's interquartile range.
 Runs that report failed operations are listed; any failure makes the
-verdict "failed runs".  --json PATH writes every run's report.
+verdict "failed runs".
 """
 
 import argparse
@@ -37,10 +38,18 @@ ROOT = os.path.dirname(HERE)
 HELD_OUT_SEED = 9001
 
 
+def resolve(rev):
+    """The full commit hash `rev` names."""
+    out = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", rev + "^{commit}"],
+                         stdout=subprocess.PIPE, text=True, check=True)
+    return out.stdout.strip()
+
+
 def export_tree(rev, dest):
     """Write the committed files of `rev` into `dest` (git archive).  tar
-    keeps the commit's mtimes, so re-exporting the same revision over an
-    existing build directory rebuilds nothing."""
+    gives every file the commit's mtime, which CMake's incremental build
+    cannot tell apart from another revision's: build directories of
+    exported trees must be keyed by the commit."""
     shutil.rmtree(dest, ignore_errors=True)
     os.makedirs(dest)
     archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
@@ -48,11 +57,11 @@ def export_tree(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
 
 
-def run_side(tree, target_dir, workload, seed, seconds, trace):
+def run_side(tree, target_dir, workload, seed, trace):
     """One perfbench run; returns its JSON report, or None without one."""
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -85,15 +94,12 @@ def fmt(v):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="revision of the base side")
-    ap.add_argument("--head", help="revision of the head side (default: the checkout)")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--metric", default="periods_per_s", help="the claimed metric")
     ap.add_argument("--work-dir", help="where the trees and builds go (default: a temp dir)")
-    ap.add_argument("--json", help="write every run's report to this file")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -110,15 +116,10 @@ def main():
     own_work = args.work_dir is None
     sides = {}
     try:
-        base_tree = os.path.join(work, "base")
+        base_tree = os.path.join(work, "base-" + resolve(args.base))
         export_tree(args.base, base_tree)
-        sides["base"] = (base_tree, os.path.join(work, "base-build"))
-        if args.head:
-            head_tree = os.path.join(work, "head")
-            export_tree(args.head, head_tree)
-        else:
-            head_tree = ROOT
-        sides["head"] = (head_tree, os.path.join(work, "head-build"))
+        sides["base"] = (base_tree, base_tree + "-build")
+        sides["head"] = (ROOT, os.path.join(work, "head-build"))
 
         seeds = [HELD_OUT_SEED] + [args.first_seed + i for i in range(args.pairs - 1)]
         runs = []
@@ -127,8 +128,7 @@ def main():
             pair = {"pair": i + 1, "seed": seed, "first": order[0]}
             for side in order:
                 tree, target = sides[side]
-                pair[side] = run_side(tree, target, args.workload, seed, args.seconds,
-                                      args.trace)
+                pair[side] = run_side(tree, target, args.workload, seed, args.trace)
             runs.append(pair)
             vals = []
             for side in ("base", "head"):
@@ -141,11 +141,6 @@ def main():
     finally:
         if own_work:
             shutil.rmtree(work, ignore_errors=True)
-
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump({"base": args.base, "head": args.head or "checkout",
-                       "workload": args.workload, "runs": runs}, f, indent=1)
 
     bad = [(r["pair"], side) for r in runs for side in ("base", "head")
            if r[side] is None or r[side]["failed"] != 0]

@@ -651,6 +651,7 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       ws.rhs.assign(seed_rhs_.begin(), seed_rhs_.end());
       ws.z.assign(seed_z_.begin(), seed_z_.end());
       ws.basis.assign(seed_basis_.begin(), seed_basis_.end());
+      ws.gather.reserve(live_cols_.size());  // pivots insert without allocating
       ws.gather.assign(seed_gather_.begin(), seed_gather_.end());
       warm.b.assign(seed_b_.begin(), seed_b_.end());
       warm.flip.assign(seed_flip_.begin(), seed_flip_.end());
