@@ -2,14 +2,21 @@
 /// Throughput micro-benchmarks of the substrate primitives every
 /// experiment leans on: the simplex LP solver, polytope queries, Minkowski
 /// operations, Fourier-Motzkin projection, and DQN inference/training
-/// steps, and the tube-MPC solve a monitored period runs.  These establish
-/// the per-operation budgets behind the Sec. IV-A computation-saving claim.
+/// steps, the tube-MPC solve a monitored period runs, and a certificate
+/// cache hit.  These establish the per-operation budgets behind the
+/// Sec. IV-A computation-saving claim.
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "cert/certificate.hpp"
+#include "cert/store.hpp"
 #include "common/random.hpp"
 #include "control/tube_mpc.hpp"
 #include "eval/harness.hpp"
@@ -368,6 +375,29 @@ void BM_TubeMpcEpisode(benchmark::State& state) {
   state.SetLabel("acc, seed restart + 100 solves");
 }
 BENCHMARK(BM_TubeMpcEpisode);
+
+// Certificate cold start from the cache: one `cert::Store::get` hit (read
+// and parse the `oic-cert v1` file) per iteration, per production plant.
+// The plant's synthesis runs once, untimed, to fill a scratch store.
+void BM_CertStoreLoad(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const eval::ScenarioRegistry& registry = eval::ScenarioRegistry::builtin();
+  const std::vector<std::string> ids = registry.production_plant_ids();
+  const auto index = static_cast<std::size_t>(state.range(0));
+  if (index >= ids.size()) {
+    state.SkipWithError("no such production plant");
+    return;
+  }
+  const cert::PlantModel model = registry.make_model(ids[index]);
+  const fs::path dir = fs::temp_directory_path() /
+                       ("oic-bench-micro-certs-" + std::to_string(::getpid()));
+  const cert::Store store(dir.string());
+  cert::save_certificate_file(cert::synthesize(model), store.path_for(model));
+  for (auto _ : state) benchmark::DoNotOptimize(store.get(model));
+  fs::remove_all(dir);
+  state.SetLabel(ids[index] + ", cache hit");
+}
+BENCHMARK(BM_CertStoreLoad)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,34 +1,16 @@
 #!/usr/bin/env python3
-"""Validate a bench JSON document against a reference document's schema.
+"""Check the semantic invariants of a JSON document the oic tools emit.
 
-Usage: check_bench_json.py REFERENCE CANDIDATE
-       check_bench_json.py --self CANDIDATE
+Usage: check_bench_json.py DOCUMENT
 
-Recursively compares the *key structure* of the two JSON documents: every
-key path present in REFERENCE must exist in CANDIDATE with the same JSON
-type, and vice versa (values are free to differ -- they are measurements).
-Array elements are checked against the first element of the reference
-array, so homogeneous result lists of different lengths compare fine.
-With --self only the shared semantic invariants are enforced (for
-documents, like oic_train's, that have no committed reference).
-
-Also enforces the semantic invariants every bench document shares:
+Every document (oic_eval, oic_train, oic_mc, oic_serve, oic_loadgen and
+bench_kernels --json) must satisfy:
   * "safety_violations" must be false (Theorem 1: the monitor never lets
     the loop leave X);
   * "schema_version" must be a positive integer (the shared jsonout::Doc
     envelope every producer stamps);
-  * "parallel_bit_identical", when present, must be true;
   * "meta" must carry the build provenance strings git_sha / compiler /
     build_type (common/buildinfo.hpp);
-  * "train_minibatch.bit_identical", when present, must be true (the
-    batched DQN update path must match the per-sample path exactly);
-  * "cert_cold_start", when present, must report bit_identical == true
-    (a loaded certificate must reproduce fresh synthesis exactly) and a
-    speedup >= 1 over at least one plant (the cache must never be slower
-    than synthesizing);
-  * "mc_campaign" (bench_throughput's Monte-Carlo section), when present,
-    must report bit_identical == true (campaign statistics must not depend
-    on the worker count) and violations == false;
   * "campaign" (an oic_mc document), when present, must report at least
     one aggregated episode, and every results[] entry must carry
     violation_ci95 intervals with 0 <= lo <= hi <= 1 and hi > lo for the
@@ -48,68 +30,24 @@ Also enforces the semantic invariants every bench document shares:
     (0, 1); every cell must name a plant and family, every unit must
     carry p_hat in [0, 1], a well-ordered ci95 containing p_hat, an
     extinct_batches count consistent with its batches[], and per batch
-    a level ladder with matching survivor counts, each <= trials (an
-    all-splitting campaign legitimately emits an empty "results" array,
-    which is tolerated when config.splitting is true);
-  * "kernels" (the per-ISA dispatch-table microbench), when present, must
-    report avx2_native as a bool and, for every kernel, a positive
-    bytes_per_op and positive ns_per_op / gb_per_s under both the scalar
-    and the avx2 table (the fallback contract keeps both columns
-    populated even on scalar-only hosts);
-  * "bench_serve" (bench_throughput's monitor-service section), when
-    present, must report bit_identical == true (batched decisions must
-    reproduce the per-session IntermittentController path exactly),
-    errors == 0, sessions >= 10000 (the service-capacity contract),
-    0 <= p50_ms <= p99_ms, sessions_per_s > 0, a known transport
-    ("socket"/"stdio"/"inproc"), tick_workers >= 1, and a non-negative
-    burst_sessions count; each serve_tick_latency_ms entry must also
-    carry ordered submit_/wait_ component percentiles (the round-trip
-    split that reads transport cost against tick cost).
+    a level ladder with matching survivor counts, each <= trials;
+  * "serve_tick_latency_ms" (an oic_loadgen document), when present, must
+    be a non-empty array whose entries carry a positive sample count,
+    ordered p50 <= p99 <= max and ordered submit_/wait_ component
+    percentiles (the round-trip split that reads transport cost against
+    tick cost);
+  * "kernels" (bench_kernels --json, the per-ISA dispatch-table
+    microbench), when present, must report avx2_native as a bool and, for
+    every kernel, a positive bytes_per_op and positive ns_per_op /
+    gb_per_s under both the scalar and the avx2 table (the fallback
+    contract keeps both columns populated even on scalar-only hosts).
 
-The CI bench-smoke job runs this over (committed BENCH_throughput.json,
-fresh smoke output); the train-smoke job uses --self on the oic_train and
-oic_eval documents; the mc-smoke job uses --self on the oic_mc document.
+The train, cert, mc, mc-rare, fault and serve smoke steps of scripts/ci.sh
+run it on every document they produce.
 """
 
 import json
 import sys
-
-
-def type_name(value):
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "array"
-    if isinstance(value, dict):
-        return "object"
-    return "null"
-
-
-def compare(reference, candidate, path, errors, allow_empty=frozenset()):
-    ref_type, cand_type = type_name(reference), type_name(candidate)
-    if ref_type != cand_type:
-        errors.append(f"{path or '<root>'}: type {cand_type}, expected {ref_type}")
-        return
-    if ref_type == "object":
-        for key in reference:
-            if key not in candidate:
-                errors.append(f"{path or '<root>'}: missing key '{key}'")
-            else:
-                compare(reference[key], candidate[key], f"{path}.{key}".lstrip("."),
-                        errors, allow_empty)
-        for key in candidate:
-            if key not in reference:
-                errors.append(f"{path or '<root>'}: unexpected key '{key}'")
-    elif ref_type == "array" and reference:
-        if not candidate and path not in allow_empty:
-            errors.append(f"{path or '<root>'}: empty array, expected elements "
-                          f"shaped like the reference's")
-        for i, item in enumerate(candidate):
-            compare(reference[0], item, f"{path}[{i}]", errors, allow_empty)
 
 
 def check_semantics(candidate, errors):
@@ -119,9 +57,6 @@ def check_semantics(candidate, errors):
     if not isinstance(version, int) or isinstance(version, bool) or version < 1:
         errors.append("schema_version: must be a positive integer (the shared "
                       "jsonout::Doc envelope)")
-    if "parallel_bit_identical" in candidate and \
-            candidate["parallel_bit_identical"] is not True:
-        errors.append("parallel_bit_identical: must be true")
 
     meta = candidate.get("meta")
     if not isinstance(meta, dict):
@@ -133,18 +68,6 @@ def check_semantics(candidate, errors):
         if "isa" in meta and meta["isa"] not in ("scalar", "avx2"):
             errors.append("meta.isa: must be 'scalar' or 'avx2' (the kernel "
                           "dispatch tier the producer resolved to)")
-
-    train = candidate.get("train_minibatch")
-    if train is not None and train.get("bit_identical") is not True:
-        errors.append("train_minibatch.bit_identical: must be true")
-
-    mc = candidate.get("mc_campaign")
-    if mc is not None:
-        if mc.get("bit_identical") is not True:
-            errors.append("mc_campaign.bit_identical: must be true (campaign "
-                          "stats must not depend on the worker count)")
-        if mc.get("violations") is not False:
-            errors.append("mc_campaign.violations: must be false (Theorem 1)")
 
     campaign = candidate.get("campaign")
     if campaign is not None:
@@ -306,41 +229,6 @@ def check_semantics(candidate, errors):
                                           f"[0, trials]")
                             break
 
-    serve = candidate.get("bench_serve")
-    if serve is not None:
-        if serve.get("bit_identical") is not True:
-            errors.append("bench_serve.bit_identical: must be true (batched "
-                          "decisions must reproduce the per-session path)")
-        if serve.get("errors") != 0:
-            errors.append("bench_serve.errors: must be 0 (fault-free traffic "
-                          "must never draw an error response)")
-        sessions = serve.get("sessions")
-        if not isinstance(sessions, int) or isinstance(sessions, bool) \
-                or sessions < 10000:
-            errors.append("bench_serve.sessions: must be an integer >= 10000 "
-                          "(the service-capacity contract)")
-        p50, p99 = serve.get("p50_ms"), serve.get("p99_ms")
-        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      for v in (p50, p99))
-        if not numbers or p50 < 0 or p50 > p99:
-            errors.append("bench_serve.p50_ms/p99_ms: must satisfy "
-                          "0 <= p50 <= p99")
-        rate = serve.get("sessions_per_s")
-        if not isinstance(rate, (int, float)) or isinstance(rate, bool) \
-                or rate <= 0:
-            errors.append("bench_serve.sessions_per_s: must be > 0")
-        if serve.get("transport") not in ("socket", "stdio", "inproc"):
-            errors.append("bench_serve.transport: must be 'socket', 'stdio', "
-                          "or 'inproc'")
-        tick_workers = serve.get("tick_workers")
-        if not isinstance(tick_workers, int) or isinstance(tick_workers, bool) \
-                or tick_workers < 1:
-            errors.append("bench_serve.tick_workers: must be a positive integer")
-        bursts = serve.get("burst_sessions")
-        if not isinstance(bursts, int) or isinstance(bursts, bool) or bursts < 0:
-            errors.append("bench_serve.burst_sessions: must be a non-negative "
-                          "integer")
-
     ticks = candidate.get("serve_tick_latency_ms")
     if ticks is not None:
         if not isinstance(ticks, list) or not ticks:
@@ -403,52 +291,22 @@ def check_semantics(candidate, errors):
                             errors.append(f"{path}.{isa}.{key}: must be a "
                                           f"positive number")
 
-    cert = candidate.get("cert_cold_start")
-    if cert is not None:
-        if cert.get("bit_identical") is not True:
-            errors.append("cert_cold_start.bit_identical: must be true "
-                          "(load must reproduce synthesis exactly)")
-        if not isinstance(cert.get("plants"), int) or cert.get("plants") < 1:
-            errors.append("cert_cold_start.plants: must be a positive integer")
-        speedup = cert.get("speedup")
-        if not isinstance(speedup, (int, float)) or isinstance(speedup, bool) \
-                or speedup < 1.0:
-            errors.append("cert_cold_start.speedup: must be a number >= 1 "
-                          "(the cache must never lose to synthesis)")
-
 
 def main(argv):
-    if len(argv) == 3 and argv[1] == "--self":
-        reference = None
-        candidate_path = argv[2]
-    elif len(argv) == 3:
-        with open(argv[1]) as f:
-            reference = json.load(f)
-        candidate_path = argv[2]
-    else:
+    if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    with open(candidate_path) as f:
+    with open(argv[1]) as f:
         candidate = json.load(f)
 
     errors = []
-    if reference is not None:
-        # An all-splitting campaign aggregates nothing into the crude
-        # counting section; its empty results[] is legitimate.
-        splitting = bool((candidate.get("config") or {}).get("splitting"))
-        allow_empty = frozenset({"results"}) if splitting else frozenset()
-        compare(reference, candidate, "", errors, allow_empty)
     check_semantics(candidate, errors)
-
     if errors:
-        against = "(self)" if reference is None else f"against {argv[1]}"
-        print(f"{candidate_path}: schema check FAILED {against}:")
+        print(f"{argv[1]}: check FAILED:")
         for e in errors:
             print(f"  - {e}")
         return 1
-    verdict = "semantic invariants hold" if reference is None else \
-        f"schema matches {argv[1]}, safety invariants hold"
-    print(f"{candidate_path}: {verdict}")
+    print(f"{argv[1]}: semantic invariants hold")
     return 0
 
 

@@ -18,32 +18,34 @@
 #                suites (engine, mc, train, serve, serve_socket,
 #                mc_splitting) under ThreadSanitizer, halting on the first
 #                report
-#   bench smoke  scripts/bench.sh --quick (simd + scalar passes, ratio
-#                recorded) + JSON schema check against the committed
-#                BENCH_throughput.json + the perf-smoke guard (step_ns
-#                must stay within 20% of the smoke-adjusted reference)
+#   perf guard   scripts/perf_pairs.py --pairs 5 on the campaign and lossy
+#                perfbench workloads against the merge-base with
+#                origin/main (HEAD^ when HEAD is on it): fails on a run
+#                that fails, on periods_per_s losing 5 of 5 pairs by more
+#                than the base IQR, or on an end-to-end median past its
+#                BENCHMARK.json bound (needs the full git history)
 #   train smoke  tiny-budget oic_train on lane-keep, then oic_eval deploys
 #                the serialized agent via --policies drl:<path>; both JSON
-#                documents pass check_bench_json.py --self
+#                documents pass check_bench_json.py
 #   cert smoke   oic_cert synth -> verify over the registry, then oic_eval
 #                --cert-dir reuses the cache (including a burst:<k> policy);
-#                the sweep JSON passes check_bench_json.py --self
+#                the sweep JSON passes check_bench_json.py
 #   mc smoke     a tiny oic_mc campaign run twice: interrupted slices
 #                resuming a checkpoint vs one uninterrupted reference; the
 #                statistics must be bit-identical, and the campaign JSON
 #                (violation-rate Wilson CIs included) passes
-#                check_bench_json.py --self
+#                check_bench_json.py
 #   mc-rare      a rare1d importance-splitting campaign run three ways
 #                (uninterrupted reference, interrupted checkpoint slice,
 #                resume -- each at a different worker count): the
 #                mc_splitting statistics must be bit-identical, the
 #                batched 95% CI must cover the analytic p_true (~1.5e-8),
 #                no batch may go extinct, and both JSON documents pass
-#                check_bench_json.py --self
+#                check_bench_json.py
 #   fault smoke  an oic_mc campaign under the lossy fault preset: the run
 #                must degrade (degraded steps > 0) without ever leaving the
 #                hard safe set X, its JSON must pass check_bench_json.py
-#                --self (which enforces left_x_episodes == 0 for faulted
+#                (which enforces left_x_episodes == 0 for faulted
 #                documents), and the CLI error paths (malformed --faults,
 #                unknown preset) must exit nonzero with a diagnostic
 #   serve smoke  an oic_loadgen burst against the in-process monitor server
@@ -53,7 +55,7 @@
 #                loopback socket (burst:<k> sessions and a sharded tick,
 #                shut down with SIGINT), decision counts diffed across the
 #                in-process, stdio, and socket runs, every JSON report
-#                passing check_bench_json.py --self, and the
+#                passing check_bench_json.py, and the
 #                malformed-request error path (garbage on --in must exit
 #                nonzero with an oic_serve: diagnostic)
 #   perfbench    python3 perfbench/run.py --self-check: every benchmark
@@ -175,36 +177,28 @@ elif [[ ${do_build} -eq 1 ]]; then
 fi
 
 if [[ ${do_bench} -eq 1 ]]; then
-  echo "=== bench smoke + JSON schema check ==="
-  "${repo_root}/scripts/bench.sh" --quick
-  python3 "${repo_root}/scripts/check_bench_json.py" \
-    "${repo_root}/BENCH_throughput.json" "${repo_root}/build/BENCH_smoke.json"
-
-  echo "=== perf smoke guard: engine_serial step_ns vs committed reference ==="
-  # The smoke sizing (cases=4, steps=40) amortizes cold starts over far
-  # fewer steps than the committed full-size run, which measures ~2.0x the
-  # full-size step_ns on the reference machine (OIC_PERF_SMOKE_FACTOR).
-  # Budget = ref * factor * tolerance: a regression >20% over the
-  # smoke-adjusted baseline (OIC_PERF_TOLERANCE=1.2) fails the job.
-  OIC_PERF_SMOKE_FACTOR="${OIC_PERF_SMOKE_FACTOR:-2.0}" \
-  OIC_PERF_TOLERANCE="${OIC_PERF_TOLERANCE:-1.2}" \
-  python3 - "${repo_root}/BENCH_throughput.json" \
-    "${repo_root}/build/BENCH_smoke.json" <<'EOF'
-import json, os, sys
-ref, smoke = (json.load(open(p)) for p in sys.argv[1:3])
-ref_ns = ref["engine_serial"]["step_ns"]
-got_ns = smoke["engine_serial"]["step_ns"]
-factor = float(os.environ["OIC_PERF_SMOKE_FACTOR"])
-tol = float(os.environ["OIC_PERF_TOLERANCE"])
-budget = ref_ns * factor * tol
-verdict = "ok" if got_ns <= budget else "REGRESSION"
-print(f"perf smoke: {got_ns:.0f} ns/step vs budget {budget:.0f} "
-      f"(ref {ref_ns:.0f} x smoke-sizing {factor} x tolerance {tol}): {verdict}")
-if got_ns > budget:
-    sys.exit("perf smoke: engine_serial step_ns regressed past the budget -- "
-             "rerun scripts/bench.sh on the reference machine if this is an "
-             "intentional trade, otherwise find the regression")
-EOF
+  echo "=== perf guard: alternating perfbench pairs against the merge-base ==="
+  # Relative, so no machine-bound reference: the merge-base with
+  # origin/main (its parent when HEAD is that commit) and the checkout run
+  # the same perfbench workloads in alternating pairs on this machine.
+  # perf_pairs.py exits nonzero when periods_per_s loses at least 9 of
+  # every 10 pairs by more than the base IQR, when an end-to-end median is
+  # worse than its BENCHMARK.json bound, or when a run fails.  Builds are
+  # kept in .perf_pairs/ (the base side keyed by its commit).
+  base="$(git -C "${repo_root}" merge-base origin/main HEAD)"
+  if [[ "${base}" == "$(git -C "${repo_root}" rev-parse HEAD)" ]]; then
+    base="$(git -C "${repo_root}" rev-parse HEAD^)"
+  fi
+  guard_failed=0
+  for workload in campaign lossy; do
+    python3 "${repo_root}/scripts/perf_pairs.py" --base "${base}" \
+      --workload "${workload}" --pairs 5 --work-dir "${repo_root}/.perf_pairs" \
+      || guard_failed=1
+  done
+  if [[ ${guard_failed} -ne 0 ]]; then
+    echo "perf guard: regression against ${base} (see the verdicts above)" >&2
+    exit 1
+  fi
 fi
 
 if [[ ${do_train} -eq 1 ]]; then
@@ -217,12 +211,12 @@ if [[ ${do_train} -eq 1 ]]; then
   "${smoke_build}/oic_train" --plant lane-keep --scenario sine --seeds 7 \
     --episodes 10 --steps 40 --workers 2 --out "${agents_dir}" \
     --json "${smoke_build}/TRAIN_smoke.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self \
+  python3 "${repo_root}/scripts/check_bench_json.py" \
     "${smoke_build}/TRAIN_smoke.json"
   "${smoke_build}/oic_eval" --plant lane-keep --scenario sine \
     --policies "bang-bang,drl:${agents_dir}/lane-keep__sine__seed7.agent" \
     --cases 4 --steps 40 --workers 2 --json "${smoke_build}/EVAL_smoke.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self \
+  python3 "${repo_root}/scripts/check_bench_json.py" \
     "${smoke_build}/EVAL_smoke.json"
 fi
 
@@ -241,7 +235,7 @@ if [[ ${do_cert} -eq 1 ]]; then
   "${smoke_build}/oic_eval" --plant lane-keep,toy2d --scenario sine \
     --policies "bang-bang,burst:3" --cases 4 --steps 40 --workers 2 \
     --cert-dir "${certs_dir}" --json "${smoke_build}/EVAL_cert_smoke.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self \
+  python3 "${repo_root}/scripts/check_bench_json.py" \
     "${smoke_build}/EVAL_cert_smoke.json"
 fi
 
@@ -264,8 +258,8 @@ if [[ ${do_mc} -eq 1 ]]; then
     --max-blocks 5 --checkpoint "${mc_dir}/mc.ck"
   "${smoke_build}/oic_mc" "${mc_args[@]}" --workers 3 --checkpoint-blocks 2 \
     --checkpoint "${mc_dir}/mc.ck" --json "${mc_dir}/MC_resumed.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self "${mc_dir}/MC_ref.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self \
+  python3 "${repo_root}/scripts/check_bench_json.py" "${mc_dir}/MC_ref.json"
+  python3 "${repo_root}/scripts/check_bench_json.py" \
     "${mc_dir}/MC_resumed.json"
   python3 - "${mc_dir}/MC_ref.json" "${mc_dir}/MC_resumed.json" <<'EOF'
 import json, sys
@@ -305,9 +299,9 @@ if [[ ${do_mcrare} -eq 1 ]]; then
     --checkpoint "${rare_dir}/rare.ck"
   "${smoke_build}/oic_mc" "${rare_args[@]}" --workers 3 \
     --checkpoint "${rare_dir}/rare.ck" --json "${rare_dir}/MC_rare_resumed.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self \
+  python3 "${repo_root}/scripts/check_bench_json.py" \
     "${rare_dir}/MC_rare_ref.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self \
+  python3 "${repo_root}/scripts/check_bench_json.py" \
     "${rare_dir}/MC_rare_resumed.json"
   python3 - "${rare_dir}/MC_rare_ref.json" \
     "${rare_dir}/MC_rare_resumed.json" <<'EOF'
@@ -350,7 +344,7 @@ if [[ ${do_fault} -eq 1 ]]; then
     --policies bang-bang --episodes 48 --steps 40 --block 8 --workers 2 \
     --faults lossy --cert-dir "${fault_dir}/certs" \
     --json "${fault_dir}/MC_fault.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self \
+  python3 "${repo_root}/scripts/check_bench_json.py" \
     "${fault_dir}/MC_fault.json"
   python3 - "${fault_dir}/MC_fault.json" <<'EOF'
 import json, sys
@@ -402,7 +396,7 @@ if [[ ${do_serve} -eq 1 ]]; then
   "${smoke_build}/oic_loadgen" --plants toy2d --sessions 256 --steps 5 \
     --clients 3 --workers 2 --emit "${serve_dir}/burst.reqs" \
     --json "${serve_dir}/LOADGEN_smoke.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self \
+  python3 "${repo_root}/scripts/check_bench_json.py" \
     "${serve_dir}/LOADGEN_smoke.json"
   # Replay the capture through the standalone server; a fresh server fed
   # the same requests must issue the same number of decisions and no
@@ -410,7 +404,7 @@ if [[ ${do_serve} -eq 1 ]]; then
   "${smoke_build}/oic_serve" --in "${serve_dir}/burst.reqs" \
     --out "${serve_dir}/burst.resps" --workers 2 \
     --json "${serve_dir}/SERVE_smoke.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self \
+  python3 "${repo_root}/scripts/check_bench_json.py" \
     "${serve_dir}/SERVE_smoke.json"
   python3 - "${serve_dir}/LOADGEN_smoke.json" "${serve_dir}/SERVE_smoke.json" <<'EOF'
 import json, sys
@@ -446,9 +440,9 @@ EOF
     --json "${serve_dir}/LOADGEN_socket_smoke.json"
   kill -INT "${serve_pid}"
   wait "${serve_pid}"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self \
+  python3 "${repo_root}/scripts/check_bench_json.py" \
     "${serve_dir}/LOADGEN_socket_smoke.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" --self \
+  python3 "${repo_root}/scripts/check_bench_json.py" \
     "${serve_dir}/SERVE_socket_smoke.json"
   python3 - "${serve_dir}/LOADGEN_smoke.json" \
     "${serve_dir}/LOADGEN_socket_smoke.json" \

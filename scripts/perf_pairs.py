@@ -19,8 +19,15 @@ were identical, and the median gap.  For the claimed metric (--metric,
 default periods_per_s) it prints the verdict used to accept a gain: the
 head side wins at least 9 of every 10 pairs, and its median beats the base
 median by more than the base side's interquartile range.
-Runs that report failed operations are listed; any failure makes the
-verdict "failed runs".
+
+The exit status is nonzero, and the verdict says why, when
+  * a run reports failed operations or no report ("failed runs");
+  * the claimed metric regresses under the mirror of the gain rule: the
+    head side loses at least 9 of every 10 pairs, and its median trails
+    the base median by more than the base side's interquartile range;
+  * a metric with a bound in BENCHMARK.json (the end-to-end ones) has a
+    head median worse than the base median by more than that bound.
+scripts/ci.sh --bench-only runs it as the CI perf guard.
 """
 
 import argparse
@@ -150,14 +157,17 @@ def main():
         return 1
 
     print(f"\n{args.workload}, {len(complete)} pairs, median (IQR):")
+    need = math.ceil(0.9 * len(complete))
     verdict = None
+    regressions = []
     for m in metrics:
         name = m["name"]
         b = [r["base"]["metrics"][name]["value"] for r in complete]
         h = [r["head"]["metrics"][name]["value"] for r in complete]
         sign = 1.0 if m["better"] == "higher" else -1.0
         wins = sum(1 for x, y in zip(b, h) if sign * (y - x) > 0)
-        same = sum(1 for x, y in zip(b, h) if x == y)
+        losses = sum(1 for x, y in zip(b, h) if sign * (y - x) < 0)
+        same = len(b) - wins - losses
         bq1, bmed, bq3 = quartiles(b)
         hq1, hmed, hq3 = quartiles(h)
         gap = hmed - bmed
@@ -166,15 +176,24 @@ def main():
               f"head {fmt(hmed)} ({fmt(hq1)}-{fmt(hq3)})  {rel}  head won {wins}/{len(b)}"
               + (f", {same} identical" if same else ""))
         if name == args.metric:
-            need = math.ceil(0.9 * len(b))
             holds = wins >= need and sign * gap > bq3 - bq1
             verdict = (f"{name}: head won {wins}/{len(b)} (need {need}), median gap "
                        f"{fmt(gap)} vs base IQR {fmt(bq3 - bq1)} -> "
                        f"{'gain holds' if holds else 'no claimable gain'}")
+            if losses >= need and -sign * gap > bq3 - bq1:
+                regressions.append(f"{name} lost {losses}/{len(b)} pairs, median gap "
+                                   f"{fmt(gap)} past base IQR {fmt(bq3 - bq1)}")
+        bound = m.get("bound")
+        if bound is not None and bmed and -sign * gap / abs(bmed) > bound:
+            regressions.append(f"{name} median {rel}, past its {100.0 * bound:.0f}% bound")
     for pair, side in bad:
         print(f"  pair {pair}: {side} reported failures or no report")
-    print("verdict: " + ("failed runs" if bad else verdict))
-    return 1 if bad else 0
+    if bad:
+        verdict = "failed runs"
+    elif regressions:
+        verdict = "regression: " + "; ".join(regressions)
+    print("verdict: " + verdict)
+    return 1 if bad or regressions else 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 // Tests for the certificate layer: round-trippable vector/matrix/polytope
 // I/O, `oic-cert v1` serialization (wrong-version / truncation / hash-
-// mismatch rejection), the store's load-or-synthesize cache, the golden
+// mismatch rejection), the store's load-or-synthesize cache and its speed
+// over synthesis, the golden
 // guarantee that loading reproduces fresh synthesis bit for bit on every
 // registry plant, and the certified burst-skip mode (default off must be
 // bit-identical; engaged bursts must stay inside XI).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -37,15 +40,33 @@ using oic::linalg::Matrix;
 using oic::linalg::Vector;
 using oic::poly::HPolytope;
 
-// Synthesis runs many LPs; share one certificate per plant across tests.
-const PlantCertificate& shared_cert(const std::string& id) {
-  static std::map<std::string, PlantCertificate> cache;
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+// Synthesis runs many LPs; share one certificate per plant across tests,
+// with the time its synthesis took.
+struct Synthesized {
+  PlantCertificate cert;
+  double seconds = 0.0;
+};
+
+const Synthesized& synthesized(const std::string& id) {
+  static std::map<std::string, Synthesized> cache;
   auto it = cache.find(id);
   if (it == cache.end()) {
     const PlantModel model = ScenarioRegistry::builtin().make_model(id);
-    it = cache.emplace(id, oic::cert::synthesize(model)).first;
+    const auto t0 = Clock::now();
+    PlantCertificate cert = oic::cert::synthesize(model);
+    it = cache.emplace(id, Synthesized{std::move(cert), seconds_since(t0)}).first;
   }
   return it->second;
+}
+
+const PlantCertificate& shared_cert(const std::string& id) {
+  return synthesized(id).cert;
 }
 
 std::string fresh_dir(const char* name) {
@@ -289,6 +310,34 @@ TEST(CertStore, CachedPlantSweepsBitIdenticalToFreshSynthesis) {
   }
   EXPECT_FALSE(cold.safety_violations);
   EXPECT_FALSE(warm.safety_violations);
+  fs::remove_all(dir);
+}
+
+TEST(CertStore, CacheHitLoadsFasterThanSynthesisOnEveryPlant) {
+  // The reason the cache exists: a hit parses one file instead of running
+  // the LP-bound synthesis, 100x (quad-alt) to 1600x (acc) faster on a
+  // Release build.  The fastest of three hits must beat the one synthesis
+  // shared_cert timed by 10x on every production plant (a get() that
+  // re-synthesized would not), and each hit must reproduce that
+  // synthesis bit for bit.
+  const std::string dir = fresh_dir("speed");
+  const oic::cert::Store store(dir);
+  const auto& registry = ScenarioRegistry::builtin();
+  for (const auto& pid : registry.production_plant_ids()) {
+    const PlantModel model = registry.make_model(pid);
+    const Synthesized& fresh = synthesized(pid);
+    oic::cert::save_certificate_file(fresh.cert, store.path_for(model));
+    ASSERT_TRUE(store.load_if_fresh(model).has_value()) << pid;
+    double load_s = fresh.seconds;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto t0 = Clock::now();
+      const PlantCertificate loaded = store.get(model);
+      load_s = std::min(load_s, seconds_since(t0));
+      EXPECT_TRUE(bit_equal(fresh.cert, loaded)) << pid;
+    }
+    EXPECT_LT(10.0 * load_s, fresh.seconds)
+        << pid << ": load " << load_s << " s, synthesis " << fresh.seconds << " s";
+  }
   fs::remove_all(dir);
 }
 
