@@ -3,13 +3,13 @@
 /// entry (linalg/dispatch.hpp) through both the scalar and the AVX2
 /// tables on hot-path-representative shapes and reports ns/op and GB/s
 /// (see bench_kernels.hpp for the shared measurement code -- the same
-/// sweep feeds bench_throughput's "kernels" JSON section).
+/// sweep feeds perfbench's linalg.* metrics).
 ///
 /// Flags: --budget-ms=N (default 20; timing-run wall target per kernel
 /// per ISA), --json=PATH (write a machine-readable document).
 ///
 /// The emitted document carries the shared jsonout::Doc envelope, so
-/// scripts/check_bench_json.py --self validates it.
+/// scripts/check_bench_json.py validates it.
 
 #include <cstdio>
 #include <cstdlib>

@@ -1,7 +1,7 @@
 #pragma once
 /// \file bench_kernels.hpp
 /// Per-kernel, per-ISA microbench shared by the standalone bench_kernels
-/// binary and bench_throughput's "kernels" JSON section.
+/// binary and perfbench's linalg.* metrics (perfbench/src/kernels.cpp).
 ///
 /// Every entry of the dispatch table (linalg/dispatch.hpp) is timed twice
 /// -- once through the scalar table, once through the AVX2 table -- on a

@@ -389,12 +389,11 @@ void BM_CertStoreLoad(benchmark::State& state) {
     return;
   }
   const cert::PlantModel model = registry.make_model(ids[index]);
-  const fs::path dir = fs::temp_directory_path() /
-                       ("oic-bench-micro-certs-" + std::to_string(::getpid()));
-  const cert::Store store(dir.string());
+  const std::string name = "oic-bench-micro-certs-" + std::to_string(::getpid());
+  const cert::Store store((fs::temp_directory_path() / name).string());
   cert::save_certificate_file(cert::synthesize(model), store.path_for(model));
   for (auto _ : state) benchmark::DoNotOptimize(store.get(model));
-  fs::remove_all(dir);
+  fs::remove_all(store.dir());
   state.SetLabel(ids[index] + ", cache hit");
 }
 BENCHMARK(BM_CertStoreLoad)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);

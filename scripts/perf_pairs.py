@@ -119,7 +119,7 @@ def main():
         ap.error(f"--metric {args.metric} is not a {'per-layer' if args.trace else 'end-to-end'} "
                  "metric of BENCHMARK.json")
 
-    work = args.work_dir or tempfile.mkdtemp(prefix="perf_pairs-")
+    work = os.path.abspath(args.work_dir or tempfile.mkdtemp(prefix="perf_pairs-"))
     own_work = args.work_dir is None
     sides = {}
     try:

@@ -7,9 +7,9 @@
 /// break the document.
 ///
 /// Doc is the shared top-level builder: every machine-readable document
-/// the tools and benches emit opens with the same envelope (the bench
-/// tag, the schema_version, and the build-provenance "meta" object) and
-/// closes with the safety verdict, so scripts/check_bench_json.py can
+/// the tools and bench_kernels emit opens with the same envelope (the
+/// bench tag, the schema_version, and the build-provenance "meta" object)
+/// and closes with the safety verdict, so scripts/check_bench_json.py can
 /// hold every producer to one contract.
 
 #include <cstdarg>

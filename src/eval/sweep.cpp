@@ -169,8 +169,8 @@ std::string sweep_json(const SweepSpec& spec, const SweepResult& result) {
   jsonout::Doc doc("oic_eval");
   std::string& out = doc.body();
 
-  // "config" carries the bench_throughput keys (cases, steps, workers,
-  // policies, seed) plus the sweep's grid axes.
+  // "config" carries the run sizing (cases, steps, workers, policies,
+  // seed) plus the sweep's grid axes.
   append_format(out, "  \"config\": {\"cases\": %zu, \"steps\": %zu, \"workers\": %zu, ",
                 spec.cases, spec.steps, spec.workers);
   out += "\"policies\": ";

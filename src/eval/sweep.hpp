@@ -3,13 +3,13 @@
 /// The oic_eval sweep driver: runs plant x scenario x policy x seed grids
 /// through compare_policies_parallel and emits one JSON document per sweep.
 ///
-/// The JSON schema is shared with bench_throughput: a top-level "bench"
-/// tag, a "meta" object with build provenance (git SHA, compiler, build
-/// type; common/buildinfo.hpp), a "config" object ({cases, steps, workers,
-/// policies, seed}, plus the grid axes), timing objects with {wall_s,
-/// episodes, episodes_per_s, step_ns}, and a final "safety_violations"
-/// flag -- so the CI smoke job can validate both documents with one schema
-/// checker.
+/// The JSON document follows the tools' shared schema: a top-level
+/// "bench" tag, a "meta" object with build provenance (git SHA, compiler,
+/// build type; common/buildinfo.hpp), a "config" object ({cases, steps,
+/// workers, policies, seed}, plus the grid axes), timing objects with
+/// {wall_s, episodes, episodes_per_s, step_ns}, and a final
+/// "safety_violations" flag -- so the CI smoke jobs validate it with the
+/// same checker as the other tools' documents.
 ///
 /// The CLI (tools/oic_eval.cpp) is a thin flag-parsing wrapper over
 /// run_sweep/sweep_json; tests drive the same entry points, so the binary
@@ -92,8 +92,7 @@ void require_policies_trained_for(const std::vector<std::string>& policy_specs,
 /// PreconditionError for unknown ids or empty grids.
 SweepResult run_sweep(const ScenarioRegistry& registry, const SweepSpec& spec);
 
-/// Render the sweep as a JSON document (schema shared with
-/// bench_throughput; see file comment).
+/// Render the sweep as a JSON document (schema in the file comment).
 std::string sweep_json(const SweepSpec& spec, const SweepResult& result);
 
 }  // namespace oic::eval

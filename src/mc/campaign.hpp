@@ -228,7 +228,7 @@ CampaignResult run_campaign(const eval::ScenarioRegistry& registry,
                             const CampaignSpec& spec);
 
 /// Render the campaign as a JSON document (schema conventions shared with
-/// oic_eval / bench_throughput: "bench" tag, "meta" provenance, "config",
+/// oic_eval: "bench" tag, "meta" provenance, "config",
 /// a "campaign" timing block, per-cell "results", "safety_violations").
 std::string campaign_json(const CampaignSpec& spec, const CampaignResult& result);
 

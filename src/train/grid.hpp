@@ -10,7 +10,7 @@
 /// job partition is a pure function of (jobs, workers) -- so a grid's
 /// agents and logs are bit-identical to the serial run at any worker count.
 ///
-/// The JSON document shares the bench schema family (a "bench" tag, a
+/// The JSON document shares the tools' schema family (a "bench" tag, a
 /// "config" object, "meta" build provenance, a final "safety_violations"
 /// flag) so scripts/check_bench_json.py validates it like the others.
 

@@ -308,7 +308,7 @@ TEST(SweepDriver, EndToEndMicroSweepPerPlantEmitsValidJson) {
   JsonScanner scanner(doc);
   EXPECT_TRUE(scanner.valid()) << doc.substr(0, 400);
 
-  // Schema anchors shared with bench_throughput + the verdict.
+  // Schema anchors of eval/sweep.hpp + the verdict.
   EXPECT_NE(doc.find("\"bench\": \"oic_eval\""), std::string::npos);
   EXPECT_NE(doc.find("\"config\""), std::string::npos);
   EXPECT_NE(doc.find("\"cases\": 2"), std::string::npos);

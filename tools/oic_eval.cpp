@@ -5,7 +5,7 @@
 ///
 /// Sweeps plant x scenario x policy x seed grids through the parallel
 /// episode engine and prints a per-cell summary table; --json writes the
-/// machine-readable document (schema shared with bench_throughput).
+/// machine-readable document (schema in eval/sweep.hpp).
 /// Cell results are bit-identical to the serial ACC harness for the same
 /// seed (see eval/engine.hpp), so this binary reproduces the paper's
 /// Fig. 4/5/6 numbers when pointed at the acc plant.
