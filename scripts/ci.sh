@@ -23,7 +23,7 @@
 #                origin/main (HEAD^ when HEAD is on it): fails on a run
 #                that fails, on periods_per_s losing 9 of 10 pairs by more
 #                than the base IQR, or on an end-to-end median past its
-#                BENCHMARK.json bound (~10 min; needs the full git history)
+#                BENCHMARK.json bound (~11 min; needs the full git history)
 #   train smoke  tiny-budget oic_train on lane-keep, then oic_eval deploys
 #                the serialized agent via --policies drl:<path>; both JSON
 #                documents pass check_bench_json.py

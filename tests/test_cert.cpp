@@ -1,10 +1,10 @@
 // Tests for the certificate layer: round-trippable vector/matrix/polytope
 // I/O, `oic-cert v1` serialization (wrong-version / truncation / hash-
 // mismatch rejection), the store's load-or-synthesize cache and its speed
-// over synthesis, the golden
-// guarantee that loading reproduces fresh synthesis bit for bit on every
-// registry plant, and the certified burst-skip mode (default off must be
-// bit-identical; engaged bursts must stay inside XI).
+// over synthesis, the golden guarantee that loading reproduces fresh
+// synthesis bit for bit on every registry plant, and the certified
+// burst-skip mode (default off must be bit-identical; engaged bursts must
+// stay inside XI).
 
 #include <gtest/gtest.h>
 
@@ -316,9 +316,9 @@ TEST(CertStore, CachedPlantSweepsBitIdenticalToFreshSynthesis) {
 TEST(CertStore, CacheHitLoadsFasterThanSynthesisOnEveryPlant) {
   // The reason the cache exists: a hit parses one file instead of running
   // the LP-bound synthesis, 100x (quad-alt) to 1600x (acc) faster on a
-  // Release build.  The fastest of three hits must beat the one synthesis
-  // shared_cert timed by 10x on every production plant (a get() that
-  // re-synthesized would not), and each hit must reproduce that
+  // Release build.  On every production plant the fastest of three hits
+  // must be 10x faster than the one synthesis shared_cert timed (a get()
+  // that re-synthesized would not be), and each hit must reproduce that
   // synthesis bit for bit.
   const std::string dir = fresh_dir("speed");
   const oic::cert::Store store(dir);
