@@ -27,12 +27,14 @@
 
 #include "common/hash.hpp"
 #include "common/random.hpp"
+#include "core/drl_policy.hpp"
 #include "core/policy.hpp"
 #include "core/runner.hpp"
 #include "eval/engine.hpp"
 #include "eval/harness.hpp"
 #include "eval/policy_spec.hpp"
 #include "eval/registry.hpp"
+#include "rl/mlp.hpp"
 
 namespace {
 
@@ -312,6 +314,61 @@ TEST(EpisodeGolden, FaultedCataloguePinsTheStaleInputOverride) {
       << "faulted catalogue results hash 0x" << std::hex << results.value();
   EXPECT_EQ(states.value(), kOverrideStatesHash)
       << "faulted catalogue successor-state hash 0x" << std::hex << states.value();
+}
+
+// DRL episode golden: every production plant x its canonical scenario x
+// {fault-free, fresh-lossy with policy drops} under a DrlPolicy built from
+// a fixed-seed network (DrlPolicy::from_network, memory 1, the plant's
+// state normalization), 4 cases x 100 steps through a reused
+// EpisodeEngine.  The episode golden above has no learned policy in it;
+// this one pins the Omega consult that builds a DQN state row from the
+// disturbance history.  Same hashing as above; on an intentional stream
+// change, rerun and copy the reported values in.
+constexpr std::uint64_t kDrlResultsHash = 0x3725c32cc9e7f654ull;
+constexpr std::uint64_t kDrlStatesHash = 0x33bf6b70266f9d73ull;
+
+TEST(EpisodeGolden, DrlPolicyStreamIsPinned) {
+  const ScenarioRegistry& registry = ScenarioRegistry::builtin();
+  const oic::fault::FaultSpec fault_modes[] = {
+      oic::fault::FaultSpec{},
+      oic::fault::FaultSpec::parse("meas_drop:0.1,act_drop:0.05,hold,policy_drop:0.05")};
+  oic::Fnv1a results, states;
+  std::size_t skipped = 0, policy_runs = 0;
+  for (const auto& gc : kCases) {
+    const auto plant = registry.make_plant(gc.plant);
+    const auto scenario = registry.make_scenario(gc.plant, gc.scenario);
+    const oic::control::AffineLTI& sys = plant->system();
+    Rng net_rng(kSeed);
+    const std::size_t state_dim = oic::core::drl_state_dim(sys.nx(), sys.nx(), 1);
+    const auto policy = oic::core::DrlPolicy::from_network(
+        std::make_shared<oic::rl::Mlp>(std::vector<std::size_t>{state_dim, 16, 2},
+                                       net_rng),
+        1, sys.nx(), oic::core::drl_state_scale(sys, 1));
+    for (const auto& faults : fault_modes) {
+      SCOPED_TRACE(gc.plant);
+      oic::eval::EpisodeEngine eng(*plant, *policy, faults);
+      eng.set_observer([&](std::size_t t, const oic::linalg::Vector& x_next) {
+        states.u64(t);
+        for (std::size_t i = 0; i < x_next.size(); ++i) states.f64(x_next[i]);
+      });
+      Rng rng(kSeed);
+      for (std::size_t c = 0; c < kEpisodeCases; ++c) {
+        const CaseData data = oic::eval::make_case(*plant, scenario, rng, kEpisodeSteps,
+                                                   faults.active());
+        const EpisodeResult r = eng.run(data);
+        hash_result(results, r);
+        skipped += r.skipped;
+        policy_runs += r.steps - r.skipped - r.forced;
+      }
+    }
+  }
+  // The network must both skip and run inside X', or the pin is vacuous.
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(policy_runs, 0u);
+  EXPECT_EQ(results.value(), kDrlResultsHash)
+      << "DRL episode results hash 0x" << std::hex << results.value();
+  EXPECT_EQ(states.value(), kDrlStatesHash)
+      << "DRL successor-state hash 0x" << std::hex << states.value();
 }
 
 }  // namespace

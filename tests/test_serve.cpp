@@ -12,16 +12,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "cert/store.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/random.hpp"
+#include "control/tube_mpc.hpp"
+#include "core/drl_policy.hpp"
+#include "eval/plant.hpp"
 #include "eval/registry.hpp"
+#include "mc/family.hpp"
 #include "rl/serialize.hpp"
 #include "serve/api.hpp"
 #include "serve/loadgen.hpp"
@@ -759,6 +767,203 @@ TEST(ServeParity, TickOutputByteIdenticalAcrossTickWorkerCounts) {
   ASSERT_FALSE(w1.empty());
   EXPECT_EQ(w1, replay(2));
   EXPECT_EQ(w1, replay(4));
+}
+
+// ---------------------------------------------------------------- goldens
+
+/// Write a fixed-seed skipping agent for `plant_id` (memory 1, the plant's
+/// own state normalization) and return its path.
+std::string write_plant_agent(const std::string& plant_id,
+                              const oic::control::AffineLTI& sys) {
+  oic::Fnv1a seed;
+  seed.str(plant_id);
+  Rng rng(seed.value());
+  const std::size_t state_dim = oic::core::drl_state_dim(sys.nx(), sys.nx(), 1);
+  oic::rl::AgentSnapshot snap{plant_id, 1, oic::core::drl_state_scale(sys, 1),
+                              oic::rl::Mlp({state_dim, 16, 2}, rng)};
+  const std::string path = ::testing::TempDir() + "golden_" + plant_id + ".agent";
+  oic::rl::save_agent_file(snap, path);
+  return path;
+}
+
+/// What one golden drive produced: the FNV-1a pins plus tallies that keep
+/// the pins from being vacuous.
+struct ServeGoldenRun {
+  std::uint64_t responses = 0;  ///< every response: kind, z, forced
+  std::uint64_t states = 0;     ///< every successor state x_{t+1}
+  std::size_t decisions = 0;
+  std::size_t drl_skips = 0;    ///< drl sessions: policy chose z = 0
+  std::size_t drl_runs = 0;     ///< drl sessions: z = 1 inside X'
+  std::size_t max_group_rows = 0;  ///< largest (plant, policy) row count of a tick
+  oic::serve::ServiceCounters counters;
+};
+
+/// Drive a Service with one session per entry of `fleet` ((plant, policy)
+/// pairs, interleaved in one decide batch per control period) for `steps`
+/// periods.  Each session samples its x0 and a mixed-family disturbance
+/// from its own stream and actuates z = 1 through its own copy of the
+/// plant's tube MPC.
+ServeGoldenRun drive_serve_golden(
+    const std::vector<std::pair<std::string, std::string>>& fleet, std::size_t steps,
+    oic::serve::ServiceConfig cfg) {
+  const auto& reg = oic::eval::ScenarioRegistry::builtin();
+  cfg.cert_dir = ::testing::TempDir() + "serve_golden_certs";
+  oic::cert::Store store(cfg.cert_dir);
+  std::unordered_map<std::string, std::unique_ptr<oic::eval::PlantCase>> plants;
+  struct Client {
+    oic::eval::PlantCase* plant = nullptr;
+    bool drl = false;
+    std::unique_ptr<oic::control::TubeMpc> mpc;
+    std::unique_ptr<oic::sim::VelocityProfile> profile;
+    oic::linalg::Vector x, u, w, xnext;
+    bool alive = true;
+  };
+  std::vector<Client> clients(fleet.size());
+  std::vector<Request> batch;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    const std::string& pid = fleet[i].first;
+    auto& plant = plants[pid];
+    if (!plant) plant = reg.make_plant(pid, store.provider());
+    Client& c = clients[i];
+    c.plant = plant.get();
+    c.drl = fleet[i].second.rfind("drl:", 0) == 0;
+    c.mpc = std::make_unique<oic::control::TubeMpc>(plant->rmpc());
+    Rng rng(oic::derive_stream(0x90f1de11, i));
+    Rng x0_rng = rng.split();
+    c.x = plant->sample_x0(x0_rng);
+    const oic::eval::Scenario scenario =
+        oic::mc::family_by_id(reg.plant(pid).signal_band, "mixed").sample(rng);
+    c.profile = scenario.profile->clone();
+    c.profile->reset(rng.split());
+    c.w = oic::linalg::Vector(plant->system().nw());
+    batch.push_back(open_req(i + 1, i + 1, pid, fleet[i].second));
+  }
+
+  ServeGoldenRun run;
+  oic::Fnv1a responses, states;
+  const auto hash_response = [&](const Response& r) {
+    responses.u64(static_cast<std::uint64_t>(r.kind));
+    responses.u64(static_cast<std::uint64_t>(r.z));
+    responses.u64(r.forced ? 1 : 0);
+  };
+  oic::serve::Service svc(reg, cfg);
+  std::vector<Response> out;
+  svc.serve(batch, out);
+  for (const Response& r : out) {
+    EXPECT_EQ(r.kind, Response::Kind::kOpened) << r.error;
+    hash_response(r);
+  }
+  for (std::size_t t = 0; t < steps; ++t) {
+    batch.clear();
+    std::vector<std::size_t> index;
+    std::unordered_map<std::string, std::size_t> group_rows;
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      Client& c = clients[i];
+      if (!c.alive) continue;
+      batch.push_back(t == 0 ? decide_req(i + 1, i + 1, c.x.data())
+                             : decide_req(i + 1, i + 1, c.u.data(), c.x.data()));
+      index.push_back(i);
+      run.max_group_rows = std::max(
+          run.max_group_rows, ++group_rows[fleet[i].first + '\n' + fleet[i].second]);
+    }
+    if (batch.empty()) break;
+    svc.serve(batch, out);
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      Client& c = clients[index[k]];
+      hash_response(out[k]);
+      if (out[k].kind != Response::Kind::kDecision) {
+        c.alive = false;
+        continue;
+      }
+      ++run.decisions;
+      if (c.drl && out[k].z == 0) ++run.drl_skips;
+      if (c.drl && out[k].z == 1 && !out[k].forced) ++run.drl_runs;
+      c.u = out[k].z == 1 ? c.mpc->control(c.x) : c.plant->u_skip();
+      c.plant->signal_to_w(c.profile->next(), c.w);
+      c.plant->system().step_into(c.x, c.u, c.w, c.xnext);
+      c.x = c.xnext;
+      states.u64(index[k]);
+      for (std::size_t j = 0; j < c.x.size(); ++j) states.f64(c.x[j]);
+    }
+  }
+  run.responses = responses.value();
+  run.states = states.value();
+  run.counters = svc.counters();
+  return run;
+}
+
+// Serve golden: interleaved sessions on every production plant x
+// {bang-bang, periodic-5, burst:4, always-run, drl:<fixed-seed agent>},
+// one decide batch per control period, every response (kind, z, forced)
+// and every successor state hashed with FNV-1a over exact bit patterns.
+// The constants were captured before the serve batch and the per-session
+// monitor shared one decision routine; on an intentional stream change,
+// rerun and copy the reported values in.
+constexpr std::uint64_t kServeResponsesHash = 0x39f132ebb7ec63c5ull;
+constexpr std::uint64_t kServeStatesHash = 0xcc7c1cdb53d85f4dull;
+
+TEST(ServeGolden, InterleavedFleetReplaysThePinnedStream) {
+  const auto& reg = oic::eval::ScenarioRegistry::builtin();
+  const std::vector<std::string> ids = reg.production_plant_ids();
+  ASSERT_NE(std::find(ids.begin(), ids.end(), "toy2d"), ids.end());
+  std::vector<std::pair<std::string, std::string>> fleet;
+  std::vector<std::vector<std::string>> policies;
+  for (const std::string& pid : ids) {
+    const std::string agent =
+        write_plant_agent(pid, reg.make_model(pid).sys);
+    policies.push_back(
+        {"bang-bang", "periodic-5", "burst:4", "always-run", "drl:" + agent});
+  }
+  // Two sessions per (plant, policy), plants interleaved within the batch.
+  for (std::size_t rep = 0; rep < 2; ++rep) {
+    for (std::size_t p = 0; p < 5; ++p) {
+      for (std::size_t k = 0; k < ids.size(); ++k) fleet.emplace_back(ids[k], policies[k][p]);
+    }
+  }
+  oic::serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  const ServeGoldenRun run = drive_serve_golden(fleet, 40, cfg);
+  // Every branch the decision routine has must be in the stream.
+  EXPECT_GT(run.counters.skipped, 0u);
+  EXPECT_GT(run.counters.forced, 0u);
+  EXPECT_GT(run.counters.burst_skips, 0u);
+  EXPECT_GT(run.drl_skips, 0u);
+  EXPECT_GT(run.drl_runs, 0u);
+  EXPECT_EQ(run.responses, kServeResponsesHash)
+      << "serve response hash 0x" << std::hex << run.responses;
+  EXPECT_EQ(run.states, kServeStatesHash)
+      << "serve successor-state hash 0x" << std::hex << run.states;
+}
+
+// The pooled membership pass: a group with >= 256 pending rows splits its
+// XI / X' checks over the service pool (workers > 1).  Replayed inline
+// (workers = 1) and pooled (workers = 4), the stream must be the same and
+// equal the pinned constants.
+constexpr std::uint64_t kChunkedResponsesHash = 0xcac2665f8ae03284ull;
+constexpr std::uint64_t kChunkedStatesHash = 0x4299547b4b37a443ull;
+
+TEST(ServeGolden, PooledMembershipChunksMatchTheInlinePass) {
+  const auto& reg = oic::eval::ScenarioRegistry::builtin();
+  const std::string agent = "drl:" + write_plant_agent("toy2d", reg.make_model("toy2d").sys);
+  std::vector<std::pair<std::string, std::string>> fleet;
+  for (std::size_t i = 0; i < 600; ++i) {
+    fleet.emplace_back("toy2d", i % 2 == 0 ? agent : std::string("bang-bang"));
+  }
+  oic::serve::ServiceConfig inline_cfg;
+  inline_cfg.workers = 1;
+  oic::serve::ServiceConfig pooled_cfg;
+  pooled_cfg.workers = 4;
+  const ServeGoldenRun inline_run = drive_serve_golden(fleet, 6, inline_cfg);
+  const ServeGoldenRun pooled_run = drive_serve_golden(fleet, 6, pooled_cfg);
+  EXPECT_GE(inline_run.max_group_rows, 256u);
+  EXPECT_GT(inline_run.drl_skips, 0u);
+  EXPECT_GT(inline_run.drl_runs, 0u);
+  EXPECT_EQ(inline_run.responses, pooled_run.responses);
+  EXPECT_EQ(inline_run.states, pooled_run.states);
+  EXPECT_EQ(inline_run.responses, kChunkedResponsesHash)
+      << "chunked response hash 0x" << std::hex << inline_run.responses;
+  EXPECT_EQ(inline_run.states, kChunkedStatesHash)
+      << "chunked successor-state hash 0x" << std::hex << inline_run.states;
 }
 
 // --------------------------------------------------------------- server
