@@ -54,10 +54,13 @@
 #                against a background `oic_serve --listen` over a real
 #                loopback socket (burst:<k> sessions and a sharded tick,
 #                shut down with SIGINT), decision counts diffed across the
-#                in-process, stdio, and socket runs, every JSON report
-#                passing check_bench_json.py, and the
-#                malformed-request error path (garbage on --in must exit
-#                nonzero with an oic_serve: diagnostic)
+#                in-process, stdio, and socket runs, the capture replayed
+#                with --workers 1 --tick-workers 1 and with --workers 4
+#                --tick-workers 2 and the two response streams compared
+#                byte for byte (cmp), every JSON report passing
+#                check_bench_json.py, and the malformed-request error path
+#                (garbage on --in must exit nonzero with an oic_serve:
+#                diagnostic)
 #   perfbench    python3 perfbench/run.py --self-check: every benchmark
 #                workload run small, traced and untraced; the emitted metric
 #                names and units must match BENCHMARK.json and every check
@@ -419,6 +422,17 @@ if sv["serve"]["errors"] or sv["serve"]["invariant_errors"]:
     sys.exit("serve smoke: replay drew error responses from a clean capture")
 print(f"serve smoke: replay reproduced all {got} decisions, zero errors")
 EOF
+  # Bytes, not counts: the capture replayed inline (one membership worker,
+  # one tick worker) and pooled (four and two) must give the same response
+  # stream byte for byte.
+  "${smoke_build}/oic_serve" --in "${serve_dir}/burst.reqs" \
+    --out "${serve_dir}/burst_w1.resps" --workers 1 --tick-workers 1
+  "${smoke_build}/oic_serve" --in "${serve_dir}/burst.reqs" \
+    --out "${serve_dir}/burst_w4.resps" --workers 4 --tick-workers 2
+  cmp "${serve_dir}/burst_w1.resps" "${serve_dir}/burst_w4.resps" || {
+    echo "serve smoke: response bytes differ across worker counts" >&2
+    exit 1
+  }
   # The same traffic over a real loopback socket: a background
   # `oic_serve --listen` (ephemeral port published via --port-file, tick
   # sharded across two workers) serves an oic_loadgen --connect fleet with

@@ -1,26 +1,35 @@
 #include "core/drl_policy.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace oic::core {
 
 using linalg::Vector;
 
-void build_drl_state_into(Vector& out, const Vector& x, const WHistory& w_history,
-                          std::size_t r, std::size_t w_dim) {
+void build_drl_state_row(double* row, const Vector& x, const WHistory& w_history,
+                         std::size_t r, std::size_t w_dim) {
   OIC_REQUIRE(r >= 1, "build_drl_state: memory length must be positive");
-  out.data().assign(x.size() + r * w_dim, 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i];
+  const std::size_t n = x.size();
+  for (std::size_t i = 0; i < n; ++i) row[i] = x[i];
   // Most recent r observations, oldest first, front-padded with zeros.
   const std::size_t have = std::min(r, w_history.size());
   const std::size_t pad = r - have;
+  for (std::size_t i = 0; i < pad * w_dim; ++i) row[n + i] = 0.0;
   for (std::size_t k = 0; k < have; ++k) {
     const Vector& w = w_history[w_history.size() - have + k];
     OIC_REQUIRE(w.size() == w_dim, "build_drl_state: disturbance dimension mismatch");
     for (std::size_t i = 0; i < w_dim; ++i) {
-      out[x.size() + (pad + k) * w_dim + i] = w[i];
+      row[n + (pad + k) * w_dim + i] = w[i];
     }
   }
+}
+
+void build_drl_state_into(Vector& out, const Vector& x, const WHistory& w_history,
+                          std::size_t r, std::size_t w_dim) {
+  out.data().resize(drl_state_dim(x.size(), w_dim, r));
+  build_drl_state_row(out.data().data(), x, w_history, r, w_dim);
 }
 
 Vector build_drl_state(const Vector& x, const WHistory& w_history, std::size_t r,
@@ -60,11 +69,29 @@ Vector drl_state_scale(const control::AffineLTI& sys, std::size_t r) {
   return scale;
 }
 
+namespace {
+
+/// row[i] *= scale[i] over the scale's length (no-op when empty).
+void scale_row(double* row, const Vector& scale) {
+  for (std::size_t i = 0; i < scale.size(); ++i) row[i] *= scale[i];
+}
+
+/// The greedy action: argmax over the Q-values, first index on ties.
+int greedy(const double* q, std::size_t n) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (q[i] > q[best]) best = i;
+  }
+  return static_cast<int>(best);
+}
+
+}  // namespace
+
 void apply_state_scale_inplace(Vector& state, const Vector& scale) {
   if (scale.empty()) return;
   OIC_REQUIRE(scale.size() == state.size(),
               "apply_state_scale: scale dimension mismatch");
-  for (std::size_t i = 0; i < state.size(); ++i) state[i] *= scale[i];
+  scale_row(state.data().data(), scale);
 }
 
 Vector apply_state_scale(Vector state, const Vector& scale) {
@@ -111,11 +138,30 @@ int DrlPolicy::decide(const Vector& x, const WHistory& w_history) {
   apply_state_scale_inplace(state_scratch_, state_scale_);
   // Same computation as DoubleDqn::greedy_action on the online network.
   const Vector& q = net_->forward_into(state_scratch_, mlp_ws_);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < q.size(); ++i) {
-    if (q[i] > q[best]) best = i;
+  return greedy(q.data().data(), q.size());
+}
+
+void DrlPolicy::decide_batch(const Vector* const* x, const WHistory* const* w,
+                             std::size_t m, int* z) {
+  if (m == 1) {
+    z[0] = decide(*x[0], *w[0]);
+    return;
   }
-  return static_cast<int>(best);
+  const std::size_t dim = net_->sizes().front();
+  if (state_batch_.rows() < m || state_batch_.cols() != dim) {
+    state_batch_ = linalg::Matrix(m + m / 2 + 1, dim);
+  }
+  OIC_REQUIRE(state_scale_.empty() || state_scale_.size() == dim,
+              "apply_state_scale: scale dimension mismatch");
+  for (std::size_t s = 0; s < m; ++s) {
+    OIC_REQUIRE(drl_state_dim(x[s]->size(), w_dim_, r_) == dim,
+                "DrlPolicy: state dimension does not fit the network");
+    double* row = state_batch_.row_data(s);
+    build_drl_state_row(row, *x[s], *w[s], r_, w_dim_);
+    scale_row(row, state_scale_);
+  }
+  const linalg::Matrix& q = net_->forward_batch_into(state_batch_, m, batch_ws_);
+  for (std::size_t s = 0; s < m; ++s) z[s] = greedy(q.row_data(s), q.cols());
 }
 
 }  // namespace oic::core

@@ -24,6 +24,11 @@ linalg::Vector build_drl_state(const linalg::Vector& x, const WHistory& w_histor
 void build_drl_state_into(linalg::Vector& out, const linalg::Vector& x,
                           const WHistory& w_history, std::size_t r, std::size_t w_dim);
 
+/// Pointer form: writes the drl_state_dim(x.size(), w_dim, r) entries of
+/// one state row at `row` (a row of a batch matrix, say).
+void build_drl_state_row(double* row, const linalg::Vector& x, const WHistory& w_history,
+                         std::size_t r, std::size_t w_dim);
+
 /// Per-feature normalization for the DQN state: the reciprocal half-widths
 /// of the state box X and the state-space disturbance set E W, so every
 /// network input lands in roughly [-1, 1].  Tiny half-widths (degenerate
@@ -71,10 +76,18 @@ class DrlPolicy final : public SkipPolicy {
                                                  std::string label = "drl-dqn");
 
   int decide(const linalg::Vector& x, const WHistory& w_history) override;
+  /// One forward_batch_into pass over the m state rows; a single row takes
+  /// decide()'s per-sample pass (the batched rows are bit-identical to it).
+  void decide_batch(const linalg::Vector* const* x, const WHistory* const* w,
+                    std::size_t m, int* z) override;
   std::string name() const override { return label_; }
 
   /// Memory length r.
   std::size_t memory() const { return r_; }
+  /// The state normalization (empty = raw states).
+  const linalg::Vector& state_scale() const { return state_scale_; }
+  /// The online network decisions are read from.
+  const rl::Mlp& network() const { return *net_; }
 
  private:
   DrlPolicy(std::shared_ptr<const rl::Mlp> net, std::size_t r, std::size_t w_dim,
@@ -92,6 +105,8 @@ class DrlPolicy final : public SkipPolicy {
   // owns its own and a steady-state decide() allocates nothing.
   linalg::Vector state_scratch_;
   rl::MlpWorkspace mlp_ws_;
+  linalg::Matrix state_batch_;  ///< decide_batch's state rows (grown, never shrunk)
+  rl::BatchWorkspace batch_ws_;
 };
 
 }  // namespace oic::core

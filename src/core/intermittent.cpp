@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "linalg/kernels.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "poly/support_solver.hpp"
@@ -18,7 +17,12 @@ IntermittentController::IntermittentController(const control::AffineLTI& sys,
                                                control::Controller& kappa,
                                                SkipPolicy& omega,
                                                IntermittentConfig config)
-    : sys_(sys), sets_(sets), kappa_(kappa), omega_(omega), config_(std::move(config)) {
+    : sys_(sys),
+      sets_(sets),
+      kappa_(kappa),
+      omega_(omega),
+      config_(std::move(config)),
+      state_(config_.w_memory) {
   OIC_REQUIRE(config_.u_skip.size() == sys_.nu(),
               "IntermittentController: skip input dimension mismatch");
   OIC_REQUIRE(config_.w_memory >= 1,
@@ -61,7 +65,6 @@ IntermittentController::IntermittentController(const control::AffineLTI& sys,
       }
     }
   }
-  w_history_.set_capacity(config_.w_memory);
 }
 
 StepDecision IntermittentController::decide(const Vector& x) {
@@ -74,11 +77,8 @@ StepDecision IntermittentController::decide_at(const Vector& x, bool policy_ok,
   ++total_steps_;
 
   StepDecision d;
-  if (burst_remaining_ > 0) {
-    // Inside a certified burst: the X'_k membership established when the
-    // burst started guarantees this period's skip keeps the state in XI
-    // for every disturbance, so neither the monitor nor the policy runs.
-    --burst_remaining_;
+  if (state_.take_burst_skip()) {
+    // Inside a certified burst: neither the monitor nor the policy runs.
     d.z = 0;
     d.u = config_.u_skip;
     ++skipped_steps_;
@@ -86,33 +86,32 @@ StepDecision IntermittentController::decide_at(const Vector& x, bool policy_ok,
     return d;
   }
 
-  if (config_.strict_invariant && !sets_.xi.contains(x, 1e-6)) {
-    throw NumericalError(
-        "IntermittentController: state left the robust invariant set XI; the "
-        "plant violates the model assumptions (Algorithm 1 precondition)");
-  }
-
-  if (sets_.x_prime.contains(x)) {
-    if (policy_ok) {
-      // Line 6: the policy decides freely -- safety holds either way.
+  const MonitorSpec spec{sets_, config_.ladder, max_burst_, config_.strict_invariant};
+  const DecisionRow row{&x, &state_, &omega_};
+  RowDecision rd;
+  core_.decide(spec, &row, 1, policy_ok, &rd);
+  switch (rd.verdict) {
+    case Verdict::kLeftXi:
+      throw NumericalError(
+          "IntermittentController: state left the robust invariant set XI; the "
+          "plant violates the model assumptions (Algorithm 1 precondition)");
+    case Verdict::kForced:
+      // Line 8: outside X' the controller must run (no Omega consultation,
+      // so a policy-compute outage does not degrade this branch).
+      d.forced = true;
+      ++forced_steps_;
+      break;
+    case Verdict::kConsulted:
+      // Line 6: Omega chose freely -- safety holds either way.
       d.policy_consulted = true;
-      d.z = omega_.decide(x, w_history_) == 0 ? 0 : 1;
-    } else {
-      // Degraded: the skip-policy compute is unavailable this period, and
-      // the monitor never skips without Omega's say-so -- the conservative
-      // default z = 1 keeps safety trivially (z = 1 is always safe).
-      d.z = 1;
+      break;
+    case Verdict::kUnavailable:
       d.degraded = true;
       ++degraded_steps_;
       ++policy_unavail_;
-    }
-  } else {
-    // Line 8: outside X' the controller must run (no Omega consultation,
-    // so a policy-compute outage does not degrade this branch).
-    d.z = 1;
-    d.forced = true;
-    ++forced_steps_;
+      break;
   }
+  d.z = rd.z;
 
   if (d.z == 1) {
     if (graceful) {
@@ -136,16 +135,6 @@ StepDecision IntermittentController::decide_at(const Vector& x, bool policy_ok,
   } else {
     d.u = config_.u_skip;
     ++skipped_steps_;
-    if (max_burst_ >= 2) {
-      // Certify the deepest burst the ladder supports at this state: the
-      // next k-1 periods then skip without any monitor work.
-      for (std::size_t k = max_burst_; k >= 2; --k) {
-        if (config_.ladder[k - 1].contains(x)) {
-          burst_remaining_ = k - 1;
-          break;
-        }
-      }
-    }
   }
   return d;
 }
@@ -261,11 +250,10 @@ StepDecision IntermittentController::decide_measured(const MeasuredState& m,
   ++total_steps_;
   d.degraded = true;
   ++degraded_steps_;
-  if (burst_remaining_ > 0) {
+  if (state_.take_burst_skip()) {
     // A certified burst covers a monitor blackout exactly: X'_k membership
     // at burst start bounds the whole burst inside XI for every
     // disturbance sequence, with no measurement needed.
-    --burst_remaining_;
     d.z = 0;
     d.u = config_.u_skip;
     ++skipped_steps_;
@@ -598,23 +586,11 @@ Vector IntermittentController::recovery_input(const Vector& x) const {
 
 void IntermittentController::record_transition(const Vector& x, const Vector& u,
                                                const Vector& x_next) {
-  OIC_REQUIRE(x.size() == sys_.nx() && x_next.size() == sys_.nx() &&
-                  u.size() == sys_.nu(),
-              "IntermittentController::record_transition: dimension mismatch");
-  // Realized disturbance E w = x_next - A x - B u - c, accumulated into the
-  // scratch vector (same operation order as the expression form) and pushed
-  // into the ring: no allocation in the steady state.
-  ew_scratch_ = x_next;
-  double* ew = ew_scratch_.data().data();
-  linalg::gemv_sub(sys_.a(), x.data().data(), ew);
-  linalg::gemv_sub(sys_.b(), u.data().data(), ew);
-  for (std::size_t i = 0; i < ew_scratch_.size(); ++i) ew[i] -= sys_.c()[i];
-  w_history_.push(ew_scratch_);
+  state_.record_transition(sys_, x, u, x_next);
 }
 
 void IntermittentController::reset() {
-  w_history_.clear();
-  burst_remaining_ = 0;
+  state_.reset();
   tracking_ = false;
   step_index_ = 0;
   omega_.reset();

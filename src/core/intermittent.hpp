@@ -13,6 +13,7 @@
 
 #include "control/controller.hpp"
 #include "control/lti.hpp"
+#include "core/decision.hpp"
 #include "core/policy.hpp"
 #include "core/safe_sets.hpp"
 #include "core/w_history.hpp"
@@ -144,7 +145,7 @@ class IntermittentController {
                          const linalg::Vector& x_next);
 
   /// Observed state-space disturbances, oldest first (up to w_memory).
-  const WHistory& w_history() const { return w_history_; }
+  const WHistory& w_history() const { return state_.w_history(); }
 
   /// Reset per-episode state (history, burst, estimate; the counters stay
   /// cumulative).  Also resets the policy.
@@ -160,7 +161,7 @@ class IntermittentController {
   /// check ran); always 0 with burst mode off.
   std::size_t burst_steps() const { return burst_steps_; }
   /// Remaining pre-certified skips of the burst in flight (diagnostics).
-  std::size_t burst_remaining() const { return burst_remaining_; }
+  std::size_t burst_remaining() const { return state_.burst_remaining(); }
   /// Steps handled in degraded mode (stale/missing measurement, policy
   /// compute unavailable, or infeasible-controller fallback); always 0 on
   /// the fault-free decide() path.
@@ -181,7 +182,8 @@ class IntermittentController {
   const linalg::Vector& u_skip() const { return config_.u_skip; }
 
  private:
-  /// The shared per-period body: decide() is decide_at(x, true);
+  /// The shared per-period body: the burst countdown, then the k = 1 pass
+  /// of DecisionCore, then the input.  decide() is decide_at(x, true);
   /// decide_measured's fresh branch calls it with the channel's policy
   /// availability and graceful = true (controller infeasibility falls back
   /// to the skip input instead of propagating).
@@ -243,10 +245,9 @@ class IntermittentController {
   control::Controller& kappa_;
   SkipPolicy& omega_;
   IntermittentConfig config_;
-  WHistory w_history_;        ///< ring of the last w_memory observations
-  linalg::Vector ew_scratch_; ///< residual scratch for record_transition
+  SessionState state_;        ///< disturbance history and burst countdown
+  DecisionCore core_;         ///< the decision routine's scratch
   std::size_t max_burst_ = 0; ///< effective depth: min(burst_depth, ladder size)
-  std::size_t burst_remaining_ = 0;  ///< certified skips left in the burst
   std::size_t total_steps_ = 0;
   std::size_t skipped_steps_ = 0;
   std::size_t forced_steps_ = 0;

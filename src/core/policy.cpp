@@ -7,6 +7,11 @@
 
 namespace oic::core {
 
+void SkipPolicy::decide_batch(const linalg::Vector* const* x, const WHistory* const* w,
+                              std::size_t m, int* z) {
+  for (std::size_t i = 0; i < m; ++i) z[i] = decide(*x[i], *w[i]);
+}
+
 PeriodicPolicy::PeriodicPolicy(std::size_t period) : period_(period) {
   OIC_REQUIRE(period >= 1, "PeriodicPolicy: period must be positive");
 }

@@ -30,6 +30,12 @@ class SkipPolicy {
   /// implicitly from a std::vector of observations and from {}.)
   virtual int decide(const linalg::Vector& x, const WHistory& w_history) = 0;
 
+  /// Omega over m consulted sessions at once: z[i] = decide(*x[i], *w[i]),
+  /// in order.  The default loops decide(); a policy with a cheaper batched
+  /// form (DrlPolicy: one network pass) overrides it with the same result.
+  virtual void decide_batch(const linalg::Vector* const* x, const WHistory* const* w,
+                            std::size_t m, int* z);
+
   /// Per-episode reset (clears internal clocks / caches).
   virtual void reset() {}
 

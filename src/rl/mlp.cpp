@@ -87,21 +87,31 @@ const Vector& Mlp::forward_into(const Vector& in, MlpWorkspace& ws) const {
 
 namespace {
 
-/// Grow-only reshape: keep the allocation when the shape already matches.
+/// Exact reshape: keep the allocation when the shape already matches.
 void ensure_shape(Matrix& m, std::size_t rows, std::size_t cols) {
   if (m.rows() != rows || m.cols() != cols) m = Matrix(rows, cols);
+}
+
+/// Grow-only reshape: keep the allocation while it holds `rows` rows.
+void ensure_rows(Matrix& m, std::size_t rows, std::size_t cols) {
+  if (m.rows() < rows || m.cols() != cols) m = Matrix(rows, cols);
 }
 
 }  // namespace
 
 const Matrix& Mlp::forward_batch_into(const Matrix& in, BatchWorkspace& ws) const {
-  OIC_REQUIRE(in.cols() == sizes_.front(),
+  ensure_shape(ws.out, in.rows(), sizes_.back());
+  return forward_batch_into(in, in.rows(), ws);
+}
+
+const Matrix& Mlp::forward_batch_into(const Matrix& in, std::size_t batch,
+                                      BatchWorkspace& ws) const {
+  OIC_REQUIRE(in.cols() == sizes_.front() && batch <= in.rows(),
               "Mlp::forward_batch_into: input dimension mismatch");
-  const std::size_t batch = in.rows();
   std::size_t widest = 0;
   for (std::size_t s : sizes_) widest = std::max(widest, s);
-  ensure_shape(ws.ping, batch, widest);
-  ensure_shape(ws.pong, batch, widest);
+  ensure_rows(ws.ping, batch, widest);
+  ensure_rows(ws.pong, batch, widest);
 
   const double* src = in.data();
   std::size_t ld_src = in.cols();
@@ -113,7 +123,7 @@ const Matrix& Mlp::forward_batch_into(const Matrix& in, BatchWorkspace& ws) cons
     src = dst;
     ld_src = widest;
   }
-  ensure_shape(ws.out, batch, sizes_.back());
+  ensure_rows(ws.out, batch, sizes_.back());
   for (std::size_t r = 0; r < batch; ++r) {
     const double* row = src + r * ld_src;
     std::copy(row, row + sizes_.back(), ws.out.row_data(r));

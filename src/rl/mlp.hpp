@@ -99,6 +99,13 @@ class Mlp {
   const linalg::Matrix& forward_batch_into(const linalg::Matrix& in,
                                            BatchWorkspace& ws) const;
 
+  /// Batched inference over the first `batch` rows of `in` (batch <=
+  /// in.rows()).  The workspace only grows, so a caller whose batch size
+  /// varies call to call allocates nothing once it has seen its largest
+  /// batch; read the first `batch` rows of the result (it may hold more).
+  const linalg::Matrix& forward_batch_into(const linalg::Matrix& in, std::size_t batch,
+                                           BatchWorkspace& ws) const;
+
   /// Batched inference recording per-layer activations for backward_batch.
   /// Returns the output batch (aliases cache.post.back()).
   const linalg::Matrix& forward_batch_cached(const linalg::Matrix& in,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -12,7 +11,6 @@
 
 #include "common/error.hpp"
 #include "control/tube_mpc.hpp"
-#include "core/intermittent.hpp"
 #include "eval/harness.hpp"
 #include "eval/policy_spec.hpp"
 #include "mc/family.hpp"
@@ -27,34 +25,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-/// Cold-solving wrapper over the plant's tube RMPC: reset_solver() before
-/// every control() drops the carried warm-start basis, making the input a
-/// deterministic function of the state alone.  Both parity paths (and the
-/// loadgen clients) actuate through this so input streams are comparable
-/// across processes and orderings.
-class ColdKappa final : public control::Controller {
- public:
-  explicit ColdKappa(const control::TubeMpc& mpc) : mpc_(mpc) {}
-
-  linalg::Vector control(const linalg::Vector& x) override {
-    count_invocation();
-    mpc_.reset_solver();
-    return mpc_.control(x);
-  }
-  std::size_t state_dim() const override { return mpc_.state_dim(); }
-  std::size_t input_dim() const override { return mpc_.input_dim(); }
-  std::string name() const override { return "cold-" + mpc_.name(); }
-
- private:
-  control::TubeMpc mpc_;
-};
-
-bool bit_equal_vec(const linalg::Vector& a, const linalg::Vector& b) {
-  return a.size() == b.size() &&
-         (a.size() == 0 || std::memcmp(a.data().data(), b.data().data(),
-                                       a.size() * sizeof(double)) == 0);
 }
 
 /// One loadgen-driven session's plant-side state.
@@ -538,162 +508,6 @@ LoadgenResult run_loadgen_connect(const eval::ScenarioRegistry& registry,
   return run_clients(registry, cfg, [&host, port]() -> std::unique_ptr<Endpoint> {
     return std::make_unique<SocketEndpoint>(host, port);
   });
-}
-
-ParityReport check_batched_parity(const eval::ScenarioRegistry& registry,
-                                  const std::string& plant_id,
-                                  const std::vector<std::string>& policies,
-                                  std::size_t sessions, std::size_t steps,
-                                  std::uint64_t seed,
-                                  const std::string& cert_dir) {
-  OIC_REQUIRE(!policies.empty(), "check_batched_parity: need at least one policy");
-  OIC_REQUIRE(sessions >= 1, "check_batched_parity: need at least one session");
-
-  cert::Provider provider;
-  std::unique_ptr<cert::Store> store;
-  if (!cert_dir.empty()) {
-    store = std::make_unique<cert::Store>(cert_dir);
-    provider = store->provider();
-  }
-  const std::unique_ptr<eval::PlantCase> plant =
-      registry.make_plant(plant_id, provider);
-  const control::AffineLTI& sys = plant->system();
-  const mc::ScenarioFamily family =
-      mc::family_by_id(registry.plant(plant_id).signal_band, "mixed");
-
-  ServiceConfig scfg;
-  scfg.cert_dir = cert_dir;
-  Service service(registry, scfg);
-
-  ParityReport report;
-  auto mismatch = [&](const std::string& what) {
-    if (report.identical) report.detail = what;
-    report.identical = false;
-  };
-
-  // Per-session reference machinery: an IntermittentController over a
-  // cold-solving RMPC copy, the exact per-session configuration the
-  // episode harness wires (make_intermittent_config).
-  struct RefSession {
-    std::unique_ptr<core::SkipPolicy> policy;
-    std::unique_ptr<ColdKappa> kappa_ref;   ///< actuates the reference path
-    std::unique_ptr<ColdKappa> kappa_srv;   ///< actuates the served path
-    std::unique_ptr<core::IntermittentController> ctrl;
-    std::unique_ptr<sim::VelocityProfile> profile;
-    linalg::Vector x_ref, x_srv, u_srv, w, xnext;
-    bool alive = true;
-    bool first = true;
-  };
-  std::vector<RefSession> refs(sessions);
-
-  std::vector<Request> batch;
-  std::vector<Response> res;
-  for (std::size_t i = 0; i < sessions; ++i) {
-    RefSession& s = refs[i];
-    s.policy = eval::make_policy(policies[i % policies.size()]);
-    s.kappa_ref = std::make_unique<ColdKappa>(plant->rmpc());
-    s.kappa_srv = std::make_unique<ColdKappa>(plant->rmpc());
-    s.ctrl = std::make_unique<core::IntermittentController>(
-        sys, plant->sets(), *s.kappa_ref, *s.policy,
-        eval::make_intermittent_config(*plant, *s.policy));
-    Rng rng(derive_stream(seed, i));
-    Rng x0_rng = rng.split();
-    s.x_ref = plant->sample_x0(x0_rng);
-    s.x_srv = s.x_ref;
-    eval::Scenario scenario = family.sample(rng);
-    s.profile = scenario.profile->clone();
-    s.profile->reset(rng.split());
-    s.w = linalg::Vector(sys.nw());
-
-    Request r;
-    r.kind = Request::Kind::kOpen;
-    r.ref = i + 1;
-    r.session = i + 1;
-    r.plant = plant_id;
-    r.policy = policies[i % policies.size()];
-    batch.push_back(std::move(r));
-  }
-  service.serve(batch, res);
-  for (std::size_t i = 0; i < res.size(); ++i) {
-    if (res[i].kind != Response::Kind::kOpened) {
-      mismatch("open of session " + std::to_string(i + 1) + " failed: " +
-               res[i].error);
-      refs[i].alive = false;
-    }
-  }
-
-  for (std::size_t t = 0; t < steps && report.identical; ++t) {
-    batch.clear();
-    std::vector<std::size_t> index;
-    for (std::size_t i = 0; i < sessions; ++i) {
-      RefSession& s = refs[i];
-      if (!s.alive) continue;
-      Request r;
-      r.kind = Request::Kind::kDecide;
-      r.ref = i + 1;
-      r.session = i + 1;
-      if (!s.first) {
-        r.has_u = true;
-        r.u = s.u_srv;
-      }
-      r.x = s.x_srv;
-      batch.push_back(std::move(r));
-      index.push_back(i);
-    }
-    if (batch.empty()) break;
-    service.serve(batch, res);
-    for (std::size_t k = 0; k < res.size(); ++k) {
-      RefSession& s = refs[index[k]];
-      const std::string tag = "session " + std::to_string(index[k] + 1) +
-                              " step " + std::to_string(t);
-      core::StepDecision d;
-      bool ref_abort = false;
-      try {
-        d = s.ctrl->decide(s.x_ref);
-      } catch (const NumericalError&) {
-        ref_abort = true;
-      }
-      const bool srv_abort = res[k].kind != Response::Kind::kDecision;
-      if (ref_abort != srv_abort) {
-        mismatch(tag + ": abort mismatch (reference " +
-                 (ref_abort ? "aborted" : "continued") + ", server " +
-                 (srv_abort ? "errored" : "answered") + ")");
-        s.alive = false;
-        continue;
-      }
-      if (ref_abort) {
-        s.alive = false;  // both paths closed the session
-        continue;
-      }
-      ++report.decisions;
-      if (d.z != res[k].z || d.forced != res[k].forced) {
-        mismatch(tag + ": decision mismatch (reference z=" + std::to_string(d.z) +
-                 " forced=" + std::to_string(d.forced) + ", server z=" +
-                 std::to_string(res[k].z) + " forced=" +
-                 std::to_string(res[k].forced) + ")");
-        s.alive = false;
-        continue;
-      }
-      s.u_srv = res[k].z == 1 ? s.kappa_srv->control(s.x_srv) : plant->u_skip();
-      if (!bit_equal_vec(d.u, s.u_srv)) {
-        mismatch(tag + ": actuated input diverged");
-        s.alive = false;
-        continue;
-      }
-      plant->signal_to_w(s.profile->next(), s.w);
-      sys.step_into(s.x_ref, d.u, s.w, s.xnext);
-      s.ctrl->record_transition(s.x_ref, d.u, s.xnext);
-      s.x_ref = s.xnext;
-      sys.step_into(s.x_srv, s.u_srv, s.w, s.xnext);
-      s.x_srv = s.xnext;
-      if (!bit_equal_vec(s.x_ref, s.x_srv)) {
-        mismatch(tag + ": state trajectory diverged");
-        s.alive = false;
-      }
-      s.first = false;
-    }
-  }
-  return report;
 }
 
 }  // namespace oic::serve

@@ -1,9 +1,7 @@
 #pragma once
 /// \file loadgen.hpp
 /// The serve layer's client of record: a multi-threaded load generator
-/// replaying mc::ScenarioFamily traffic against a Server, plus the
-/// batched-vs-per-session parity check the bit-identity guarantee is
-/// asserted with.
+/// replaying mc::ScenarioFamily traffic against a Server.
 ///
 /// Each loadgen client owns a contiguous partition of the session space,
 /// drives every session like a real plant-side deployment would -- open,
@@ -138,27 +136,5 @@ LoadgenResult run_loadgen(Server& server, const eval::ScenarioRegistry& registry
 LoadgenResult run_loadgen_connect(const eval::ScenarioRegistry& registry,
                                   const LoadgenConfig& cfg,
                                   const std::string& host, std::uint16_t port);
-
-/// Outcome of the batched-vs-per-session comparison.
-struct ParityReport {
-  bool identical = true;
-  std::size_t decisions = 0;  ///< decision pairs compared
-  std::string detail;         ///< first divergence, empty when identical
-};
-
-/// Drive a Service directly with `sessions` interleaved sessions on one
-/// plant (policies assigned round-robin) and compare every decision --
-/// z, forced, the actuated input, and the full state trajectory, all
-/// bitwise -- against a per-session IntermittentController reference fed
-/// the same disturbances.  Both paths actuate cold tube-MPC solves
-/// (reset_solver before every control), so the input is a deterministic
-/// function of the state on each side and any divergence is attributable
-/// to the batched monitor/policy pass.
-ParityReport check_batched_parity(const eval::ScenarioRegistry& registry,
-                                  const std::string& plant_id,
-                                  const std::vector<std::string>& policies,
-                                  std::size_t sessions, std::size_t steps,
-                                  std::uint64_t seed,
-                                  const std::string& cert_dir = "");
 
 }  // namespace oic::serve

@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "core/drl_policy.hpp"
 #include "eval/harness.hpp"
-#include "linalg/kernels.hpp"
 #include "rl/serialize.hpp"
 
 namespace oic::serve {
@@ -33,33 +33,37 @@ bool mlp_bit_equal(const rl::Mlp& a, const rl::Mlp& b) {
   return true;
 }
 
-/// One DQN state row, replicating core::build_drl_state_into exactly
-/// (front-padded zeros for a young history) plus the in-place scale --
-/// pure copies and elementwise multiplies, so each row is bit-identical
-/// to the per-session state builder.
-void build_state_row(double* row, std::size_t state_dim, const linalg::Vector& x,
-                     const core::WHistory& hist, std::size_t r, std::size_t w_dim,
-                     const linalg::Vector& scale) {
-  for (std::size_t i = 0; i < state_dim; ++i) row[i] = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) row[i] = x[i];
-  const std::size_t have = hist.size() < r ? hist.size() : r;
-  const std::size_t pad = r - have;
-  for (std::size_t k = 0; k < have; ++k) {
-    const linalg::Vector& w = hist[hist.size() - have + k];
-    for (std::size_t i = 0; i < w_dim; ++i) {
-      row[x.size() + (pad + k) * w_dim + i] = w[i];
+/// The agent loader of a DRL group, for open and reload alike: read the
+/// agent file `spec` names and check that it fits plant `plant_id` -- its
+/// plant tag, its scale width, and state_dim = nx (1 + memory).  Returns
+/// the group's policy, or nullptr with the rejection reason in `error`.
+std::unique_ptr<core::DrlPolicy> load_group_agent(const eval::PolicySpec& spec,
+                                                  const std::string& plant_id,
+                                                  std::size_t nx, std::string& error) {
+  try {
+    rl::AgentSnapshot snap = rl::load_agent_file(spec.path);
+    const std::size_t state_dim = snap.net.sizes().front();
+    if (!snap.plant.empty() && snap.plant != plant_id) {
+      error = "agent was trained on plant '" + snap.plant + "', not '" + plant_id + "'";
+      return nullptr;
     }
-  }
-  if (!scale.empty()) {
-    for (std::size_t i = 0; i < state_dim; ++i) row[i] *= scale[i];
+    if (!snap.state_scale.empty() && snap.state_scale.size() != state_dim) {
+      error = "scale/network dimension mismatch";
+      return nullptr;
+    }
+    const std::size_t w_dim = state_dim / (snap.memory + 1);
+    if (w_dim != nx || state_dim != nx + snap.memory * w_dim) {
+      error = "agent dimensions do not fit plant '" + plant_id + "'";
+      return nullptr;
+    }
+    return core::DrlPolicy::from_network(std::make_shared<rl::Mlp>(std::move(snap.net)),
+                                         snap.memory, w_dim,
+                                         std::move(snap.state_scale), spec.text);
+  } catch (const Error& e) {
+    error = e.what();
+    return nullptr;
   }
 }
-
-/// Monitor tolerances -- the exact constants of the per-session framework
-/// (IntermittentController::decide_at): XI with 1e-6 slack, X' with the
-/// HPolytope::contains default of 1e-9.
-constexpr double kXiTol = 1e-6;
-constexpr double kXPrimeTol = 1e-9;
 
 }  // namespace
 
@@ -72,20 +76,9 @@ struct Service::Group {
   std::string plant_id;
   eval::PolicySpec spec;
   PlantEntry* plant = nullptr;
-
-  // DRL groups: the shared frozen network plus its inference wiring.
-  std::shared_ptr<const rl::Mlp> net;
-  linalg::Vector state_scale;
-  std::size_t memory = 0;
-  std::size_t w_dim = 0;
-  std::size_t state_dim = 0;
-
-  // Per-tick SoA scratch, grown on demand and reused allocation-free.
-  linalg::Matrix xbatch;           ///< pending states, one per row
-  std::vector<double> xi_viol;     ///< batched XI violations
-  std::vector<double> xp_viol;     ///< batched X' violations
-  linalg::Matrix sbatch;           ///< DQN state rows (inside-X' rows only)
-  rl::BatchWorkspace bws;          ///< forward_batch_into scratch
+  /// Omega of every session in the group (a DrlPolicy for drl groups);
+  /// null for periodic groups, whose sessions own theirs.
+  std::unique_ptr<core::SkipPolicy> policy;
 
   // Burst groups: deepest certifiable rung, min(spec.count, ladder size),
   // recomputed on certificate hot-swap (the ladder may change depth).
@@ -93,10 +86,16 @@ struct Service::Group {
 
   struct PendingDecide {
     std::uint64_t session = 0;
+    Session* entry = nullptr;  ///< node-stable; a close purges the decide
     std::size_t out_index = 0;
     const Request* req = nullptr;
   };
   std::vector<PendingDecide> pending;
+
+  // Phase-2 scratch, grown on demand and reused allocation-free.
+  core::DecisionCore core;
+  std::vector<core::DecisionRow> rows;
+  std::vector<core::RowDecision> decisions;
 
   // Per-tick side-effect buffer: run_group may execute on a tick-pool
   // worker concurrently with other groups, so counter bumps and
@@ -170,34 +169,13 @@ std::size_t Service::resolve_group(const std::string& plant_id,
     group->max_burst = std::min(spec.count, plant->cert.ladder.size());
   }
   if (spec.kind == eval::PolicySpec::Kind::kDrl) {
-    try {
-      rl::AgentSnapshot snap = rl::load_agent_file(spec.path);
-      const std::size_t nx = plant->model.sys.nx();
-      const std::size_t state_dim = snap.net.sizes().front();
-      if (!snap.plant.empty() && snap.plant != plant_id) {
-        error = "policy '" + policy + "': agent was trained on plant '" + snap.plant +
-                "', not '" + plant_id + "'";
-        return kNoGroup;
-      }
-      if (!snap.state_scale.empty() && snap.state_scale.size() != state_dim) {
-        error = "policy '" + policy + "': scale/network dimension mismatch";
-        return kNoGroup;
-      }
-      const std::size_t w_dim = state_dim / (snap.memory + 1);
-      if (w_dim != nx || state_dim != nx + snap.memory * w_dim) {
-        error = "policy '" + policy + "': agent dimensions do not fit plant '" +
-                plant_id + "'";
-        return kNoGroup;
-      }
-      group->memory = snap.memory;
-      group->w_dim = w_dim;
-      group->state_dim = state_dim;
-      group->state_scale = std::move(snap.state_scale);
-      group->net = std::make_shared<rl::Mlp>(std::move(snap.net));
-    } catch (const Error& e) {
-      error = "policy '" + policy + "': " + std::string(e.what());
+    group->policy = load_group_agent(spec, plant_id, plant->model.sys.nx(), error);
+    if (!group->policy) {
+      error = "policy '" + policy + "': " + error;
       return kNoGroup;
     }
+  } else if (spec.kind != eval::PolicySpec::Kind::kPeriodic) {
+    group->policy = eval::make_policy(policy);
   }
   groups_.push_back(std::move(group));
   group_index_.emplace(key, groups_.size() - 1);
@@ -225,29 +203,19 @@ void Service::reload(std::uint64_t& certs_swapped, std::uint64_t& agents_swapped
   }
   for (auto& group : groups_) {
     if (group->spec.kind != eval::PolicySpec::Kind::kDrl) continue;
-    try {
-      rl::AgentSnapshot snap = rl::load_agent_file(group->spec.path);
-      const std::size_t state_dim = snap.net.sizes().front();
-      const std::size_t nx = group->plant->model.sys.nx();
-      const std::size_t w_dim = state_dim / (snap.memory + 1);
-      const bool fits =
-          (snap.plant.empty() || snap.plant == group->plant_id) &&
-          (snap.state_scale.empty() || snap.state_scale.size() == state_dim) &&
-          w_dim == nx && state_dim == nx + snap.memory * w_dim;
-      if (!fits) continue;  // keep the old agent; sessions keep running
-      const bool changed = snap.memory != group->memory ||
-                           snap.state_scale.data() != group->state_scale.data() ||
-                           !mlp_bit_equal(snap.net, *group->net);
-      if (!changed) continue;
-      group->memory = snap.memory;
-      group->w_dim = w_dim;
-      group->state_dim = state_dim;
-      group->state_scale = std::move(snap.state_scale);
-      group->net = std::make_shared<rl::Mlp>(std::move(snap.net));
-      ++agents_swapped;
-    } catch (const Error&) {
-      // Unreadable / malformed rewrite: keep serving the loaded agent.
-    }
+    std::string error;
+    std::unique_ptr<core::DrlPolicy> fresh = load_group_agent(
+        group->spec, group->plant_id, group->plant->model.sys.nx(), error);
+    // An unreadable, malformed or misfit rewrite keeps the loaded agent;
+    // sessions keep running.
+    if (!fresh) continue;
+    const auto& live = static_cast<const core::DrlPolicy&>(*group->policy);
+    const bool changed = fresh->memory() != live.memory() ||
+                         fresh->state_scale().data() != live.state_scale().data() ||
+                         !mlp_bit_equal(fresh->network(), live.network());
+    if (!changed) continue;
+    group->policy = std::move(fresh);
+    ++agents_swapped;
   }
 }
 
@@ -286,7 +254,7 @@ void Service::serve(const std::vector<Request>& in, std::vector<Response>& out) 
         }
         Session session;
         session.group = gidx;
-        session.whist.set_capacity(eval::kEpisodeWMemory);
+        session.state = core::SessionState(eval::kEpisodeWMemory);
         if (groups_[gidx]->spec.kind == eval::PolicySpec::Kind::kPeriodic) {
           session.policy =
               std::make_unique<core::PeriodicPolicy>(groups_[gidx]->spec.count);
@@ -367,26 +335,13 @@ void Service::serve(const std::vector<Request>& in, std::vector<Response>& out) 
                           std::to_string(r.u.size()) + ")");
             break;
           }
-          // Reconstruct the realized disturbance exactly like
-          // IntermittentController::record_transition:
-          //   E w = x - A x_prev - B u - c, accumulation order preserved.
-          session.ew_scratch = r.x;
-          double* ew = session.ew_scratch.data().data();
-          linalg::gemv_sub(sys.a(), session.x_prev.data().data(), ew);
-          linalg::gemv_sub(sys.b(), r.u.data().data(), ew);
-          for (std::size_t k = 0; k < sys.nx(); ++k) ew[k] -= sys.c()[k];
-          session.whist.push(session.ew_scratch);
+          session.state.record_transition(sys, session.x_prev, r.u, r.x);
           session.x_prev = r.x;
         }
         session.last_decide_tick = tick_serial_;
-        if (session.burst_remaining > 0) {
-          // Inside a certified burst: the X'_k membership established when
-          // the burst started guarantees this period's skip keeps the
-          // state in XI for every disturbance, so neither the monitor nor
-          // the policy runs -- the decide bypasses the group batch
-          // entirely, exactly the burst branch of
-          // IntermittentController::decide_at (no XI precondition check).
-          --session.burst_remaining;
+        if (session.state.take_burst_skip()) {
+          // Inside a certified burst: the decide bypasses the group batch
+          // entirely (no XI precondition check, no policy).
           res.kind = Response::Kind::kDecision;
           res.z = 0;
           res.forced = false;
@@ -395,7 +350,7 @@ void Service::serve(const std::vector<Request>& in, std::vector<Response>& out) 
           ++counters_.burst_skips;
           break;
         }
-        group.pending.push_back({r.session, i, &r});
+        group.pending.push_back({r.session, &session, i, &r});
         break;
       }
     }
@@ -406,13 +361,13 @@ void Service::serve(const std::vector<Request>& in, std::vector<Response>& out) 
   // independent groups shard across the tick pool; each group's side
   // effects are buffered and merged below in group creation order, which
   // makes the whole pass bit-identical for any tick worker count.
-  std::vector<Group*> active;
+  active_.clear();
   for (auto& group : groups_) {
-    if (!group->pending.empty()) active.push_back(group.get());
+    if (!group->pending.empty()) active_.push_back(group.get());
   }
   try {
-    if (tick_pool_ && active.size() > 1) {
-      for (Group* group : active) {
+    if (tick_pool_ && active_.size() > 1) {
+      for (Group* group : active_) {
         // The intra-group membership pool is a single shared ThreadPool
         // whose wait_idle() is global; concurrent run_groups must not race
         // on it, so sharded groups chunk their membership pass inline.
@@ -420,20 +375,20 @@ void Service::serve(const std::vector<Request>& in, std::vector<Response>& out) 
       }
       tick_pool_->wait_idle();
     } else {
-      for (Group* group : active) run_group(*group, out, true);
+      for (Group* group : active_) run_group(*group, out, true);
     }
   } catch (...) {
     // A group that threw (OOM, ...) leaves the tick unanswered -- the
     // Server fails the whole batch.  Pending rows point into `in`, so
     // they must never survive into the next tick.
-    for (Group* group : active) {
+    for (Group* group : active_) {
       group->pending.clear();
       group->tick_closed.clear();
       group->tick_counters = ServiceCounters{};
     }
     throw;
   }
-  for (Group* group : active) {
+  for (Group* group : active_) {
     const ServiceCounters& tc = group->tick_counters;
     counters_.decisions += tc.decisions;
     counters_.skipped += tc.skipped;
@@ -449,103 +404,27 @@ void Service::serve(const std::vector<Request>& in, std::vector<Response>& out) 
 
 void Service::run_group(Group& group, std::vector<Response>& out, bool allow_pool) {
   const std::size_t n = group.pending.size();
-  const std::size_t nx = group.plant->model.sys.nx();
-
-  if (group.xbatch.rows() < n || group.xbatch.cols() != nx) {
-    group.xbatch = linalg::Matrix(n + n / 2 + 1, nx);
-  }
+  group.rows.resize(n);
+  group.decisions.resize(n);
   for (std::size_t r = 0; r < n; ++r) {
-    const linalg::Vector& x = group.pending[r].req->x;
-    double* row = group.xbatch.row_data(r);
-    for (std::size_t j = 0; j < nx; ++j) row[j] = x[j];
+    const Group::PendingDecide& p = group.pending[r];
+    Session& session = *p.entry;
+    group.rows[r] = {&p.req->x, &session.state,
+                     session.policy ? session.policy.get() : group.policy.get()};
   }
-  group.xi_viol.assign(n, 0.0);
-  group.xp_viol.assign(n, 0.0);
+  const cert::PlantCertificate& cert = group.plant->cert;
+  const core::MonitorSpec spec{cert.sets, cert.ladder, group.max_burst, /*strict=*/true};
+  group.core.decide(spec, group.rows.data(), n, /*policy_ok=*/true,
+                    group.decisions.data(), allow_pool ? pool_.get() : nullptr);
 
-  // Batched monitor: both membership checks in one SoA pass each,
-  // chunked over the pool (rows are independent, so any chunking is
-  // bit-identical to the scalar loop).
-  const poly::HPolytope& xi = group.plant->cert.sets.xi;
-  const poly::HPolytope& xp = group.plant->cert.sets.x_prime;
-  auto membership = [&](std::size_t begin, std::size_t end) {
-    const std::size_t count = end - begin;
-    if (count == 0) return;
-    const double* rows = group.xbatch.row_data(begin);
-    linalg::batch_max_violation(xi.a(), xi.b().data().data(), rows, count, nx,
-                                group.xi_viol.data() + begin);
-    linalg::batch_max_violation(xp.a(), xp.b().data().data(), rows, count, nx,
-                                group.xp_viol.data() + begin);
-  };
-  if (allow_pool && pool_ && n >= 256) {
-    const std::size_t chunks = pool_->size();
-    const std::size_t base = n / chunks, rem = n % chunks;
-    std::size_t begin = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t len = base + (c < rem ? 1 : 0);
-      const std::size_t end = begin + len;
-      pool_->submit([&membership, begin, end] { membership(begin, end); });
-      begin = end;
-    }
-    pool_->wait_idle();
-  } else {
-    membership(0, n);
-  }
-
-  // DRL groups: one fused forward_batch_into over the inside-X' rows.
-  std::vector<int> drl_z;
-  std::vector<std::size_t> drl_row;  // pending index per sbatch row
-  if (group.spec.kind == eval::PolicySpec::Kind::kDrl) {
-    drl_row.reserve(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      if (group.xi_viol[r] <= kXiTol && group.xp_viol[r] <= kXPrimeTol) {
-        drl_row.push_back(r);
-      }
-    }
-    const std::size_t m = drl_row.size();
-    if (m > 0) {
-      if (group.sbatch.rows() < m || group.sbatch.cols() != group.state_dim) {
-        group.sbatch = linalg::Matrix(m + m / 2 + 1, group.state_dim);
-      }
-      for (std::size_t s = 0; s < m; ++s) {
-        const auto& p = group.pending[drl_row[s]];
-        const Session& session = sessions_.at(p.session);
-        build_state_row(group.sbatch.row_data(s), group.state_dim, p.req->x,
-                        session.whist, group.memory, group.w_dim,
-                        group.state_scale);
-      }
-      // forward_batch_into reads exactly in.rows() rows; hand it a view
-      // with m rows.  The scratch matrix may be oversized, so build a
-      // tight alias only when needed.
-      const linalg::Matrix* input = &group.sbatch;
-      linalg::Matrix tight;
-      if (group.sbatch.rows() != m) {
-        tight = linalg::Matrix(m, group.state_dim);
-        std::memcpy(tight.data(), group.sbatch.data(),
-                    m * group.state_dim * sizeof(double));
-        input = &tight;
-      }
-      const linalg::Matrix& q = group.net->forward_batch_into(*input, group.bws);
-      drl_z.assign(m, 1);
-      const std::size_t out_dim = q.cols();
-      for (std::size_t s = 0; s < m; ++s) {
-        const double* row = q.row_data(s);
-        std::size_t best = 0;
-        for (std::size_t a = 1; a < out_dim; ++a) {
-          if (row[a] > row[best]) best = a;
-        }
-        drl_z[s] = best == 0 ? 0 : 1;
-      }
-    }
-  }
-
-  std::size_t drl_cursor = 0;
   for (std::size_t r = 0; r < n; ++r) {
-    const auto& p = group.pending[r];
+    const Group::PendingDecide& p = group.pending[r];
+    const core::RowDecision& d = group.decisions[r];
     Response& res = out[p.out_index];
-    // Algorithm 1 line 2 precondition, strict mode: a state outside XI
-    // means the certificate's model assumptions were violated; mirror the
-    // per-session framework's abort by closing the session.
-    if (group.xi_viol[r] > kXiTol) {
+    if (d.verdict == core::Verdict::kLeftXi) {
+      // Algorithm 1 line 2 precondition: a state outside XI means the
+      // certificate's model assumptions were violated; where the
+      // per-session framework aborts, the service closes the session.
       res.kind = Response::Kind::kError;
       res.error = "session " + std::to_string(p.session) +
                   ": state left the robust invariant set XI (Algorithm 1 "
@@ -553,72 +432,14 @@ void Service::run_group(Group& group, std::vector<Response>& out, bool allow_poo
       ++group.tick_counters.errors;
       ++group.tick_counters.invariant_errors;
       group.tick_closed.push_back(p.session);
-      if (group.spec.kind == eval::PolicySpec::Kind::kDrl &&
-          drl_cursor < drl_row.size() && drl_row[drl_cursor] == r) {
-        ++drl_cursor;  // unreachable (outside XI is never inside X'), kept safe
-      }
       continue;
     }
-    const bool inside = group.xp_viol[r] <= kXPrimeTol;
-    int z = 1;
-    bool forced = false;
-    switch (group.spec.kind) {
-      case eval::PolicySpec::Kind::kAlwaysRun:
-        z = 1;
-        forced = !inside;
-        break;
-      case eval::PolicySpec::Kind::kBangBang:
-        z = inside ? 0 : 1;
-        forced = !inside;
-        break;
-      case eval::PolicySpec::Kind::kPeriodic: {
-        if (inside) {
-          Session& session = sessions_.at(p.session);
-          z = session.policy->decide(p.req->x, session.whist) == 0 ? 0 : 1;
-        } else {
-          z = 1;
-          forced = true;
-        }
-        break;
-      }
-      case eval::PolicySpec::Kind::kDrl: {
-        if (inside) {
-          z = drl_z[drl_cursor];
-          ++drl_cursor;
-        } else {
-          z = 1;
-          forced = true;
-        }
-        break;
-      }
-      case eval::PolicySpec::Kind::kBurst: {
-        // BurstSkipPolicy always requests the skip, so the monitor alone
-        // decides: inside X' skip, outside force.  Every granted skip
-        // certifies the deepest containing ladder rung (the exact search
-        // of IntermittentController::decide_at -- same order, same
-        // HPolytope::contains tolerance), arming the session's countdown
-        // so the next k-1 decides bypass the batch in phase 1.
-        z = inside ? 0 : 1;
-        forced = !inside;
-        if (z == 0 && group.max_burst >= 2) {
-          Session& session = sessions_.at(p.session);
-          const auto& ladder = group.plant->cert.ladder;
-          for (std::size_t k = group.max_burst; k >= 2; --k) {
-            if (ladder[k - 1].contains(p.req->x)) {
-              session.burst_remaining = k - 1;
-              break;
-            }
-          }
-        }
-        break;
-      }
-    }
     res.kind = Response::Kind::kDecision;
-    res.z = z;
-    res.forced = forced;
+    res.z = d.z;
+    res.forced = d.verdict == core::Verdict::kForced;
     ++group.tick_counters.decisions;
-    if (z == 0) ++group.tick_counters.skipped;
-    if (forced) ++group.tick_counters.forced;
+    if (res.z == 0) ++group.tick_counters.skipped;
+    if (res.forced) ++group.tick_counters.forced;
   }
 }
 

@@ -6,21 +6,20 @@
 /// Each serve() call is one tick.  Phase 1 walks the request batch in
 /// order: opens/closes mutate the session table, reloads re-resolve
 /// certificates and agents through the cert::Store hash guards (sessions
-/// keep their state across a swap), and decides are validated (residual
-/// reconstruction exactly mirrors IntermittentController::record_transition)
-/// and queued on their session's group.  Phase 2 runs each group's pending
-/// decisions as one fused SoA batch: the XI / X' membership checks go
-/// through linalg::batch_max_violation (bit-identical per row to
-/// HPolytope::violation, chunked over the service thread pool) and a DRL
-/// group's policy consultations run as a single Mlp::forward_batch_into
-/// pass.  With tick_workers > 1 the independent group batches of one tick
-/// run concurrently (see ServiceConfig::tick_workers for why the result
-/// stays bit-identical).  burst:<k> sessions inside their certified skip
-/// countdown are answered straight from a per-session counter in phase 1
-/// -- no membership row, no group batch -- exactly the per-session burst
-/// branch.  The resulting z/forced stream is bit-identical to driving a
-/// per-session IntermittentController with the same states and inputs --
-/// the property tests/test_serve.cpp asserts.
+/// keep their state across a swap), and decides are validated, record
+/// their transition on the session's core::SessionState and queued on
+/// their session's group.  A burst:<k> session inside its certified skip
+/// countdown is answered from that state in phase 1 -- no membership row,
+/// no group batch.  Phase 2 runs each group's pending decides through one
+/// core::DecisionCore pass: the same routine IntermittentController::decide
+/// runs with k = 1, here with k = the group's rows -- XI / X' membership
+/// through linalg::batch_max_violation (chunked over the service pool for
+/// large groups), one policy consult over the inside-X' rows (a DRL
+/// group's is one Mlp::forward_batch_into pass), and the burst arming.
+/// The decision stream is therefore the per-session one by construction;
+/// ServeGolden.* in tests/test_serve.cpp pins it.  With tick_workers > 1
+/// the independent group batches of one tick run concurrently (see
+/// ServiceConfig::tick_workers for why the result stays bit-identical).
 ///
 /// The service itself is single-caller (the Server's tick thread); it is
 /// not internally thread-safe.
@@ -34,10 +33,9 @@
 
 #include "cert/store.hpp"
 #include "common/parallel.hpp"
-#include "core/w_history.hpp"
+#include "core/decision.hpp"
 #include "eval/policy_spec.hpp"
 #include "eval/registry.hpp"
-#include "rl/mlp.hpp"
 #include "serve/api.hpp"
 
 namespace oic::serve {
@@ -95,22 +93,15 @@ class Service {
   struct PlantEntry;
   struct Group;
 
-  /// One live control session.  The disturbance history and its residual
-  /// scratch mirror the per-session framework exactly (w_memory = the
-  /// episode constant kEpisodeWMemory); only periodic policies carry
-  /// per-session policy state.
+  /// One live control session: the per-session monitor state (disturbance
+  /// history with w_memory = the episode constant kEpisodeWMemory, burst
+  /// countdown) and, for periodic policies only, the session's own policy.
   struct Session {
     std::size_t group = 0;           ///< index into groups_
     bool seeded = false;             ///< first decide arrived
     linalg::Vector x_prev;           ///< state of the previous decision
-    core::WHistory whist;            ///< residual ring, oldest first
-    linalg::Vector ew_scratch;       ///< record_transition residual scratch
+    core::SessionState state;        ///< history and burst countdown
     std::unique_ptr<core::SkipPolicy> policy;  ///< periodic state only
-    /// Certified-skip countdown (burst groups): while positive, decides
-    /// are answered z = 0 straight from phase 1 -- no XI / X' membership
-    /// work, no group batch row -- exactly the per-session burst branch
-    /// of IntermittentController::decide_at.
-    std::uint64_t burst_remaining = 0;
     /// Tick serial of this session's last accepted decide; the
     /// decide-at-most-once-per-batch guard in O(1) (the pending-list scan
     /// it replaces was quadratic in the tick's decide count).
@@ -148,6 +139,7 @@ class Service {
   std::unordered_map<std::string, std::unique_ptr<PlantEntry>> plants_;
   /// Groups keyed (plant id, policy text), creation order.
   std::vector<std::unique_ptr<Group>> groups_;
+  std::vector<Group*> active_;  ///< groups with pending decides this tick
   std::unordered_map<std::string, std::size_t> group_index_;
   std::unordered_map<std::uint64_t, Session> sessions_;
 };

@@ -1,20 +1,52 @@
 // Unit tests for the performance layer: workspace-reuse LP solving
 // (PreparedProblem / solve_warm), SupportSolver parity, the allocation-free
-// MLP forward pass, the WHistory ring, and the l1_ball dimension guard.
+// MLP forward pass and serve tick, the WHistory ring, and the l1_ball
+// dimension guard.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "core/w_history.hpp"
+#include "eval/registry.hpp"
 #include "lp/prepared.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "poly/hpolytope.hpp"
 #include "poly/support_solver.hpp"
 #include "rl/mlp.hpp"
+#include "rl/serialize.hpp"
+#include "serve/service.hpp"
+
+namespace {
+
+/// Heap allocations so far, counted by the replacement operator new below.
+std::atomic<long> g_allocations{0};
+
+}  // namespace
+
+// GCC flags free() on memory from the replaced operator new when it
+// inlines both ends; the pair is consistent by construction.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace {
 
@@ -470,6 +502,66 @@ TEST(HPolytope, L1BallGuardsAgainstHugeDimensions) {
   EXPECT_EQ(small.num_constraints(), 8u);
   EXPECT_TRUE(small.contains(Vector{2.0, 0.0, 0.0}));
   EXPECT_FALSE(small.contains(Vector{1.5, 1.0, 0.0}));
+}
+
+TEST(ServeTick, SteadyStateDrlTickAllocatesNothing) {
+  // A DRL group's tick keeps its membership rows in the group's
+  // DecisionCore and its DQN state rows and forward-pass buffers in the
+  // group's DrlPolicy, all grown and never shrunk.  Once the first tick
+  // (every row inside X', the largest consult) has sized them and the
+  // sessions' disturbance rings are full, ticks whose consulted row count
+  // varies allocate nothing.
+  const auto& reg = oic::eval::ScenarioRegistry::builtin();
+  Rng rng(5);
+  const oic::rl::AgentSnapshot agent{"toy2d", 1, Vector(),
+                                     oic::rl::Mlp({4, 16, 2}, rng)};
+  const std::string path = ::testing::TempDir() + "alloc_probe.agent";
+  oic::rl::save_agent_file(agent, path);
+  oic::serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  oic::serve::Service svc(reg, cfg);
+  using oic::serve::Request;
+  using oic::serve::Response;
+  constexpr std::size_t kSessions = 64;
+  std::vector<Request> batch(kSessions);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    batch[i].kind = Request::Kind::kOpen;
+    batch[i].ref = batch[i].session = i + 1;
+    batch[i].plant = "toy2d";
+    batch[i].policy = "drl:" + path;
+  }
+  std::vector<Response> out;
+  svc.serve(batch, out);
+  long steady = 0;
+  std::size_t min_forced = kSessions, max_forced = 0;
+  for (std::size_t t = 0; t < 40; ++t) {
+    // (0, 2.96) lies in toy2d's XI but outside X': a forced row.
+    const double forced_share = t == 0 ? 0.0 : rng.uniform(0.0, 0.5);
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      Request& r = batch[i];
+      r.kind = Request::Kind::kDecide;
+      r.x = rng.uniform(0.0, 1.0) < forced_share
+                ? Vector{0.0, 2.96}
+                : Vector{rng.uniform(-0.2, 0.2), rng.uniform(-0.5, 0.5)};
+      r.has_u = t > 0;
+      r.u = Vector(1);
+    }
+    const long before = g_allocations.load();
+    svc.serve(batch, out);
+    const long allocations = g_allocations.load() - before;
+    std::size_t forced = 0;
+    for (const Response& res : out) {
+      ASSERT_EQ(res.kind, Response::Kind::kDecision) << res.error;
+      forced += res.forced ? 1 : 0;
+    }
+    if (t < 8) continue;  // warm-up: scratch growth, disturbance rings filling
+    steady += allocations;
+    min_forced = std::min(min_forced, forced);
+    max_forced = std::max(max_forced, forced);
+  }
+  // The consulted row count must really vary, or the check is vacuous.
+  EXPECT_LT(min_forced, max_forced);
+  EXPECT_EQ(steady, 0);
 }
 
 }  // namespace

@@ -682,46 +682,6 @@ TEST(ServeService, AgentHotReloadSwapsWithoutDroppingSessions) {
 
 // ------------------------------------------------------------ bit parity
 
-TEST(ServeParity, BatchedDecisionsMatchPerSessionPath) {
-  // The serve layer's headline guarantee: interleaved batched sessions
-  // reproduce the per-session IntermittentController decision stream --
-  // z, forced, the actuated input, and the state trajectory, all bitwise.
-  const auto& reg = oic::eval::ScenarioRegistry::builtin();
-  const std::string agent = write_toy2d_agent("parity.agent", 31);
-  const oic::serve::ParityReport report = oic::serve::check_batched_parity(
-      reg, "toy2d", {"bang-bang", "periodic-3", "always-run", "drl:" + agent},
-      12, 30, 99);
-  EXPECT_TRUE(report.identical) << report.detail;
-  EXPECT_EQ(report.decisions, 12u * 30u);
-}
-
-TEST(ServeParity, ParityHoldsAcrossWorkerCounts) {
-  // The batched membership checks chunk over a thread pool; the chunking
-  // must not change a single bit of any decision.
-  const auto& reg = oic::eval::ScenarioRegistry::builtin();
-  const oic::serve::ParityReport report = oic::serve::check_batched_parity(
-      reg, "toy2d", {"bang-bang", "periodic-2"}, 9, 15, 7);
-  EXPECT_TRUE(report.identical) << report.detail;
-  EXPECT_EQ(report.decisions, 9u * 15u);
-}
-
-TEST(ServeParity, BurstSessionsMatchPerSessionBurstMode) {
-  // burst:<k> serve sessions answer k-1 decides per burst from a certified
-  // countdown without a group batch row; the stream must still be
-  // bit-identical to the per-session IntermittentController burst branch.
-  // Mixed with every other policy kind so burst groups shard a tick
-  // alongside non-burst groups.
-  const auto& reg = oic::eval::ScenarioRegistry::builtin();
-  const std::string agent = write_toy2d_agent("burst_parity.agent", 37);
-  const oic::serve::ParityReport report = oic::serve::check_batched_parity(
-      reg, "toy2d",
-      {"burst:4", "burst:2", "bang-bang", "periodic-3", "always-run",
-       "drl:" + agent},
-      12, 40, 123);
-  EXPECT_TRUE(report.identical) << report.detail;
-  EXPECT_EQ(report.decisions, 12u * 40u);
-}
-
 TEST(ServeParity, TickOutputByteIdenticalAcrossTickWorkerCounts) {
   // The sharded parallel tick must be invisible in the output: replaying
   // one recorded request stream through services with 1, 2, and 4 tick
@@ -791,9 +751,8 @@ std::string write_plant_agent(const std::string& plant_id,
 struct ServeGoldenRun {
   std::uint64_t responses = 0;  ///< every response: kind, z, forced
   std::uint64_t states = 0;     ///< every successor state x_{t+1}
-  std::size_t decisions = 0;
-  std::size_t drl_skips = 0;    ///< drl sessions: policy chose z = 0
-  std::size_t drl_runs = 0;     ///< drl sessions: z = 1 inside X'
+  std::size_t drl_skips = 0;       ///< drl sessions: policy chose z = 0
+  std::size_t drl_runs = 0;        ///< drl sessions: z = 1 inside X'
   std::size_t max_group_rows = 0;  ///< largest (plant, policy) row count of a tick
   oic::serve::ServiceCounters counters;
 };
@@ -875,7 +834,6 @@ ServeGoldenRun drive_serve_golden(
         c.alive = false;
         continue;
       }
-      ++run.decisions;
       if (c.drl && out[k].z == 0) ++run.drl_skips;
       if (c.drl && out[k].z == 1 && !out[k].forced) ++run.drl_runs;
       c.u = out[k].z == 1 ? c.mpc->control(c.x) : c.plant->u_skip();
@@ -907,17 +865,17 @@ TEST(ServeGolden, InterleavedFleetReplaysThePinnedStream) {
   const std::vector<std::string> ids = reg.production_plant_ids();
   ASSERT_NE(std::find(ids.begin(), ids.end(), "toy2d"), ids.end());
   std::vector<std::pair<std::string, std::string>> fleet;
-  std::vector<std::vector<std::string>> policies;
+  std::vector<std::string> agents;
   for (const std::string& pid : ids) {
-    const std::string agent =
-        write_plant_agent(pid, reg.make_model(pid).sys);
-    policies.push_back(
-        {"bang-bang", "periodic-5", "burst:4", "always-run", "drl:" + agent});
+    agents.push_back("drl:" + write_plant_agent(pid, reg.make_model(pid).sys));
   }
   // Two sessions per (plant, policy), plants interleaved within the batch.
+  const char* kinds[] = {"bang-bang", "periodic-5", "burst:4", "always-run", "drl"};
   for (std::size_t rep = 0; rep < 2; ++rep) {
-    for (std::size_t p = 0; p < 5; ++p) {
-      for (std::size_t k = 0; k < ids.size(); ++k) fleet.emplace_back(ids[k], policies[k][p]);
+    for (const std::string kind : kinds) {
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        fleet.emplace_back(ids[k], kind == "drl" ? agents[k] : kind);
+      }
     }
   }
   oic::serve::ServiceConfig cfg;
@@ -944,7 +902,8 @@ constexpr std::uint64_t kChunkedStatesHash = 0x4299547b4b37a443ull;
 
 TEST(ServeGolden, PooledMembershipChunksMatchTheInlinePass) {
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
-  const std::string agent = "drl:" + write_plant_agent("toy2d", reg.make_model("toy2d").sys);
+  const std::string agent =
+      "drl:" + write_plant_agent("toy2d", reg.make_model("toy2d").sys);
   std::vector<std::pair<std::string, std::string>> fleet;
   for (std::size_t i = 0; i < 600; ++i) {
     fleet.emplace_back("toy2d", i % 2 == 0 ? agent : std::string("bang-bang"));
