@@ -49,7 +49,8 @@ void DecisionCore::decide(const MonitorSpec& spec, const DecisionRow* rows,
   if (k == 0) return;
   const std::size_t nx = spec.sets.x_prime.dim();
   for (std::size_t r = 0; r < k; ++r) {
-    OIC_REQUIRE(rows[r].x->size() == nx, "DecisionCore::decide: state dimension mismatch");
+    OIC_REQUIRE(rows[r].x->size() == nx,
+                "DecisionCore::decide: state dimension mismatch");
   }
 
   // XI / X' membership: one SoA pass per set (bit-identical per row to

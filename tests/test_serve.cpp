@@ -528,6 +528,30 @@ TEST(ServeService, SessionLifecycleAndValidation) {
   EXPECT_EQ(c.invariant_errors, 0u);
 }
 
+TEST(ServeService, StateOutsideXiClosesTheSession) {
+  // Algorithm 1's precondition: where the per-session controller throws
+  // on a state outside XI, the service answers an error and closes the
+  // session.  (0.5, 2.96) lies outside toy2d's XI; (0, 2.96) inside XI
+  // but outside X' is forced.
+  const auto& reg = oic::eval::ScenarioRegistry::builtin();
+  oic::serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  oic::serve::Service svc(reg, cfg);
+  std::vector<Response> out;
+  svc.serve({open_req(1, 1, "toy2d", "bang-bang"), open_req(2, 2, "toy2d", "bang-bang"),
+             decide_req(3, 1, {0.5, 2.96}), decide_req(4, 2, {0.0, 2.96})},
+            out);
+  ASSERT_EQ(out[2].kind, Response::Kind::kError);
+  EXPECT_NE(out[2].error.find("left the robust invariant set XI"), std::string::npos);
+  ASSERT_EQ(out[3].kind, Response::Kind::kDecision) << out[3].error;
+  EXPECT_TRUE(out[3].forced);
+  EXPECT_EQ(svc.counters().invariant_errors, 1u);
+  EXPECT_EQ(svc.open_sessions(), 1u);
+  svc.serve({decide_req(5, 1, {0.0}, {0.0, 0.0})}, out);
+  ASSERT_EQ(out[0].kind, Response::Kind::kError);
+  EXPECT_NE(out[0].error.find("unknown session"), std::string::npos);
+}
+
 TEST(ServeService, DecideThenCloseInOneBatchFailsTheDecide) {
   // Regression: a decide queued in phase 1 used to survive a close of the
   // same session later in the batch, so phase 2 looked up the erased
