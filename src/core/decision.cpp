@@ -56,6 +56,9 @@ void DecisionCore::decide(const MonitorSpec& spec, const DecisionRow* rows,
   // XI / X' membership: one SoA pass per set (bit-identical per row to
   // HPolytope::violation).  A single row is read in place.
   const double* x = rows[0].x->data().data();
+  double xi_one = 0.0, xp_one = 0.0;
+  double* xi_viol = &xi_one;
+  double* xp_viol = &xp_one;
   if (k > 1) {
     if (xbatch_.rows() < k || xbatch_.cols() != nx) {
       xbatch_ = linalg::Matrix(k + k / 2 + 1, nx);
@@ -66,32 +69,34 @@ void DecisionCore::decide(const MonitorSpec& spec, const DecisionRow* rows,
       for (std::size_t j = 0; j < nx; ++j) dst[j] = src[j];
     }
     x = xbatch_.data();
+    xi_viol_.resize(k);
+    xp_viol_.resize(k);
+    xi_viol = xi_viol_.data();
+    xp_viol = xp_viol_.data();
   }
-  xi_viol_.resize(k);
-  xp_viol_.resize(k);
   if (pool != nullptr && k >= kPoolRows) {
     const std::size_t chunks = pool->size();
     const std::size_t base = k / chunks, rem = k % chunks;
     std::size_t begin = 0;
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t end = begin + base + (c < rem ? 1 : 0);
-      pool->submit([this, &spec, x, nx, begin, end] {
-        membership(spec, x + begin * nx, end - begin, nx, xi_viol_.data() + begin,
-                   xp_viol_.data() + begin);
+      pool->submit([this, &spec, x, nx, begin, end, xi_viol, xp_viol] {
+        membership(spec, x + begin * nx, end - begin, nx, xi_viol + begin,
+                   xp_viol + begin);
       });
       begin = end;
     }
     pool->wait_idle();
   } else {
-    membership(spec, x, k, nx, xi_viol_.data(), xp_viol_.data());
+    membership(spec, x, k, nx, xi_viol, xp_viol);
   }
 
   // Verdicts; the inside-X' rows queue for Omega.
   consult_.clear();
   for (std::size_t r = 0; r < k; ++r) {
-    if (spec.strict && xi_viol_[r] > kInvariantSlack) {
+    if (spec.strict && xi_viol[r] > kInvariantSlack) {
       out[r] = {Verdict::kLeftXi, 1};
-    } else if (xp_viol_[r] > kStrengthenedSlack) {
+    } else if (xp_viol[r] > kStrengthenedSlack) {
       out[r] = {Verdict::kForced, 1};
     } else if (!policy_ok) {
       // The monitor never skips without Omega's say-so; z = 1 is always
@@ -103,31 +108,37 @@ void DecisionCore::decide(const MonitorSpec& spec, const DecisionRow* rows,
     }
   }
 
-  // One consult per run of consecutive rows sharing a policy.
+  // One consult per run of consecutive rows sharing a policy; a run of
+  // one is decide() itself.
   const std::size_t m = consult_.size();
-  consult_x_.resize(m);
-  consult_w_.resize(m);
-  consult_z_.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    consult_x_[i] = rows[consult_[i]].x;
-    consult_w_[i] = &rows[consult_[i]].state->w_history();
-  }
   for (std::size_t begin = 0; begin < m;) {
-    SkipPolicy* policy = rows[consult_[begin]].policy;
+    const DecisionRow& first = rows[consult_[begin]];
     std::size_t end = begin + 1;
-    while (end < m && rows[consult_[end]].policy == policy) ++end;
-    policy->decide_batch(consult_x_.data() + begin, consult_w_.data() + begin,
-                         end - begin, consult_z_.data() + begin);
+    while (end < m && rows[consult_[end]].policy == first.policy) ++end;
+    if (end - begin == 1) {
+      const int z = first.policy->decide(*first.x, first.state->w_history());
+      out[consult_[begin]].z = z == 0 ? 0 : 1;
+    } else {
+      consult_x_.clear();
+      consult_w_.clear();
+      for (std::size_t i = begin; i < end; ++i) {
+        consult_x_.push_back(rows[consult_[i]].x);
+        consult_w_.push_back(&rows[consult_[i]].state->w_history());
+      }
+      consult_z_.resize(end - begin);
+      first.policy->decide_batch(consult_x_.data(), consult_w_.data(), end - begin,
+                                 consult_z_.data());
+      for (std::size_t i = begin; i < end; ++i) {
+        out[consult_[i]].z = consult_z_[i - begin] == 0 ? 0 : 1;
+      }
+    }
     begin = end;
   }
 
   // Granted skips arm the deepest certified burst.
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::size_t r = consult_[i];
-    out[r].z = consult_z_[i] == 0 ? 0 : 1;
-    if (out[r].z == 0 && spec.max_burst >= 2) {
-      rows[r].state->arm_burst(spec.ladder, spec.max_burst, *rows[r].x);
-    }
+  if (spec.max_burst < 2) return;
+  for (const std::size_t r : consult_) {
+    if (out[r].z == 0) rows[r].state->arm_burst(spec.ladder, spec.max_burst, *rows[r].x);
   }
 }
 

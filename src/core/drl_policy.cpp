@@ -143,10 +143,6 @@ int DrlPolicy::decide(const Vector& x, const WHistory& w_history) {
 
 void DrlPolicy::decide_batch(const Vector* const* x, const WHistory* const* w,
                              std::size_t m, int* z) {
-  if (m == 1) {
-    z[0] = decide(*x[0], *w[0]);
-    return;
-  }
   const std::size_t dim = net_->sizes().front();
   if (state_batch_.rows() < m || state_batch_.cols() != dim) {
     state_batch_ = linalg::Matrix(m + m / 2 + 1, dim);

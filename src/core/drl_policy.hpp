@@ -76,8 +76,8 @@ class DrlPolicy final : public SkipPolicy {
                                                  std::string label = "drl-dqn");
 
   int decide(const linalg::Vector& x, const WHistory& w_history) override;
-  /// One forward_batch_into pass over the m state rows; a single row takes
-  /// decide()'s per-sample pass (the batched rows are bit-identical to it).
+  /// One forward_batch_into pass over the m state rows (each row
+  /// bit-identical to decide()'s per-sample pass).
   void decide_batch(const linalg::Vector* const* x, const WHistory* const* w,
                     std::size_t m, int* z) override;
   std::string name() const override { return label_; }

@@ -265,8 +265,12 @@ inline void gemm_grad_accum(const double* d, std::size_t batch, std::size_t ldd,
 /// constraint system reports 0.0, matching the scalar kernel.  (The AVX2
 /// path streams the constraint matrix once per 4-session group, SoA
 /// row-blocked, with compare+blend so NaN/inf handling matches std::max.)
+/// Fewer than four rows -- one monitored period is one -- fill no vector
+/// block, so every table runs the reference loop; it is called directly,
+/// without the dispatch.
 inline void batch_max_violation(const Matrix& a, const double* b, const double* x,
                                 std::size_t batch, std::size_t ldx, double* worst) {
+  if (batch < 4) return scalar::batch_max_violation(a, b, x, batch, ldx, worst);
   detail::table().batch_max_violation(a, b, x, batch, ldx, worst);
 }
 
