@@ -31,9 +31,11 @@ void SessionState::arm_burst(const std::vector<poly::HPolytope>& ladder,
   }
 }
 
-void DecisionCore::membership(const MonitorSpec& spec, const double* x,
-                              std::size_t count, std::size_t nx, double* xi_viol,
-                              double* xp_viol) const {
+namespace {
+
+/// XI (strict mode) and X' violations of `count` rows of stride nx.
+void membership(const MonitorSpec& spec, const double* x, std::size_t count,
+                std::size_t nx, double* xi_viol, double* xp_viol) {
   if (count == 0) return;
   const poly::HPolytope& xi = spec.sets.xi;
   const poly::HPolytope& xp = spec.sets.x_prime;
@@ -42,6 +44,8 @@ void DecisionCore::membership(const MonitorSpec& spec, const double* x,
   }
   linalg::batch_max_violation(xp.a(), xp.b().data().data(), x, count, nx, xp_viol);
 }
+
+}  // namespace
 
 void DecisionCore::decide(const MonitorSpec& spec, const DecisionRow* rows,
                           std::size_t k, bool policy_ok, RowDecision* out,
@@ -80,7 +84,7 @@ void DecisionCore::decide(const MonitorSpec& spec, const DecisionRow* rows,
     std::size_t begin = 0;
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t end = begin + base + (c < rem ? 1 : 0);
-      pool->submit([this, &spec, x, nx, begin, end, xi_viol, xp_viol] {
+      pool->submit([&spec, x, nx, begin, end, xi_viol, xp_viol] {
         membership(spec, x + begin * nx, end - begin, nx, xi_viol + begin,
                    xp_viol + begin);
       });

@@ -5,8 +5,9 @@
 ///
 /// Per row: check x(t) against XI (the precondition, strict mode only) and
 /// X'; outside X' force z = 1 (line 8); inside X' let Omega choose (line 6),
-/// one batch consult over every inside row; and when the chosen z = 0 arm
-/// the deepest certified burst the k-step ladder supports at x(t).
+/// in one consult over the inside rows that share a policy; and when the
+/// chosen z = 0 arm the deepest certified burst the k-step ladder supports
+/// at x(t).
 /// IntermittentController::decide runs it with k = 1, and the serve tick
 /// runs it once per group over the group's pending decides, so the two
 /// decision streams agree by construction.
@@ -125,15 +126,13 @@ class DecisionCore {
   /// and k >= kPoolRows the XI / X' membership pass splits into one chunk
   /// per worker; rows are independent, so any chunking gives the same bits.
   /// Consecutive consulted rows that share a policy go to it in one
-  /// decide_batch call.  Allocation-free once the scratch has grown to k.
+  /// decide_batch call (a lone row in one decide call).  Allocation-free
+  /// once the scratch has grown to k.
   void decide(const MonitorSpec& spec, const DecisionRow* rows, std::size_t k,
               bool policy_ok, RowDecision* out, ThreadPool* pool = nullptr);
 
  private:
-  void membership(const MonitorSpec& spec, const double* x, std::size_t count,
-                  std::size_t nx, double* xi_viol, double* xp_viol) const;
-
-  linalg::Matrix xbatch_;           ///< k > 1: the rows packed SoA
+  linalg::Matrix xbatch_;  ///< k > 1: the rows packed SoA
   std::vector<double> xi_viol_;
   std::vector<double> xp_viol_;
   std::vector<std::size_t> consult_;  ///< inside-X' row indices

@@ -1,7 +1,7 @@
 // Tests for the monitor service stack (src/serve): the `oic-serve v1`
 // wire grammar, the multi-session Service, the threaded Server, and the
-// headline guarantee of the serve layer -- batched decisions bit-identical
-// to the per-session EpisodeEngine/IntermittentController path.
+// goldens that pin the served decision stream (the batch runs the
+// per-session monitor's own decision routine, core::DecisionCore).
 //
 // The parser corpus follows the PR-5 parser-fuzz discipline
 // (tests/test_parser_fuzz.cpp): the request stream crosses a trust
@@ -846,8 +846,8 @@ ServeGoldenRun drive_serve_golden(
       batch.push_back(t == 0 ? decide_req(i + 1, i + 1, c.x.data())
                              : decide_req(i + 1, i + 1, c.u.data(), c.x.data()));
       index.push_back(i);
-      run.max_group_rows = std::max(
-          run.max_group_rows, ++group_rows[fleet[i].first + '\n' + fleet[i].second]);
+      const std::size_t rows = ++group_rows[fleet[i].first + '\n' + fleet[i].second];
+      run.max_group_rows = std::max(run.max_group_rows, rows);
     }
     if (batch.empty()) break;
     svc.serve(batch, out);
