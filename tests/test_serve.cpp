@@ -894,9 +894,10 @@ TEST(ServeGolden, InterleavedFleetReplaysThePinnedStream) {
     agents.push_back("drl:" + write_plant_agent(pid, reg.make_model(pid).sys));
   }
   // Two sessions per (plant, policy), plants interleaved within the batch.
-  const char* kinds[] = {"bang-bang", "periodic-5", "burst:4", "always-run", "drl"};
+  const std::string kinds[] = {"bang-bang", "periodic-5", "burst:4", "always-run",
+                               "drl"};
   for (std::size_t rep = 0; rep < 2; ++rep) {
-    for (const std::string kind : kinds) {
+    for (const std::string& kind : kinds) {
       for (std::size_t k = 0; k < ids.size(); ++k) {
         fleet.emplace_back(ids[k], kind == "drl" ? agents[k] : kind);
       }
