@@ -8,8 +8,12 @@ Exports the base revision into its own tree and runs
 checkout (uncommitted changes included) for every pair, at perfbench's own
 run length.  Each side builds into its own CARGO_TARGET_DIR; the base
 side's is keyed by the resolved commit, so a reused --work-dir never
-mixes objects of two base revisions.  The base side runs first on odd
-pairs and second on even ones.  Pair 1 always uses the held-out seed
+mixes objects of two base revisions.  Both sides compile with
+-ffile-prefix-map=<tree>=. appended to any inherited CXXFLAGS, so the
+source paths baked into each binary (__FILE__ in the error macros) no
+longer differ between the exported tree and the checkout: the same
+commit on both sides builds byte-identical binaries, and the report says
+so.  The base side runs first on odd pairs and second on even ones.  Pair 1 always uses the held-out seed
 9001; the other pairs use seeds --first-seed, --first-seed + 1, ...
 
 For every end-to-end metric of BENCHMARK.json (per-layer with --trace 1)
@@ -31,6 +35,7 @@ scripts/ci.sh --bench-only runs it as the CI perf guard.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -64,9 +69,48 @@ def export_tree(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
 
 
+def prefix_map_flags(tree):
+    """CXXFLAGS for a side built from `tree`: the inherited flags plus the
+    map that strips the tree's path from the binary.  CMake reads CXXFLAGS
+    only when it first configures a build directory, so base revisions
+    that predate the map need no edit."""
+    inherited = os.environ.get("CXXFLAGS", "").strip()
+    own = f"-ffile-prefix-map={tree}=."
+    return f"{inherited} {own}".strip()
+
+
+def prepare_build_dir(target_dir, flags):
+    """Drop a build directory configured with other CXXFLAGS (a --work-dir
+    reused across this change): CMake would keep its cached flags."""
+    cache = os.path.join(target_dir, "perfbench", "CMakeCache.txt")
+    if not os.path.exists(cache):
+        return
+    with open(cache) as f:
+        cached = next((line.split("=", 1)[1].strip() for line in f
+                       if line.startswith("CMAKE_CXX_FLAGS:")), None)
+    if cached != flags:
+        shutil.rmtree(target_dir, ignore_errors=True)
+
+
+def sha256(path):
+    """Hex sha256 of a file, or None when it is missing."""
+    try:
+        with open(path, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+    except OSError:
+        return None
+
+
+def binaries(target_dir):
+    """The perfbench runner and server a side built (perfbench/run.py)."""
+    bdir = os.path.join(target_dir, "perfbench")
+    return {"perfbench": os.path.join(bdir, "perfbench"),
+            "oic_serve": os.path.join(bdir, "oic", "oic_serve")}
+
+
 def run_side(tree, target_dir, workload, seed, trace):
     """One perfbench run; returns its JSON report, or None without one."""
-    env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
+    env = dict(os.environ, CARGO_TARGET_DIR=target_dir, CXXFLAGS=prefix_map_flags(tree))
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
@@ -127,6 +171,8 @@ def main():
         export_tree(args.base, base_tree)
         sides["base"] = (base_tree, base_tree + "-build")
         sides["head"] = (ROOT, os.path.join(work, "head-build"))
+        for tree, target in sides.values():
+            prepare_build_dir(target, prefix_map_flags(tree))
 
         seeds = [HELD_OUT_SEED] + [args.first_seed + i for i in range(args.pairs - 1)]
         runs = []
@@ -145,9 +191,17 @@ def main():
                             f"(failed {rep['failed']})")
             print(f"pair {i + 1:2d} seed {seed:5d} {order[0]} first: "
                   f"base {vals[0]}, head {vals[1]}", flush=True)
+        digests = {side: {name: sha256(path) for name, path in binaries(target).items()}
+                   for side, (_, target) in sides.items()}
     finally:
         if own_work:
             shutil.rmtree(work, ignore_errors=True)
+
+    for name in ("perfbench", "oic_serve"):
+        print(f"{name} sha256: base {digests['base'][name]}, head {digests['head'][name]}")
+    same = all(digests["base"][n] is not None and digests["base"][n] == digests["head"][n]
+               for n in ("perfbench", "oic_serve"))
+    print("identical binaries" if same else "binaries differ")
 
     bad = [(r["pair"], side) for r in runs for side in ("base", "head")
            if r[side] is None or r[side]["failed"] != 0]
