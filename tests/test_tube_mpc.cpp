@@ -269,6 +269,36 @@ std::uint64_t production_lp_hash(const std::string& plant_id) {
   return h.value();
 }
 
+// The infeasible exit at the same shape: 600 states drawn from X, not X',
+// go through one TubeMpc copy without resets.  Some lie outside XI, where
+// the warm dual continuation finds no entering column, retries through the
+// two-phase path and throws NumericalError; the next call re-anchors on the
+// canonical seed.  The hash covers which calls throw plus every returned u
+// and optimal cost.
+std::uint64_t infeasible_lp_hash(const std::string& plant_id) {
+  const auto plant = oic::eval::ScenarioRegistry::builtin().make_plant(plant_id);
+  oic::Rng rng(0x696e66656173ull);
+  TubeMpc mpc = plant->rmpc();
+  oic::Fnv1a h;
+  std::size_t thrown = 0;
+  for (int i = 0; i < 600; ++i) {
+    const Vector x = oic::eval::sample_from_set(plant->sets().x, rng, "infeasible_lp_hash");
+    try {
+      const Vector u = mpc.control(x);
+      h.u64(0);
+      for (std::size_t j = 0; j < u.size(); ++j) h.f64(u[j]);
+      h.f64(mpc.last_solve().cost);
+    } catch (const oic::NumericalError&) {
+      h.u64(1);
+      ++thrown;
+    }
+  }
+  // Both exits must be exercised for the pin to mean anything.
+  EXPECT_GT(thrown, 0u) << plant_id;
+  EXPECT_LT(thrown, 600u) << plant_id;
+  return h.value();
+}
+
 TEST(TubeMpcProductionLp, AccSolveStreamPinned) {
   EXPECT_EQ(production_lp_hash("acc"), 0xe0c98b8740b94e16ull);
 }
@@ -283,6 +313,22 @@ TEST(TubeMpcProductionLp, QuadAltSolveStreamPinned) {
 
 TEST(TubeMpcProductionLp, Toy2dSolveStreamPinned) {
   EXPECT_EQ(production_lp_hash("toy2d"), 0x20470bbcb7aca28bull);
+}
+
+TEST(TubeMpcProductionLp, AccInfeasibleStreamPinned) {
+  EXPECT_EQ(infeasible_lp_hash("acc"), 0x70974f9c4d3fc8edull);
+}
+
+TEST(TubeMpcProductionLp, LaneKeepInfeasibleStreamPinned) {
+  EXPECT_EQ(infeasible_lp_hash("lane-keep"), 0xf9f26853b7f2a93dull);
+}
+
+TEST(TubeMpcProductionLp, QuadAltInfeasibleStreamPinned) {
+  EXPECT_EQ(infeasible_lp_hash("quad-alt"), 0xa56211be90cead28ull);
+}
+
+TEST(TubeMpcProductionLp, Toy2dInfeasibleStreamPinned) {
+  EXPECT_EQ(infeasible_lp_hash("toy2d"), 0x435f72fe9f22b31ull);
 }
 
 TEST(TubeMpcProductionLp, EveryProductionPlantIsPinned) {
