@@ -13,7 +13,9 @@ mixes objects of two base revisions.  Both sides compile with
 source paths baked into each binary (__FILE__ in the error macros) no
 longer differ between the exported tree and the checkout: the same
 commit on both sides builds byte-identical binaries, and the report says
-so.  The base side runs first on odd pairs and second on even ones.  Pair 1 always uses the held-out seed
+so.  For the same reason both sides build with GIT_DIR pointing at no
+repository: the git SHA the build stamps into the binaries reads
+"unknown" on both, instead of the checkout's commit on one side only.  The base side runs first on odd pairs and second on even ones.  Pair 1 always uses the held-out seed
 9001; the other pairs use seeds --first-seed, --first-seed + 1, ...
 
 For every end-to-end metric of BENCHMARK.json (per-layer with --trace 1)
@@ -110,7 +112,8 @@ def binaries(target_dir):
 
 def run_side(tree, target_dir, workload, seed, trace):
     """One perfbench run; returns its JSON report, or None without one."""
-    env = dict(os.environ, CARGO_TARGET_DIR=target_dir, CXXFLAGS=prefix_map_flags(tree))
+    env = dict(os.environ, CARGO_TARGET_DIR=target_dir, CXXFLAGS=prefix_map_flags(tree),
+               GIT_DIR=os.devnull)
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
