@@ -376,6 +376,27 @@ void BM_TubeMpcEpisode(benchmark::State& state) {
 }
 BENCHMARK(BM_TubeMpcEpisode);
 
+// The same episode on five controller copies in turn, as an mc campaign's
+// per-plant engines run it (the always-run baseline plus four policies,
+// each with its own TubeMpc): every copy pays its seed restart and warm
+// re-solves on a cache the other four have just used.  BM_TubeMpcEpisode
+// keeps one copy hot and hides that footprint effect.
+void BM_TubeMpcEpisodeFiveCopies(benchmark::State& state) {
+  const AccMpcRun& run = AccMpcRun::get();
+  std::vector<control::TubeMpc> copies(5, run.plant->rmpc());
+  for (control::TubeMpc& mpc : copies) {
+    benchmark::DoNotOptimize(mpc.control(run.states[0]));  // builds the seed
+  }
+  for (auto _ : state) {
+    for (control::TubeMpc& mpc : copies) {
+      mpc.reset_solver();
+      for (const Vector& x : run.states) benchmark::DoNotOptimize(mpc.control(x));
+    }
+  }
+  state.SetLabel("acc, 5 copies x (seed restart + 100 solves)");
+}
+BENCHMARK(BM_TubeMpcEpisodeFiveCopies);
+
 // Certificate cold start from the cache: one `cert::Store::get` hit (read
 // and parse the `oic-cert v1` file) per iteration, per production plant.
 // The plant's synthesis runs once, untimed, to fill a scratch store.
