@@ -442,9 +442,10 @@ void PreparedProblem::set_hot_rows(const std::vector<std::size_t>& rows) {
   // patch), so the seed is a pure function of the problem structure and
   // every copy of the problem shares one canonical restart point -- the
   // property that keeps parallel-worker episode schedules bit-identical.
-  seed_src_a_ = a_;
-  seed_src_rhs_ = rhs_;
-  seed_src_basis_ = basis0_;
+  seed_.a = a_;
+  seed_.rhs = rhs_;
+  seed_.basis = basis0_;
+  seed_b_ = rhs_;
   seed_flip_.resize(m_);
   for (std::size_t i = 0; i < m_; ++i) seed_flip_[i] = rows_[i].flipped ? 1 : 0;
   seed_obj_revision_ = objective_revision_;
@@ -558,60 +559,41 @@ Result PreparedProblem::extract(SolverWorkspace& ws) const {
   return {Status::kOptimal, obj, std::move(x)};
 }
 
-void PreparedProblem::transpose_into(SolverWorkspace& ws) const {
-  // Row-major ws.a -> column-major ws.at (column j occupies
-  // [j*m_, (j+1)*m_)).  Runs only on the rare true-cold transitions; the
-  // hot seed restarts copy the pre-transposed seed_at_ directly.
-  ws.at.resize(n_ * m_);
-  for (std::size_t i = 0; i < m_; ++i) {
-    const double* row = &ws.a[i * n_];
-    for (std::size_t j = 0; j < n_; ++j) ws.at[j * m_ + i] = row[j];
-  }
-}
-
-void PreparedProblem::certify_unit_cols(SolverWorkspace& ws) const {
-  // A basic column is certified when every entry off its own row compares
-  // equal to 0.0 (either sign); anything else -- round-off residue left by
-  // the two-phase path -- stays uncertified and is gathered as before.
-  // Counted branch-free over the whole column (NaN counts as nonzero).
-  // Runs only when the warm tableau is anchored (seed build, two-phase
-  // cold), so the flag scratch is a local.
-  std::vector<unsigned char> unit(n_, 0);
+void PreparedProblem::condense(SolverWorkspace& ws) const {
+  // A live basic column is implicit when it is exactly the unit column of
+  // its row: 1.0 there and the bits of +0.0 everywhere else.  Round-off
+  // residue or a -0.0 left by the two-phase path keeps a slot instead.
+  // Runs only when the warm tableau is anchored, off the row-major tableau.
+  ws.where.assign(n_, SolverWorkspace::kDead);
+  for (const std::uint32_t j : live_cols_) ws.where[j] = 0;  // live; slot below
   for (std::size_t r = 0; r < m_; ++r) {
     const std::size_t j = ws.basis[r];
-    const double* c = &ws.at[j * m_];
-    std::size_t nonzero = 0;
-    for (std::size_t i = 0; i < m_; ++i) nonzero += c[i] != 0.0 ? 1 : 0;
-    unit[j] = nonzero == (c[r] != 0.0 ? 1u : 0u) ? 1 : 0;
+    bool unit = ws.where[j] != SolverWorkspace::kDead;
+    for (std::size_t i = 0; i < m_ && unit; ++i) {
+      const double v = ws.a[i * n_ + j];
+      unit = i == r ? v == 1.0 : v == 0.0 && !std::signbit(v);
+    }
+    if (unit) ws.where[j] = SolverWorkspace::kImplicit | static_cast<std::uint32_t>(r);
   }
-  ws.gather.clear();
-  ws.gather.reserve(live_cols_.size());  // pivots insert without allocating
+  ws.listed.clear();
   for (const std::uint32_t j : live_cols_) {
-    if (!unit[j]) ws.gather.push_back(j);
+    if (ws.where[j] != 0) continue;
+    ws.where[j] = static_cast<std::uint32_t>(ws.listed.size());
+    ws.listed.push_back({j, ws.where[j]});
   }
+  ws.blk.resize(ws.listed.size() * m_);
+  for (const SolverWorkspace::Slot& c : ws.listed) {
+    for (std::size_t i = 0; i < m_; ++i) ws.blk[c.slot * m_ + i] = ws.a[i * n_ + c.col];
+  }
+  ws.rhs_neg_zero = std::any_of(ws.rhs.begin(), ws.rhs.end(),
+                                [](double v) { return v == 0.0 && std::signbit(v); });
 }
 
-void PreparedProblem::build_seed(SolverWorkspace& ws, const SimplexOptions& opt) const {
+void PreparedProblem::build_seed(const SimplexOptions& opt) const {
   seed_built_ = true;  // one attempt; failures fall back to two-phase colds
-  ws.warm_serial = 0;
-  // The capture is read exactly once, here: hand the template tableau to
-  // the workspace instead of copying it.
-  ws.a = std::move(seed_src_a_);
-  ws.rhs = seed_src_rhs_;
-  ws.basis = std::move(seed_src_basis_);
-  const Result r = run_phases(ws, opt);
-  if (r.status != Status::kOptimal) return;
-  // Store the canonical optimum pre-transposed: every restart then copies
-  // straight into the column-major working tableau.
-  transpose_into(ws);
-  certify_unit_cols(ws);
-  seed_at_ = ws.at;
-  seed_gather_ = ws.gather;
-  seed_rhs_ = ws.rhs;
-  seed_z_ = ws.z;
-  seed_basis_ = ws.basis;
-  seed_b_ = std::move(seed_src_rhs_);  // canonical pre-solve rhs
-  seed_ok_ = true;
+  seed_ok_ = run_phases(seed_, opt).status == Status::kOptimal;
+  if (seed_ok_) condense(seed_);
+  std::vector<double>().swap(seed_.a);  // restarts copy only the condensed block
 }
 
 Result PreparedProblem::solve_warm(SolverWorkspace& ws, WarmState& warm,
@@ -639,7 +621,7 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   if (!warm.valid) {
     const bool seed_usable =
         allow_seed && seed_captured_ && seed_obj_revision_ == objective_revision_;
-    if (seed_usable && !seed_built_) build_seed(ws, opt);
+    if (seed_usable && !seed_built_) build_seed(opt);
     const bool from_seed = seed_usable && seed_ok_;
     if (from_seed) {
       // Canonical-seed restart: adopt the canonical optimum as the warm
@@ -647,19 +629,19 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       // continuation, which patches it to the CURRENT rhs.  The restart
       // point depends only on the problem structure, never on solve
       // history -- every copy of the problem lands on the same tableau.
-      ws.at.assign(seed_at_.begin(), seed_at_.end());
-      ws.rhs.assign(seed_rhs_.begin(), seed_rhs_.end());
-      ws.z.assign(seed_z_.begin(), seed_z_.end());
-      ws.basis.assign(seed_basis_.begin(), seed_basis_.end());
-      ws.gather.reserve(live_cols_.size());  // pivots insert without allocating
-      ws.gather.assign(seed_gather_.begin(), seed_gather_.end());
-      warm.b.assign(seed_b_.begin(), seed_b_.end());
-      warm.flip.assign(seed_flip_.begin(), seed_flip_.end());
+      ws.blk = seed_.blk;
+      ws.listed = seed_.listed;
+      ws.where = seed_.where;
+      ws.rhs_neg_zero = seed_.rhs_neg_zero;
+      ws.rhs = seed_.rhs;
+      ws.z = seed_.z;
+      ws.basis = seed_.basis;
+      warm.b = seed_b_;
+      warm.flip = seed_flip_;
     } else {
       const Result r = solve(ws, opt);
       if (r.status != Status::kOptimal) return r;
-      transpose_into(ws);
-      certify_unit_cols(ws);
+      condense(ws);
       warm.b.assign(rhs_.begin(), rhs_.end());
       warm.flip.resize(m_);
       for (std::size_t i = 0; i < m_; ++i) warm.flip[i] = rows_[i].flipped ? 1 : 0;
@@ -676,6 +658,9 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   }
 
   const linalg::detail::KernelTable& kt = linalg::detail::table();
+  constexpr std::uint32_t kImplicit = SolverWorkspace::kImplicit;
+  double* const blk = ws.blk.data();
+  double* const rhs = ws.rhs.data();
 
   // ---- Rhs update in the carried basis ----
   // The tableau rows keep the orientation they had at snapshot time; a row
@@ -684,10 +669,10 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   // unit column -- the one that carried +1 at snapshot time: the slack for
   // an effectively-<= row, the artificial for >= and equality rows -- holds
   // the matching column of B^-1, so the basic solution shifts by
-  // B^-1 e_r * delta_r.  In the transposed layout that column is one
-  // contiguous streaming axpy.  Only hot rows can carry a nonzero delta:
-  // every other row's rhs and orientation are frozen since set_hot_rows,
-  // and both the seed and a cold snapshot recorded them as they stand.
+  // B^-1 e_r * delta_r: an axpy over the column's slot, or one add on its
+  // basic row when it is implicit.  Only hot rows can carry a nonzero
+  // delta: every other row is frozen since set_hot_rows, and both the seed
+  // and a cold snapshot recorded it as it stands.
   for (const std::size_t r : hot_rows_) {
     const double oriented =
         (rows_[r].flipped ? 1 : 0) == warm.flip[r] ? rhs_[r] : -rhs_[r];
@@ -696,30 +681,40 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
     const Relation eff_snap = effective_relation(rows_[r].rel, warm.flip[r] != 0);
     const std::size_t unit =
         eff_snap == Relation::kLessEq ? rows_[r].slack_col : rows_[r].art_col;
-    kt.lp_row_add_scaled(ws.rhs.data(), &ws.at[unit * m_], delta, m_);
+    const std::uint32_t w = ws.where[unit];
+    if (w < kImplicit) {
+      kt.lp_row_add_scaled(rhs, blk + w * m_, delta, m_);
+    } else {
+      // Off the basic row the full add is rhs[i] += 0.0 * delta, a no-op
+      // unless it turns a -0.0 into +0.0.
+      if (ws.rhs_neg_zero) {
+        const double zero = 0.0 * delta;
+        for (std::size_t i = 0; i < m_; ++i) rhs[i] += zero;
+      }
+      rhs[w & ~kImplicit] += delta;
+    }
     warm.b[r] = oriented;
   }
 
   // ---- Dual simplex: restore primal feasibility, keep dual feasibility ----
-  // Runs entirely on the transposed tableau: the rank-1 pivot update
-  // becomes one contiguous streaming axpy per pivot-row support column
-  // (the pivot row is ~10% dense on the MPC tableaus) instead of a
-  // scattered read-modify-write walk over every touched row -- the memory
-  // pattern the row-major layout cannot provide.  Element-for-element the
-  // update performs the identical single mul+sub on the identical
-  // operands, so the transposition changes no bits (docs/perf.md).
+  // Runs on the condensed tableau: the rank-1 update is one contiguous axpy
+  // over the slot of each pivot-row support column (~10% dense on the MPC
+  // tableaus).  Every explicit value gets the identical mul+sub on the
+  // identical operands a full row-major tableau would, and an implicit
+  // column holds exactly the full tableau's bits (docs/perf.md, "The
+  // condensed warm tableau").
   const unsigned char* blocked = any_artificial_ ? blocked0_.data() : nullptr;
   const std::size_t max_dual_iters = m_ + 200;
   ws.nz.resize(n_);
   ws.nzv.resize(n_);
-  std::uint32_t* nzi = ws.nz.data();
+  std::uint32_t* nzk = ws.nz.data();
   double* nzv = ws.nzv.data();
-  std::vector<std::uint32_t>& gather = ws.gather;
+  std::vector<SolverWorkspace::Slot>& listed = ws.listed;
   bool ok = false;
   for (std::size_t iter = 0; iter <= max_dual_iters; ++iter) {
     // Leaving row: most negative basic value (argmin kernel == the
     // sequential scan seeded at -1e-9).
-    const std::ptrdiff_t lv = kt.lp_argmin(ws.rhs.data(), m_, -1e-9);
+    const std::ptrdiff_t lv = kt.lp_argmin(rhs, m_, -1e-9);
     if (lv < 0) {
       ok = true;
       break;
@@ -727,110 +722,103 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
     const std::size_t leave = static_cast<std::size_t>(lv);
     if (iter == max_dual_iters) break;  // stalled; fall back to a cold solve
 
-    // The leaving row's basic column is about to leave the basis: it loses
-    // its certificate and joins the gather list at its sorted place, unless
-    // it is dead (never gathered) or uncertified (listed already).
-    const auto out = static_cast<std::uint32_t>(ws.basis[leave]);
-    if (std::binary_search(live_cols_.begin(), live_cols_.end(), out)) {
-      const auto pos = std::lower_bound(gather.begin(), gather.end(), out);
-      if (pos == gather.end() || *pos != out) gather.insert(pos, out);
-    }
-
-    // Pack the leaving row's nonzeros once (fixed-stride gather across the
-    // listed columns); the dual ratio test and the pivot both run over the
-    // packed support.  Dead columns -- barred artificials of rows that are
-    // never patched -- are neither priced nor updated: no live value ever
-    // reads them (docs/perf.md, "The live-column argument").  Certified
-    // unit columns of other rows hold an exact zero in the leaving row and
-    // are not listed.  Branch-free: always store, advance past a nonzero
-    // (a NaN compares != 0.0 and is packed).
+    // Pack the leaving row's nonzeros once, as positions into `listed`
+    // (ascending columns).  Dead columns have no slot (docs/perf.md, "The
+    // live-column argument"); an implicit column is +0.0 off its own row,
+    // and the leaving row's own one is handled apart below.  Branch-free:
+    // always store, advance past a nonzero (a NaN is packed).
     std::size_t nnz = 0;
-    for (const std::uint32_t j : gather) {
-      const double v = ws.at[j * m_ + leave];
-      nzi[nnz] = j;
+    for (std::size_t k = 0; k < listed.size(); ++k) {
+      const double v = blk[listed[k].slot * m_ + leave];
+      nzk[nnz] = static_cast<std::uint32_t>(k);
       nzv[nnz] = v;
       nnz += v != 0.0 ? 1 : 0;
     }
 
     // Entering column: dual ratio test over the leaving row's negative
-    // entries (artificials stay barred).  Strict improvement only:
-    // near-ties keep the earlier (lowest) column, since the packed
-    // support scans ascending -- a Bland-style bias that guards against
-    // dual cycling.
-    std::size_t enter = n_;
+    // entries (artificials stay barred).  Strict improvement only: a near
+    // tie keeps the lower column -- a Bland-style bias against dual cycling.
+    std::size_t pick = nnz;
     double best_ratio = kInf;
     for (std::size_t k = 0; k < nnz; ++k) {
-      const std::size_t j = nzi[k];
+      const std::size_t j = listed[nzk[k]].col;
       if (blocked && blocked[j]) continue;
-      const double v = nzv[k];
-      if (v < -opt.pivot_tol) {
-        const double ratio = ws.z[j] / -v;
+      if (nzv[k] < -opt.pivot_tol) {
+        const double ratio = ws.z[j] / -nzv[k];
         if (ratio < best_ratio - 1e-12) {
           best_ratio = ratio;
-          enter = j;
+          pick = k;
         }
       }
     }
-    if (enter == n_) {
+    if (pick == nnz) {
       // No entering column: the carried tableau says the patched LP is
       // primal infeasible.  The dual test triggers at a much tighter
-      // tolerance than the cold path's phase-1 feas_tol, so confirm through
-      // a cold solve rather than rejecting a marginally-feasible state the
-      // two-phase path would accept.  (Infeasible queries are rare; the
-      // extra cold solve is noise.  allow_seed=false keeps the retry from
-      // re-anchoring on the seed and looping.)
+      // tolerance than phase 1's feas_tol, so confirm through a two-phase
+      // solve (allow_seed=false keeps the retry from looping on the seed).
       warm.valid = false;
       return solve_warm_inner(ws, warm, opt, /*allow_seed=*/false);
     }
+    const std::size_t epos = nzk[pick];
+    const std::uint32_t enter = listed[epos].col;
+    const std::uint32_t eslot = listed[epos].slot;
 
     // --- Pivot over the packed support ---
-    // The live entering column holds every row's update factor; it is read
-    // by all the updates below and zeroed only afterwards.  Its nonzeros
-    // span rows [lo, hi): every factor outside is 0.0, where the updates
-    // are exact no-ops on a -0.0-free tableau (docs/perf.md, "The row-span
-    // argument"), so they run on the span only.  ecol[leave] is the
-    // nonzero pivot, so both scans stop.
-    double* ecol = &ws.at[enter * m_];
+    // The entering column's slot holds every row's update factor.  Its
+    // nonzeros span rows [lo, hi); outside, the updates are exact no-ops
+    // on a -0.0-free tableau (docs/perf.md, "The row-span argument").
+    double* ecol = blk + eslot * m_;
     std::size_t lo = 0, hi = m_;
     while (ecol[lo] == 0.0) ++lo;
     while (ecol[hi - 1] == 0.0) --hi;
-    const double piv = ecol[leave];
-    const double inv = 1.0 / piv;
+    const double inv = 1.0 / ecol[leave];
     for (std::size_t k = 0; k < nnz; ++k) {
-      const std::size_t j = nzi[k];
-      if (j == enter) {
-        nzv[k] = 1.0;  // clean exact unit entry (as the row-major scale wrote)
-        continue;      // the column itself becomes the unit column below
+      if (k == pick) {
+        nzv[k] = 1.0;  // clean exact unit entry
+        continue;
       }
       const double sv = nzv[k] * inv;
       nzv[k] = sv;
-      double* cj = &ws.at[j * m_];
-      // Classical update: cj[i] -= f_i * sv for every row i != leave with
-      // f_i != 0.  The axpy also runs the skipped cases inside the span --
-      // f_i == 0 rows (subtracting sv*0.0 == +-0.0 is an exact no-op on a
-      // -0.0-free tableau) and the pivot row (overwritten right after with
-      // the scaled value, exactly what the row-major scale step stored).
+      double* cj = blk + listed[nzk[k]].slot * m_;
+      // cj[i] -= f_i * sv over the span; the pivot row is overwritten with
+      // its scaled value right after.
       kt.lp_row_sub_scaled(cj + lo, ecol + lo, sv, hi - lo);
       cj[leave] = sv;
     }
-    ws.rhs[leave] *= inv;
+    rhs[leave] *= inv;
     // Rows with a zero factor are untouched and must NOT see the clamp.
-    kt.lp_rhs_pivot(ws.rhs.data() + lo, ecol + lo, leave - lo, hi - lo);
+    kt.lp_rhs_pivot(rhs + lo, ecol + lo, leave - lo, hi - lo);
+    // An implicit leaving column's 1.0 scales to 1.0 * inv.
+    const std::uint32_t out = static_cast<std::uint32_t>(ws.basis[leave]);
+    const bool out_implicit =
+        ws.where[out] != SolverWorkspace::kDead && ws.where[out] >= kImplicit;
+    const double sv_out = 1.0 * inv;
     const double fz = ws.z[enter];
     if (fz != 0.0) {
-      for (std::size_t k = 0; k < nnz; ++k) ws.z[nzi[k]] -= fz * nzv[k];
+      for (std::size_t k = 0; k < nnz; ++k) ws.z[listed[nzk[k]].col] -= fz * nzv[k];
+      if (out_implicit) ws.z[out] -= fz * sv_out;
       ws.z[enter] = 0.0;
     }
-    // The entering column becomes a unit column: every row the update
-    // touched (f != 0, all inside the span) is explicitly zeroed, the rows
-    // outside already held +0.0, and the pivot row gets the clean 1.0 --
-    // exact by construction, so it is certified on entry and leaves the
-    // gather list.
-    std::fill(ecol + lo, ecol + hi, 0.0);
-    ecol[leave] = 1.0;
+
+    // The entering column becomes the exact unit column of `leave`.  An
+    // implicit leaving column takes its slot, filled with what the full
+    // tableau computes for that unit column (+0.0 outside the span, where
+    // ecol already holds +0.0), and its entry moves to its sorted place.
+    // Otherwise the slot falls out of use: a listed leaving column was
+    // updated in place above, a dead one is never read.
+    ws.where[enter] = kImplicit | static_cast<std::uint32_t>(leave);
     ws.basis[leave] = enter;
-    gather.erase(std::lower_bound(gather.begin(), gather.end(),
-                                  static_cast<std::uint32_t>(enter)));
+    if (out_implicit) {
+      for (std::size_t i = lo; i < hi; ++i) ecol[i] = 0.0 - ecol[i] * sv_out;
+      ecol[leave] = sv_out;
+      ws.where[out] = eslot;
+      std::size_t p = epos;
+      for (; p > 0 && listed[p - 1].col > out; --p) listed[p] = listed[p - 1];
+      for (; p + 1 < listed.size() && listed[p + 1].col < out; ++p) listed[p] = listed[p + 1];
+      listed[p] = {out, eslot};
+    } else {
+      listed.erase(listed.begin() + static_cast<std::ptrdiff_t>(epos));
+    }
   }
 
   if (!ok) {

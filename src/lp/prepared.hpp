@@ -22,19 +22,20 @@
 ///     declare such rows "dynamic" at construction to reserve the extra
 ///     slack+artificial columns up front).
 ///
-/// The warm continuation (solve_warm) runs on a TRANSPOSED (column-major)
-/// copy of the working tableau: the dual pivot's rank-1 update touches only
-/// the pivot row's support columns (~10% dense on the MPC tableaus), and in
-/// column-major storage each of those is one contiguous streaming axpy
-/// instead of a scattered read-modify-write walk over every touched row.
-/// Receding-horizon callers that re-solve the same structure thousands of
-/// times additionally call set_hot_rows: this snapshots the
-/// construction-time template as a canonical warm-start seed -- every
-/// "cold" restart (episode reset, scheduled refactorization) then continues
-/// from the canonical optimum with a few dual pivots instead of re-running
-/// both phases -- and narrows the warm pivots to the *live* columns: those
-/// that may enter plus the B^-1 unit columns of the hot rows.  See
-/// docs/perf.md.
+/// The warm continuation (solve_warm) runs on a CONDENSED copy of the
+/// working tableau: every basic column that is exactly a unit column stays
+/// implicit (the basis map says which row it is basic in), and every other
+/// column the warm pivots read gets one column-major slot.  The dual
+/// pivot's rank-1 update touches only the pivot row's support columns
+/// (~10% dense on the MPC tableaus), and each of those is one contiguous
+/// streaming axpy over its slot.  Receding-horizon callers that re-solve
+/// the same structure thousands of times additionally call set_hot_rows:
+/// this snapshots the construction-time template as a canonical warm-start
+/// seed -- every "cold" restart (episode reset, scheduled refactorization)
+/// then copies the seed's condensed block and continues from the canonical
+/// optimum with a few dual pivots instead of re-running both phases -- and
+/// narrows the warm pivots to the *live* columns: those that may enter
+/// plus the B^-1 unit columns of the hot rows.  See docs/perf.md.
 ///
 /// This is the engine behind poly::SupportSolver (repeated support queries
 /// on one polytope) and the TubeMpc per-step solve (only the x(0) = x0
@@ -70,17 +71,22 @@ struct SolverWorkspace {
   std::vector<std::uint32_t> nz;
   std::vector<double> nzv;
 
-  /// Transposed (column-major) working tableau for the warm continuation:
-  /// column j occupies [j*m, (j+1)*m).  Maintained bit-exactly through
-  /// every dual pivot; refreshed from `a` on true-cold transitions.
-  std::vector<double> at;
-  /// The warm leaving-row gather list: the live columns of `at`, ascending,
-  /// less the certified unit columns -- basic columns whose every entry off
-  /// their own row compares equal to 0.0, so their entry in any other
-  /// leaving row is a zero the gather would drop anyway.  Built when the
-  /// warm tableau is anchored; each dual pivot inserts the leaving column
-  /// at its sorted place and erases the entering one.
-  std::vector<std::uint32_t> gather;
+  /// The condensed warm tableau (docs/perf.md, "The condensed warm
+  /// tableau"): one column-major slot [s*m, (s+1)*m) of `blk` per live
+  /// column that is not a certified unit column (basic, exactly 1.0 on its
+  /// row and +0.0 elsewhere).  `listed` holds the explicit columns
+  /// ascending, for the order-sensitive ratio test; `where` maps each
+  /// column to its slot, to kImplicit | its basic row, or to kDead.
+  struct Slot {
+    std::uint32_t col, slot;
+  };
+  static constexpr std::uint32_t kImplicit = 0x80000000u, kDead = 0xffffffffu;
+  std::vector<double> blk;
+  std::vector<Slot> listed;
+  std::vector<std::uint32_t> where;
+  /// `rhs` may hold a -0.0 (a two-phase drive-out can leave one), so an
+  /// implicit column's rhs update replays the full column's zero adds.
+  bool rhs_neg_zero = false;
 };
 
 /// A Problem converted to standard form once, solvable many times.
@@ -111,13 +117,12 @@ class PreparedProblem {
   /// Declare the constraint rows whose right-hand sides change between
   /// warm solves (e.g. the x(0) = x0 equalities of an MPC step); every
   /// other row is frozen from here on, and set_rhs on it throws
-  /// PreconditionError.  That contract is what lets the warm pivots skip
+  /// PreconditionError.  That contract is what lets the warm tableau drop
   /// the dead columns: an artificial column never enters, and the warm
   /// path reads it back only as the B^-1 unit column of a patched row, so
-  /// only the hot rows' artificials stay live (2 of 22 on the acc MPC).
-  /// Dead columns of the carried tableau go stale; the results are
-  /// bit-identical because no live value depends on them.  The call also
-  /// sends every existing WarmState of this problem cold.
+  /// only the hot rows' artificials stay live (2 of 22 on the acc MPC) and
+  /// the rest get no slot.  The call also sends every existing WarmState of
+  /// this problem cold.
   ///
   /// The template AS IT STANDS RIGHT NOW is snapshotted as the canonical
   /// warm-start seed: the first cold solve_warm lazily solves it once, and
@@ -258,24 +263,19 @@ class PreparedProblem {
   std::size_t seed_obj_revision_ = 0;
   mutable bool seed_built_ = false;  ///< build attempted (ok or not)
   mutable bool seed_ok_ = false;     ///< canonical solve reached optimality
-  // Canonical template capture (moved out when the seed is built).
-  mutable std::vector<double> seed_src_a_, seed_src_rhs_;
-  mutable std::vector<std::size_t> seed_src_basis_;
-  // Canonical optimum: transposed tableau/rhs/z/basis/gather list plus the
-  // pre-solve rhs+orientation it answers for (the warm snapshot every
-  // restart re-anchors on).
-  mutable std::vector<double> seed_at_, seed_rhs_, seed_z_, seed_b_;
-  mutable std::vector<std::size_t> seed_basis_;
-  mutable std::vector<unsigned char> seed_flip_;
-  mutable std::vector<std::uint32_t> seed_gather_;
+  // The canonical template, solved in place by build_seed into the
+  // condensed optimum every restart copies, plus the pre-solve
+  // rhs+orientation it answers for (the warm snapshot).
+  mutable SolverWorkspace seed_;
+  std::vector<double> seed_b_;
+  std::vector<unsigned char> seed_flip_;
 
   Result run_phases(SolverWorkspace& ws, const SimplexOptions& options) const;
   Result extract(SolverWorkspace& ws) const;
   Result solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
                           const SimplexOptions& options, bool allow_seed) const;
-  void build_seed(SolverWorkspace& ws, const SimplexOptions& options) const;
-  void transpose_into(SolverWorkspace& ws) const;
-  void certify_unit_cols(SolverWorkspace& ws) const;
+  void build_seed(const SimplexOptions& options) const;
+  void condense(SolverWorkspace& ws) const;
   void update_live_cols();
 };
 

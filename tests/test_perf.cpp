@@ -371,39 +371,96 @@ std::size_t count_negative_zeros(const std::vector<double>& v) {
   return count;
 }
 
-TEST(PreparedProblem, WarmTableauStaysFreeOfNegativeZeros) {
-  // The warm pivot skips the rows outside the entering column's nonzero
-  // span and zeroes only the span when the column enters.  Both are exact
-  // only while the carried tableau and rhs hold no -0.0 (docs/perf.md, "The
-  // row-span argument"); pin that invariant across seed restarts and the
-  // warm continuations between them.
-  const Problem p = mpc_shaped_lp(10);
-  PreparedProblem hot(p), cold(p);
-  hot.set_hot_rows({0, 1});
-  SolverWorkspace ws_warm, ws_cold;
-  PreparedProblem::WarmState warm;
-  Rng rng(53);
-  double x[2] = {0.0, 0.0};
-  std::size_t seed_restarts = 0;
-  for (std::size_t k = 0; k < 600; ++k) {
-    // A random walk pulled back towards the origin: states stay feasible
-    // while the active set keeps changing.
-    x[0] = 0.9 * x[0] + rng.uniform(-0.4, 0.4);
-    x[1] = 0.9 * x[1] + rng.uniform(-0.25, 0.25);
-    for (std::size_t i = 0; i < 2; ++i) {
-      hot.set_rhs(i, x[i]);
-      cold.set_rhs(i, x[i]);
-    }
-    const oic::lp::Result rw = hot.solve_warm(ws_warm, warm);
-    const oic::lp::Result rc = cold.solve(ws_cold);
-    ASSERT_EQ(rc.status, oic::lp::Status::kOptimal) << "step " << k;
-    ASSERT_EQ(rw.status, oic::lp::Status::kOptimal) << "step " << k;
-    EXPECT_NEAR(rc.objective, rw.objective, 1e-8) << "step " << k;
-    if (warm.solves_since_cold == 1) ++seed_restarts;
-    ASSERT_EQ(count_negative_zeros(ws_warm.at), 0u) << "step " << k;
-    ASSERT_EQ(count_negative_zeros(ws_warm.rhs), 0u) << "step " << k;
+/// -0.0 entries in slot `slot` of the condensed warm tableau.
+std::size_t slot_negative_zeros(const SolverWorkspace& ws, std::size_t m, std::uint32_t slot) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const double x = ws.blk[slot * m + i];
+    count += (x == 0.0 && std::signbit(x)) ? 1 : 0;
   }
-  EXPECT_GE(seed_restarts, 2u);
+  return count;
+}
+
+TEST(PreparedProblem, WarmTableauStaysFreeOfNegativeZeros) {
+  // The condensed warm pivot is exact only while the tableau it carries
+  // holds no -0.0 (docs/perf.md, "Signed zeros"): the column updates skip
+  // the rows outside the entering column's nonzero span, an implicit unit
+  // column stands for +0.0 off its row, and a leaving column's slot reuses
+  // the entering column's +0.0 outside the span.  Pin that invariant, and
+  // the slot bookkeeping, across seed restarts and a two-phase anchor (no
+  // seed), with the warm continuations after each.  A slot written for a
+  // leaving column is checked at the end of the solve that wrote it.
+  using Ws = SolverWorkspace;
+  for (const bool seeded : {true, false}) {
+    SCOPED_TRACE(seeded ? "seed restarts" : "two-phase anchors");
+    const Problem p = mpc_shaped_lp(10);
+    PreparedProblem hot(p), cold(p);
+    if (seeded) hot.set_hot_rows({0, 1});
+    const std::size_t m = hot.num_rows();
+    SolverWorkspace ws_warm, ws_cold;
+    PreparedProblem::WarmState warm;
+    Rng rng(53);
+    double x[2] = {0.0, 0.0};
+    std::size_t anchors = 0, leaving_slots = 0;
+    std::vector<std::size_t> basis_before;
+    for (std::size_t k = 0; k < 600; ++k) {
+      // A random walk pulled back towards the origin: states stay feasible
+      // while the active set keeps changing.
+      x[0] = 0.9 * x[0] + rng.uniform(-0.4, 0.4);
+      x[1] = 0.9 * x[1] + rng.uniform(-0.25, 0.25);
+      for (std::size_t i = 0; i < 2; ++i) {
+        hot.set_rhs(i, x[i]);
+        cold.set_rhs(i, x[i]);
+      }
+      basis_before = ws_warm.basis;
+      const oic::lp::Result rw = hot.solve_warm(ws_warm, warm);
+      const oic::lp::Result rc = cold.solve(ws_cold);
+      ASSERT_EQ(rc.status, oic::lp::Status::kOptimal) << "step " << k;
+      ASSERT_EQ(rw.status, oic::lp::Status::kOptimal) << "step " << k;
+      EXPECT_NEAR(rc.objective, rw.objective, 1e-8) << "step " << k;
+      const bool continued = warm.solves_since_cold > 1;
+      if (warm.solves_since_cold == 1) ++anchors;
+
+      // Bookkeeping: the slot list ascends, each entry owns its slot, and
+      // every implicit column is basic in the row it names.
+      std::vector<unsigned char> slot_used(ws_warm.blk.size() / m, 0);
+      for (std::size_t i = 0; i < ws_warm.listed.size(); ++i) {
+        const Ws::Slot c = ws_warm.listed[i];
+        if (i > 0) {
+          ASSERT_LT(ws_warm.listed[i - 1].col, c.col) << "step " << k;
+        }
+        ASSERT_EQ(ws_warm.where[c.col], c.slot) << "step " << k;
+        ASSERT_LT(c.slot, slot_used.size());
+        ASSERT_EQ(slot_used[c.slot], 0) << "step " << k;
+        slot_used[c.slot] = 1;
+        ASSERT_EQ(slot_negative_zeros(ws_warm, m, c.slot), 0u)
+            << "step " << k << " column " << c.col;
+      }
+      for (std::size_t j = 0; j < ws_warm.where.size(); ++j) {
+        const std::uint32_t w = ws_warm.where[j];
+        if (w == Ws::kDead || w < Ws::kImplicit) continue;
+        ASSERT_EQ(ws_warm.basis[w & ~Ws::kImplicit], j) << "step " << k;
+      }
+      // Each column the continuation pivoted out owns a slot, written when
+      // it left.
+      if (continued) {
+        for (const std::size_t j : basis_before) {
+          if (std::find(ws_warm.basis.begin(), ws_warm.basis.end(), j) != ws_warm.basis.end()) {
+            continue;
+          }
+          if (ws_warm.where[j] == Ws::kDead) continue;
+          ASSERT_LT(ws_warm.where[j], Ws::kImplicit) << "step " << k << " column " << j;
+          ++leaving_slots;
+        }
+      }
+      // The rhs may carry a -0.0 only where the workspace says so.
+      if (!ws_warm.rhs_neg_zero) {
+        ASSERT_EQ(count_negative_zeros(ws_warm.rhs), 0u) << "step " << k;
+      }
+    }
+    EXPECT_GE(anchors, 2u);
+    EXPECT_GT(leaving_slots, 20u);
+  }
 }
 
 TEST(SupportSolver, MatchesFreshProblemAnswers) {
