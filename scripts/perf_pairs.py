@@ -10,13 +10,14 @@ run length.  Each side builds into its own CARGO_TARGET_DIR; the base
 side's is keyed by the resolved commit, so a reused --work-dir never
 mixes objects of two base revisions.  Both sides compile with
 -ffile-prefix-map=<tree>=. appended to any inherited CXXFLAGS, so the
-source paths baked into each binary (__FILE__ in the error macros) no
-longer differ between the exported tree and the checkout: the same
-commit on both sides builds byte-identical binaries, and the report says
-so.  For the same reason both sides build with GIT_DIR pointing at no
-repository: the git SHA the build stamps into the binaries reads
-"unknown" on both, instead of the checkout's commit on one side only.  The base side runs first on odd pairs and second on even ones.  Pair 1 always uses the held-out seed
-9001; the other pairs use seeds --first-seed, --first-seed + 1, ...
+source paths baked into each binary (__FILE__ in the error macros) do
+not differ between the exported tree and the checkout, and with GIT_DIR
+pointing at no repository, so the git SHA the build stamps into the
+binaries reads "unknown" on both.  One commit on both sides thus builds
+byte-identical binaries; the report prints their sha256 and says so.
+The base side runs first on odd pairs and second on even ones.  Pair 1
+always uses the held-out seed 9001; the other pairs use seeds
+--first-seed, --first-seed + 1, ...
 
 For every end-to-end metric of BENCHMARK.json (per-layer with --trace 1)
 it prints each side's median and interquartile range, how many pairs the
@@ -50,6 +51,8 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 HELD_OUT_SEED = 9001
+# What perfbench/run.py builds, relative to its CARGO_TARGET_DIR.
+BINARIES = {"perfbench": "perfbench/perfbench", "oic_serve": "perfbench/oic/oic_serve"}
 
 
 def resolve(rev):
@@ -82,8 +85,9 @@ def prefix_map_flags(tree):
 
 
 def prepare_build_dir(target_dir, flags):
-    """Drop a build directory configured with other CXXFLAGS (a --work-dir
-    reused across this change): CMake would keep its cached flags."""
+    """Drop a build directory configured with other CXXFLAGS, such as the
+    head build of a reused --work-dir after the checkout moved: CMake
+    would keep its cached flags."""
     cache = os.path.join(target_dir, "perfbench", "CMakeCache.txt")
     if not os.path.exists(cache):
         return
@@ -101,13 +105,6 @@ def sha256(path):
             return hashlib.sha256(f.read()).hexdigest()
     except OSError:
         return None
-
-
-def binaries(target_dir):
-    """The perfbench runner and server a side built (perfbench/run.py)."""
-    bdir = os.path.join(target_dir, "perfbench")
-    return {"perfbench": os.path.join(bdir, "perfbench"),
-            "oic_serve": os.path.join(bdir, "oic", "oic_serve")}
 
 
 def run_side(tree, target_dir, workload, seed, trace):
@@ -194,16 +191,17 @@ def main():
                             f"(failed {rep['failed']})")
             print(f"pair {i + 1:2d} seed {seed:5d} {order[0]} first: "
                   f"base {vals[0]}, head {vals[1]}", flush=True)
-        digests = {side: {name: sha256(path) for name, path in binaries(target).items()}
+        digests = {side: {name: sha256(os.path.join(target, rel))
+                          for name, rel in BINARIES.items()}
                    for side, (_, target) in sides.items()}
     finally:
         if own_work:
             shutil.rmtree(work, ignore_errors=True)
 
-    for name in ("perfbench", "oic_serve"):
+    for name in BINARIES:
         print(f"{name} sha256: base {digests['base'][name]}, head {digests['head'][name]}")
     same = all(digests["base"][n] is not None and digests["base"][n] == digests["head"][n]
-               for n in ("perfbench", "oic_serve"))
+               for n in BINARIES)
     print("identical binaries" if same else "binaries differ")
 
     bad = [(r["pair"], side) for r in runs for side in ("base", "head")
