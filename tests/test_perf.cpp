@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "common/error.hpp"
@@ -461,6 +462,70 @@ TEST(PreparedProblem, WarmTableauStaysFreeOfNegativeZeros) {
     EXPECT_GE(anchors, 2u);
     EXPECT_GT(leaving_slots, 20u);
   }
+}
+
+TEST(PreparedProblem, ImplicitUnitColumnsMatchExplicitSlots) {
+  // Condensing is exact: a certified unit column kept as an explicit slot
+  // (its 1.0 and +0.0s stored) must give the same bits as the implicit
+  // one.  Expand every implicit column of a warm workspace into a slot and
+  // run the same solves through both copies.  The expanded copy takes the
+  // paths the production tableaus rarely reach: a listed leaving column
+  // updated in place, and hot-row rhs updates read from unit slots.
+  using Ws = SolverWorkspace;
+  const auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  const Problem p = mpc_shaped_lp(10);
+  PreparedProblem prep(p);
+  prep.set_hot_rows({0, 1});
+  const std::size_t m = prep.num_rows();
+  SolverWorkspace ws;
+  PreparedProblem::WarmState warm;
+  ASSERT_EQ(prep.solve_warm(ws, warm).status, oic::lp::Status::kOptimal);
+
+  SolverWorkspace full = ws;
+  PreparedProblem::WarmState warm_full = warm;
+  std::size_t expanded = 0;
+  for (std::uint32_t j = 0; j < full.where.size(); ++j) {
+    const std::uint32_t w = full.where[j];
+    if (w == Ws::kDead || w < Ws::kImplicit) continue;
+    const auto slot = static_cast<std::uint32_t>(full.blk.size() / m);
+    full.blk.resize(full.blk.size() + m, 0.0);
+    full.blk[slot * m + (w & ~Ws::kImplicit)] = 1.0;
+    full.where[j] = slot;
+    const auto pos = std::lower_bound(full.listed.begin(), full.listed.end(), j,
+                                      [](const Ws::Slot& c, std::uint32_t col) {
+                                        return c.col < col;
+                                      });
+    full.listed.insert(pos, {j, slot});
+    ++expanded;
+  }
+  ASSERT_GT(expanded, 20u);
+
+  Rng rng(61);
+  double x[2] = {0.0, 0.0};
+  for (std::size_t k = 0; k < 200; ++k) {
+    x[0] = 0.9 * x[0] + rng.uniform(-0.4, 0.4);
+    x[1] = 0.9 * x[1] + rng.uniform(-0.25, 0.25);
+    for (std::size_t i = 0; i < 2; ++i) prep.set_rhs(i, x[i]);
+    const oic::lp::Result rc = prep.solve_warm(ws, warm);
+    const oic::lp::Result rf = prep.solve_warm(full, warm_full);
+    ASSERT_EQ(rc.status, oic::lp::Status::kOptimal) << "step " << k;
+    ASSERT_EQ(rf.status, oic::lp::Status::kOptimal) << "step " << k;
+    ASSERT_EQ(bits(rc.objective), bits(rf.objective)) << "step " << k;
+    ASSERT_EQ(rc.x.size(), rf.x.size());
+    for (std::size_t j = 0; j < rc.x.size(); ++j) {
+      ASSERT_EQ(bits(rc.x[j]), bits(rf.x[j])) << "step " << k;
+    }
+    ASSERT_EQ(ws.basis, full.basis) << "step " << k;
+  }
+  // Both stayed on their carried tableaus (no refactorization in between).
+  EXPECT_EQ(warm_full.solves_since_cold, warm.solves_since_cold);
+  EXPECT_GT(warm.solves_since_cold, 200u);
+  // Some expanded unit columns left the basis as listed columns.
+  EXPECT_LT(full.listed.size(), ws.listed.size() + expanded);
 }
 
 TEST(SupportSolver, MatchesFreshProblemAnswers) {
