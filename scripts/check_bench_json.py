@@ -3,8 +3,8 @@
 
 Usage: check_bench_json.py DOCUMENT
 
-Every document (oic_eval, oic_train, oic_mc, oic_serve, oic_loadgen and
-bench_kernels --json) must satisfy:
+Every document (oic_eval, oic_train, oic_mc, oic_serve and bench_kernels
+--json) must satisfy:
   * "safety_violations" must be false (Theorem 1: the monitor never lets
     the loop leave X);
   * "schema_version" must be a positive integer (the shared jsonout::Doc
@@ -31,11 +31,6 @@ bench_kernels --json) must satisfy:
     carry p_hat in [0, 1], a well-ordered ci95 containing p_hat, an
     extinct_batches count consistent with its batches[], and per batch
     a level ladder with matching survivor counts, each <= trials;
-  * "serve_tick_latency_ms" (an oic_loadgen document), when present, must
-    be a non-empty array whose entries carry a positive sample count,
-    ordered p50 <= p99 <= max and ordered submit_/wait_ component
-    percentiles (the round-trip split that reads transport cost against
-    tick cost);
   * "kernels" (bench_kernels --json, the per-ISA dispatch-table
     microbench), when present, must report avx2_native as a bool and, for
     every kernel, a positive bytes_per_op and positive ns_per_op /
@@ -228,35 +223,6 @@ def check_semantics(candidate, errors):
                                           f"must be an integer in "
                                           f"[0, trials]")
                             break
-
-    ticks = candidate.get("serve_tick_latency_ms")
-    if ticks is not None:
-        if not isinstance(ticks, list) or not ticks:
-            errors.append("serve_tick_latency_ms: must be a non-empty array "
-                          "of per-control-period latency histograms")
-        else:
-            for i, tl in enumerate(ticks):
-                path = f"serve_tick_latency_ms[{i}]"
-                if not isinstance(tl, dict):
-                    errors.append(f"{path}: must be an object")
-                    continue
-                samples = tl.get("samples")
-                if not isinstance(samples, int) or isinstance(samples, bool) \
-                        or samples < 1:
-                    errors.append(f"{path}.samples: must be a positive integer")
-                vals = [tl.get(k) for k in ("p50", "p99", "max")]
-                if not all(isinstance(v, (int, float)) and
-                           not isinstance(v, bool) for v in vals) or \
-                        not 0 <= vals[0] <= vals[1] <= vals[2]:
-                    errors.append(f"{path}: must satisfy 0 <= p50 <= p99 <= max")
-                for lo_key, hi_key in (("submit_p50", "submit_p99"),
-                                       ("wait_p50", "wait_p99")):
-                    lo, hi = tl.get(lo_key), tl.get(hi_key)
-                    if not all(isinstance(v, (int, float)) and
-                               not isinstance(v, bool) for v in (lo, hi)) or \
-                            not 0 <= lo <= hi:
-                        errors.append(f"{path}: must satisfy 0 <= {lo_key} "
-                                      f"<= {hi_key}")
 
     kernels = candidate.get("kernels")
     if kernels is not None:

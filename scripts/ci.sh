@@ -48,16 +48,17 @@
 #                (which enforces left_x_episodes == 0 for faulted
 #                documents), and the CLI error paths (malformed --faults,
 #                unknown preset) must exit nonzero with a diagnostic
-#   serve smoke  an oic_loadgen burst against the in-process monitor server
-#                (captured with --emit), the capture replayed through the
-#                standalone oic_serve over stdio, the same traffic driven
-#                against a background `oic_serve --listen` over a real
-#                loopback socket (burst:<k> sessions and a sharded tick,
-#                shut down with SIGINT), decision counts diffed across the
-#                in-process, stdio, and socket runs, the capture replayed
-#                with --workers 1 --tick-workers 1 and with --workers 4
-#                --tick-workers 2 and the two response streams compared
-#                byte for byte (cmp), every JSON report passing
+#   serve smoke  the committed request capture tests/golden/serve_smoke.reqs
+#                (toy2d bang-bang, burst:3 and periodic-2 sessions, pinned
+#                by test_serve) replayed through oic_serve over stdio with
+#                --workers 1 --tick-workers 1 and with --workers 4
+#                --tick-workers 2, the two response streams compared byte
+#                for byte (cmp); the same documents sent lock-step to a
+#                background `oic_serve --listen` (sharded tick, shut down
+#                with SIGINT) from an inline Python client, its response
+#                bytes compared with the stdio replay's; both runs must
+#                answer every captured decide with a decision and draw no
+#                error response, every JSON report passes
 #                check_bench_json.py, and the malformed-request error path
 #                (garbage on --in must exit nonzero with an oic_serve:
 #                diagnostic)
@@ -182,14 +183,15 @@ fi
 if [[ ${do_bench} -eq 1 ]]; then
   echo "=== perf guard: alternating perfbench pairs against the merge-base ==="
   # Relative, so no machine-bound reference: the merge-base with
-  # origin/main (its parent when HEAD is that commit) and the checkout run
-  # the same perfbench workloads in alternating pairs on this machine.
+  # origin/main (its parent when HEAD is that commit) and a snapshot of the
+  # checkout run the same perfbench workloads in alternating pairs on this
+  # machine, from sibling trees of one path length.
   # perf_pairs.py exits nonzero when periods_per_s loses at least 9 of
   # every 10 pairs by more than the base IQR, when an end-to-end median is
   # worse than its BENCHMARK.json bound, or when a run fails.  Ten pairs,
   # not five: at five the rule needs every pair lost, and one disturbed
-  # base run let a 16% slowdown through.  Builds are kept in .perf_pairs/
-  # (the base side keyed by its commit).
+  # base run let a 16% slowdown through.  Trees and builds are kept in
+  # .perf_pairs/ (the base side keyed by its commit).
   base="$(git -C "${repo_root}" merge-base origin/main HEAD)"
   if [[ "${base}" == "$(git -C "${repo_root}" rev-parse HEAD)" ]]; then
     base="$(git -C "${repo_root}" rev-parse HEAD^)"
@@ -389,55 +391,35 @@ EOF
 fi
 
 if [[ ${do_serve} -eq 1 ]]; then
-  echo "=== serve smoke: oic_loadgen burst -> oic_serve replay + error path ==="
+  echo "=== serve smoke: capture replay over stdio and a socket + error path ==="
   smoke_build="${repo_root}/build"
   cmake -B "${smoke_build}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "${smoke_build}" --target oic_serve oic_loadgen -j"$(nproc)"
+  cmake --build "${smoke_build}" --target oic_serve -j"$(nproc)"
   serve_dir="${smoke_build}/ci-serve"
   rm -rf "${serve_dir}"
   mkdir -p "${serve_dir}"
-  # Burst against the in-process server, capturing the exact request
-  # traffic (client-assigned session ids make the capture replayable).
-  "${smoke_build}/oic_loadgen" --plants toy2d --sessions 256 --steps 5 \
-    --clients 3 --workers 2 --emit "${serve_dir}/burst.reqs" \
-    --json "${serve_dir}/LOADGEN_smoke.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" \
-    "${serve_dir}/LOADGEN_smoke.json"
-  # Replay the capture through the standalone server; a fresh server fed
-  # the same requests must issue the same number of decisions and no
-  # errors.
-  "${smoke_build}/oic_serve" --in "${serve_dir}/burst.reqs" \
-    --out "${serve_dir}/burst.resps" --workers 2 \
-    --json "${serve_dir}/SERVE_smoke.json"
-  python3 "${repo_root}/scripts/check_bench_json.py" \
-    "${serve_dir}/SERVE_smoke.json"
-  python3 - "${serve_dir}/LOADGEN_smoke.json" "${serve_dir}/SERVE_smoke.json" <<'EOF'
-import json, sys
-lg, sv = (json.load(open(p)) for p in sys.argv[1:3])
-want = lg["loadgen"]["decisions"]
-got = sv["serve"]["decisions"]
-if want == 0 or got != want:
-    sys.exit(f"serve smoke: replay produced {got} decisions, expected {want}")
-if sv["serve"]["errors"] or sv["serve"]["invariant_errors"]:
-    sys.exit("serve smoke: replay drew error responses from a clean capture")
-print(f"serve smoke: replay reproduced all {got} decisions, zero errors")
-EOF
+  capture="${repo_root}/tests/golden/serve_smoke.reqs"
+  grep -q " policy burst:" "${capture}" || {
+    echo "serve smoke: the capture must include burst sessions" >&2
+    exit 1
+  }
   # Bytes, not counts: the capture replayed inline (one membership worker,
   # one tick worker) and pooled (four and two) must give the same response
   # stream byte for byte.
-  "${smoke_build}/oic_serve" --in "${serve_dir}/burst.reqs" \
-    --out "${serve_dir}/burst_w1.resps" --workers 1 --tick-workers 1
-  "${smoke_build}/oic_serve" --in "${serve_dir}/burst.reqs" \
-    --out "${serve_dir}/burst_w4.resps" --workers 4 --tick-workers 2
-  cmp "${serve_dir}/burst_w1.resps" "${serve_dir}/burst_w4.resps" || {
+  "${smoke_build}/oic_serve" --in "${capture}" --out "${serve_dir}/w1.resps" \
+    --workers 1 --tick-workers 1 --json "${serve_dir}/SERVE_smoke.json"
+  "${smoke_build}/oic_serve" --in "${capture}" --out "${serve_dir}/w4.resps" \
+    --workers 4 --tick-workers 2
+  cmp "${serve_dir}/w1.resps" "${serve_dir}/w4.resps" || {
     echo "serve smoke: response bytes differ across worker counts" >&2
     exit 1
   }
-  # The same traffic over a real loopback socket: a background
+  # The same documents over a real loopback socket: a background
   # `oic_serve --listen` (ephemeral port published via --port-file, tick
-  # sharded across two workers) serves an oic_loadgen --connect fleet with
-  # burst:<k> sessions in the mix, then shuts down cleanly on SIGINT.  The
-  # decision count must match the in-process and stdio runs.
+  # sharded across two workers) answers a lock-step client -- send one
+  # document, read its response through the `end` line, send the next --
+  # and then shuts down cleanly on SIGINT.  The socket response bytes must
+  # equal the stdio replay's.
   "${smoke_build}/oic_serve" --listen 0 --port-file "${serve_dir}/serve.port" \
     --workers 2 --tick-workers 2 \
     --json "${serve_dir}/SERVE_socket_smoke.json" 2>"${serve_dir}/serve.log" &
@@ -450,36 +432,60 @@ EOF
     echo "serve smoke: oic_serve --listen never published its port" >&2
     exit 1
   }
-  "${smoke_build}/oic_loadgen" --plants toy2d --sessions 256 --steps 5 \
-    --clients 3 --policy "bang-bang,burst:3" \
-    --connect "127.0.0.1:$(cat "${serve_dir}/serve.port")" \
-    --json "${serve_dir}/LOADGEN_socket_smoke.json"
+  # The server is stopped whether or not the client succeeds.
+  client_ok=1
+  python3 - "${serve_dir}/serve.port" "${capture}" \
+    "${serve_dir}/socket.resps" <<'EOF' || client_ok=0
+import socket, sys
+port = int(open(sys.argv[1]).read())
+docs, cur = [], []
+for line in open(sys.argv[2], "rb"):
+    cur.append(line)
+    if line == b"end\n":
+        docs.append(b"".join(cur))
+        cur = []
+with socket.create_connection(("127.0.0.1", port)) as s, \
+        s.makefile("rb") as resp, open(sys.argv[3], "wb") as out:
+    for doc in docs:
+        s.sendall(doc)
+        line = None
+        while line != b"end\n":
+            line = resp.readline()
+            if not line:
+                sys.exit("serve smoke: the server closed the connection mid-run")
+            out.write(line)
+print(f"serve smoke: {len(docs)} documents answered over the socket")
+EOF
   kill -INT "${serve_pid}"
   wait "${serve_pid}"
+  [[ ${client_ok} -eq 1 ]] || {
+    echo "serve smoke: the socket client failed" >&2
+    exit 1
+  }
+  cmp "${serve_dir}/w1.resps" "${serve_dir}/socket.resps" || {
+    echo "serve smoke: socket response bytes differ from the stdio replay" >&2
+    exit 1
+  }
   python3 "${repo_root}/scripts/check_bench_json.py" \
-    "${serve_dir}/LOADGEN_socket_smoke.json"
+    "${serve_dir}/SERVE_smoke.json"
   python3 "${repo_root}/scripts/check_bench_json.py" \
     "${serve_dir}/SERVE_socket_smoke.json"
-  python3 - "${serve_dir}/LOADGEN_smoke.json" \
-    "${serve_dir}/LOADGEN_socket_smoke.json" \
+  python3 - "${capture}" "${serve_dir}/SERVE_smoke.json" \
     "${serve_dir}/SERVE_socket_smoke.json" <<'EOF'
 import json, sys
-inproc, socklg, socksv = (json.load(open(p)) for p in sys.argv[1:4])
-want = inproc["loadgen"]["decisions"]
-got_client = socklg["loadgen"]["decisions"]
-got_server = socksv["serve"]["decisions"]
-if want == 0 or got_client != want or got_server != want:
-    sys.exit(f"serve smoke: socket run decisions (client {got_client}, "
-             f"server {got_server}) != in-process run ({want})")
-if socklg["loadgen"]["errors"] or socksv["serve"]["errors"] \
-        or socksv["serve"]["invariant_errors"]:
-    sys.exit("serve smoke: socket run drew error responses")
-if socksv["config"]["transport"] != "socket":
+want = sum(1 for line in open(sys.argv[1]) if line.startswith("decide "))
+stdio, sock = (json.load(open(p)) for p in sys.argv[2:4])
+for name, doc in (("stdio", stdio), ("socket", sock)):
+    got = doc["serve"]["decisions"]
+    if want == 0 or got != want:
+        sys.exit(f"serve smoke: {name} run made {got} decisions, the capture "
+                 f"holds {want} decides")
+    if doc["serve"]["errors"] or doc["serve"]["invariant_errors"]:
+        sys.exit(f"serve smoke: {name} run drew error responses")
+if sock["config"]["transport"] != "socket":
     sys.exit("serve smoke: oic_serve --listen must report transport=socket")
-if socklg["loadgen"]["burst_sessions"] == 0:
-    sys.exit("serve smoke: the socket fleet must include burst sessions")
-print(f"serve smoke: socket run reproduced all {want} decisions "
-      f"(stdio, socket, and in-process transports agree), zero errors")
+print(f"serve smoke: stdio and socket runs made all {want} decisions with "
+      f"byte-identical responses, zero errors")
 EOF
   # Error path: a malformed request stream must die with a diagnostic and
   # a nonzero exit, never hang or answer garbage.

@@ -3,15 +3,21 @@
 
     python3 scripts/perf_pairs.py --base <rev> --workload campaign --pairs 10
 
-Exports the base revision into its own tree and runs
-`python3 perfbench/run.py --workload W --seed S` on it and on the current
-checkout (uncommitted changes included) for every pair, at perfbench's own
-run length.  Each side builds into its own CARGO_TARGET_DIR; the base
-side's is keyed by the resolved commit, so a reused --work-dir never
-mixes objects of two base revisions.  Both sides compile with
--ffile-prefix-map=<tree>=. appended to any inherited CXXFLAGS, so the
-source paths baked into each binary (__FILE__ in the error macros) do
-not differ between the exported tree and the checkout, and with GIT_DIR
+Exports the base revision into its own tree, snapshots the current
+checkout (tracked files and files git does not ignore, uncommitted
+changes included) into another, and runs
+`python3 perfbench/run.py --workload W --seed S` on each for every pair,
+at perfbench's own run length.  The two trees are siblings named
+base-<commit> and head-000...0 (as many zeros as the commit has hex
+digits), and each builds into the sibling <tree>-build, so both sides
+run and build from paths of the same length, and the two processes get
+environments and arguments of the same size.  The base build directory
+is keyed by its commit, so a reused --work-dir never mixes objects of
+two base revisions; the head's keeps one name as HEAD moves, and the
+snapshot keeps the checkout's mtimes, so it rebuilds incrementally.
+Both sides compile with -ffile-prefix-map=<tree>=. appended to any
+inherited CXXFLAGS, so the source paths baked into each binary (__FILE__
+in the error macros) do not differ between the trees, and with GIT_DIR
 pointing at no repository, so the git SHA the build stamps into the
 binaries reads "unknown" on both.  One commit on both sides thus builds
 byte-identical binaries; the report prints their sha256 and says so.
@@ -72,6 +78,23 @@ def export_tree(rev, dest):
     archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
                              stdout=subprocess.PIPE, check=True)
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+
+
+def snapshot_checkout(dest):
+    """Copy the checkout as it stands into `dest`: every tracked file plus
+    every untracked file git does not ignore, uncommitted edits included.
+    copy2 keeps each file's mtime, so an incremental build of the snapshot
+    recompiles exactly what one of the checkout itself would."""
+    shutil.rmtree(dest, ignore_errors=True)
+    listed = subprocess.run(["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], stdout=subprocess.PIPE, check=True)
+    for rel in filter(None, listed.stdout.split(b"\0")):
+        src = os.path.join(ROOT, os.fsdecode(rel))
+        if not os.path.isfile(src):  # tracked, deleted in the checkout
+            continue
+        dst = os.path.join(dest, os.fsdecode(rel))
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        shutil.copy2(src, dst)
 
 
 def prefix_map_flags(tree):
@@ -167,10 +190,13 @@ def main():
     own_work = args.work_dir is None
     sides = {}
     try:
-        base_tree = os.path.join(work, "base-" + resolve(args.base))
+        base_sha = resolve(args.base)
+        base_tree = os.path.join(work, "base-" + base_sha)
         export_tree(args.base, base_tree)
+        head_tree = os.path.join(work, "head-" + "0" * len(base_sha))
+        snapshot_checkout(head_tree)
         sides["base"] = (base_tree, base_tree + "-build")
-        sides["head"] = (ROOT, os.path.join(work, "head-build"))
+        sides["head"] = (head_tree, head_tree + "-build")
         for tree, target in sides.values():
             prepare_build_dir(target, prefix_map_flags(tree))
 

@@ -1,8 +1,8 @@
 #pragma once
 /// \file api.hpp
 /// The `oic-serve v1` request/response surface: versioned plain structs and
-/// the text-framed wire grammar the server, the CLIs, and the loadgen
-/// driver all share.
+/// the text-framed wire grammar the server, oic_serve, the socket client,
+/// and the perfbench `serve` client all share.
 ///
 /// Framing follows the cert/agent formats (line-oriented, versioned magic,
 /// explicit `end` sentinel so truncation is detectable):
@@ -27,7 +27,8 @@
 ///
 /// `ref` is a client-chosen correlation id echoed verbatim; `sid` is the
 /// CLIENT-assigned session id (so a recorded request stream replays through
-/// a fresh server -- loadgen partitions the sid space per client).  The
+/// a fresh server -- tests/golden/serve_smoke.reqs is such a capture; a
+/// client fleet partitions the sid space among its connections).  The
 /// first decide of a session carries only the measured state x; every
 /// subsequent decide also carries the input u actually actuated since the
 /// previous decision, which is what lets the server reconstruct the

@@ -47,20 +47,9 @@ class Channel {
     cv_.notify_all();
   }
 
-  /// Block until at least one item is pending (or the channel closes), then
-  /// move everything pending into `out` (cleared first).  Returns false only
-  /// when the channel is closed and drained.
-  bool drain(std::vector<T>& out) {
-    out.clear();
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    out.swap(items_);
-    return true;
-  }
-
-  /// Bounded-wait drain: like drain(), but give up after `timeout` when
-  /// nothing arrives.  The consumer loop blocks on the condition variable
+  /// Block until at least one item is pending, the channel closes, or
+  /// `timeout` passes, then move everything pending into `out` (cleared
+  /// first).  The consumer loop blocks on the condition variable
   /// (no spinning) yet regains control at a bounded cadence, which is what
   /// a tick thread wants: sleep while idle, still notice shutdown and do
   /// periodic housekeeping.  Pending items always win over both closure
@@ -79,7 +68,7 @@ class Channel {
   /// Block until `n` items arrived, then append them to `out` in one splice.
   /// Returns false if the channel closed before all `n` were available; in
   /// that case neither the queue nor `out` is touched, so a caller that can
-  /// tolerate partial delivery may still drain() the remainder.
+  /// tolerate partial delivery may still drain_for() the remainder.
   bool pop_n(std::size_t n, std::vector<T>& out) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return closed_ || items_.size() >= n; });
@@ -98,13 +87,8 @@ class Channel {
     cv_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::vector<T> items_;
   bool closed_ = false;

@@ -11,10 +11,6 @@ void Connection::submit(std::vector<Request> batch) {
   server_->inbox_.push(Server::Envelope{shared_from_this(), std::move(batch)});
 }
 
-bool Connection::await_any(std::vector<Response>& out) {
-  return responses_.drain(out);
-}
-
 std::vector<Response> Connection::await(std::size_t n) {
   std::vector<Response> out;
   out.reserve(n);

@@ -38,14 +38,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Throws NumericalError when the server shuts down first.
   std::vector<Response> await(std::size_t n);
 
-  /// Block until at least one response is pending and move everything
-  /// pending into `out`.  Returns false when the server shut down and the
-  /// stream is fully drained.  This is the out-of-order consumption path:
-  /// a client with several batches in flight correlates each response by
-  /// its `ref` instead of assuming arrival order, so one slow batch never
-  /// convoys the responses of the others through an await(n) barrier.
-  bool await_any(std::vector<Response>& out);
-
  private:
   friend class Server;
   explicit Connection(Server* server) : server_(server) {}

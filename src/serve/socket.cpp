@@ -305,10 +305,6 @@ void SocketClient::submit(const std::vector<Request>& batch) {
               "oic-serve: connection lost while submitting");
 }
 
-bool SocketClient::await_any(std::vector<Response>& out) {
-  return impl_->responses.drain(out);
-}
-
 std::vector<Response> SocketClient::await(std::size_t n) {
   std::vector<Response> out;
   out.reserve(n);
@@ -316,11 +312,6 @@ std::vector<Response> SocketClient::await(std::size_t n) {
     throw NumericalError("oic-serve: connection closed before responding");
   }
   return out;
-}
-
-void SocketClient::close_send() {
-  impl_->os->flush();
-  ::shutdown(impl_->fd, SHUT_WR);
 }
 
 }  // namespace oic::serve

@@ -65,7 +65,7 @@ class SocketListener {
 
 /// Client side of the socket transport.  submit() serializes one request
 /// batch onto the wire; responses stream back per batch document, in
-/// submission order, through a background reader into await()/await_any().
+/// submission order, through a background reader into await().
 /// Not internally synchronized for concurrent submits: one owner thread
 /// submits, the same or another consumes.
 class SocketClient {
@@ -78,22 +78,11 @@ class SocketClient {
   SocketClient& operator=(const SocketClient&) = delete;
 
   /// Serialize + flush one request batch (one `oic-serve v1` document).
-  /// The submit->enqueue cost a caller measures around this call is the
-  /// full client-side wire cost: formatting plus the socket write.
   void submit(const std::vector<Request>& batch);
-
-  /// Block until at least one response is pending and move everything
-  /// pending into `out`.  False when the server closed the connection and
-  /// the stream is drained.
-  bool await_any(std::vector<Response>& out);
 
   /// Block until exactly `n` responses arrived and return them in wire
   /// order.  Throws NumericalError when the connection closes first.
   std::vector<Response> await(std::size_t n);
-
-  /// Half-close the sending side: the server sees EOF, answers whatever
-  /// is in flight, and closes.  await_any() then drains to false.
-  void close_send();
 
  private:
   struct Impl;

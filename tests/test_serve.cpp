@@ -1,7 +1,9 @@
 // Tests for the monitor service stack (src/serve): the `oic-serve v1`
 // wire grammar, the multi-session Service, the threaded Server, and the
 // goldens that pin the served decision stream (the batch runs the
-// per-session monitor's own decision routine, core::DecisionCore).
+// per-session monitor's own decision routine, core::DecisionCore), among
+// them the request capture the CI serve smoke replays
+// (tests/golden/serve_smoke.reqs).
 //
 // The parser corpus follows the PR-5 parser-fuzz discipline
 // (tests/test_parser_fuzz.cpp): the request stream crosses a trust
@@ -14,8 +16,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -32,7 +36,6 @@
 #include "mc/family.hpp"
 #include "rl/serialize.hpp"
 #include "serve/api.hpp"
-#include "serve/loadgen.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -42,6 +45,10 @@ namespace {
 using oic::Rng;
 using oic::serve::Request;
 using oic::serve::Response;
+
+#ifndef OIC_GOLDEN_DIR
+#error "OIC_GOLDEN_DIR must point at the committed corpus (set by CMakeLists.txt)"
+#endif
 
 // ---------------------------------------------------------------- helpers
 
@@ -704,55 +711,6 @@ TEST(ServeService, AgentHotReloadSwapsWithoutDroppingSessions) {
   EXPECT_EQ(out[0].kind, Response::Kind::kDecision) << out[0].error;
 }
 
-// ------------------------------------------------------------ bit parity
-
-TEST(ServeParity, TickOutputByteIdenticalAcrossTickWorkerCounts) {
-  // The sharded parallel tick must be invisible in the output: replaying
-  // one recorded request stream through services with 1, 2, and 4 tick
-  // workers yields byte-identical response streams.  The policy mix spans
-  // three (plant, cert, policy) groups so the 2- and 4-worker runs really
-  // do serve groups concurrently.
-  const auto& reg = oic::eval::ScenarioRegistry::builtin();
-  const std::string reqs = ::testing::TempDir() + "tick_sweep.reqs";
-  {
-    oic::serve::ServiceConfig scfg;
-    scfg.workers = 1;
-    oic::serve::Server server(reg, scfg);
-    oic::serve::LoadgenConfig lc;
-    lc.plants = {"toy2d"};
-    lc.policy = "bang-bang,burst:3,periodic-2";
-    lc.sessions = 24;
-    lc.steps = 12;
-    lc.clients = 1;  // one client + lock-step window = deterministic capture
-    lc.pipeline_window = 1;
-    lc.max_batch = 8;
-    lc.emit_path = reqs;
-    const oic::serve::LoadgenResult res = oic::serve::run_loadgen(server, reg, lc);
-    ASSERT_EQ(res.errors, 0u);
-    ASSERT_GT(res.burst_sessions, 0u);
-  }
-  const auto replay = [&](std::size_t tick_workers) {
-    oic::serve::ServiceConfig cfg;
-    cfg.workers = 1;
-    cfg.tick_workers = tick_workers;
-    oic::serve::Service svc(reg, cfg);
-    std::ifstream in(reqs);
-    oic::serve::RequestReader reader(in);
-    std::ostringstream os;
-    std::vector<Request> batch;
-    std::vector<Response> out;
-    while (reader.read(batch)) {
-      svc.serve(batch, out);
-      oic::serve::write_response_batch(out, os);
-    }
-    return os.str();
-  };
-  const std::string w1 = replay(1);
-  ASSERT_FALSE(w1.empty());
-  EXPECT_EQ(w1, replay(2));
-  EXPECT_EQ(w1, replay(4));
-}
-
 // ---------------------------------------------------------------- goldens
 
 /// Write a fixed-seed skipping agent for `plant_id` (memory 1, the plant's
@@ -785,10 +743,11 @@ struct ServeGoldenRun {
 /// pairs, interleaved in one decide batch per control period) for `steps`
 /// periods.  Each session samples its x0 and a mixed-family disturbance
 /// from its own stream and actuates z = 1 through its own copy of the
-/// plant's tube MPC.
+/// plant's tube MPC.  With a `capture` stream, every batch served is also
+/// written to it as one `oic-serve v1` request document.
 ServeGoldenRun drive_serve_golden(
     const std::vector<std::pair<std::string, std::string>>& fleet, std::size_t steps,
-    oic::serve::ServiceConfig cfg) {
+    oic::serve::ServiceConfig cfg, std::ostream* capture = nullptr) {
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
   cfg.cert_dir = ::testing::TempDir() + "serve_golden_certs";
   oic::cert::Store store(cfg.cert_dir);
@@ -831,6 +790,7 @@ ServeGoldenRun drive_serve_golden(
   };
   oic::serve::Service svc(reg, cfg);
   std::vector<Response> out;
+  if (capture) oic::serve::write_request_batch(batch, *capture);
   svc.serve(batch, out);
   for (const Response& r : out) {
     EXPECT_EQ(r.kind, Response::Kind::kOpened) << r.error;
@@ -850,6 +810,7 @@ ServeGoldenRun drive_serve_golden(
       run.max_group_rows = std::max(run.max_group_rows, rows);
     }
     if (batch.empty()) break;
+    if (capture) oic::serve::write_request_batch(batch, *capture);
     svc.serve(batch, out);
     for (std::size_t k = 0; k < out.size(); ++k) {
       Client& c = clients[index[k]];
@@ -950,6 +911,122 @@ TEST(ServeGolden, PooledMembershipChunksMatchTheInlinePass) {
       << "chunked successor-state hash 0x" << std::hex << inline_run.states;
 }
 
+// The serve smoke capture: toy2d x {bang-bang, burst:3, periodic-2},
+// eight sessions each, twelve lock-step periods, every batch the fleet
+// driver serves written as one request document.  scripts/ci.sh
+// --serve-only replays the committed copy through oic_serve over stdio and
+// a loopback socket; ServeParity replays it across tick-worker counts.  On
+// an intentional stream change, rerun with OIC_GOLDEN_REGEN=1 in the
+// environment, inspect the diff, commit.
+constexpr std::size_t kSmokeSessionsPerPolicy = 8;
+constexpr std::size_t kSmokeSteps = 12;
+
+std::string smoke_fixture_path() {
+  return std::string(OIC_GOLDEN_DIR) + "/serve_smoke.reqs";
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+/// What a request capture holds: its (plant, policy) groups, burst
+/// sessions and decide requests.
+struct CaptureShape {
+  std::set<std::pair<std::string, std::string>> groups;
+  std::size_t burst_sessions = 0;
+  std::size_t decides = 0;
+};
+
+CaptureShape capture_shape(const std::string& capture) {
+  CaptureShape shape;
+  std::istringstream is(capture);
+  oic::serve::RequestReader reader(is);
+  std::vector<Request> batch;
+  while (reader.read(batch)) {
+    for (const Request& r : batch) {
+      if (r.kind == Request::Kind::kDecide) ++shape.decides;
+      if (r.kind != Request::Kind::kOpen) continue;
+      shape.groups.emplace(r.plant, r.policy);
+      if (r.policy.rfind("burst:", 0) == 0) ++shape.burst_sessions;
+    }
+  }
+  return shape;
+}
+
+TEST(ServeGolden, SmokeCaptureMatchesFixture) {
+  std::vector<std::pair<std::string, std::string>> fleet;
+  for (std::size_t rep = 0; rep < kSmokeSessionsPerPolicy; ++rep) {
+    for (const char* policy : {"bang-bang", "burst:3", "periodic-2"}) {
+      fleet.emplace_back("toy2d", policy);
+    }
+  }
+  oic::serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  std::ostringstream capture;
+  const ServeGoldenRun run = drive_serve_golden(fleet, kSmokeSteps, cfg, &capture);
+  EXPECT_EQ(run.counters.errors, 0u);
+  EXPECT_EQ(run.counters.decisions, fleet.size() * kSmokeSteps);
+  EXPECT_GT(run.counters.burst_skips, 0u);
+  const std::string rendered = capture.str();
+  const CaptureShape shape = capture_shape(rendered);
+  EXPECT_GE(shape.groups.size(), 3u);
+  EXPECT_GT(shape.burst_sessions, 0u);
+  EXPECT_EQ(shape.decides, fleet.size() * kSmokeSteps);
+
+  const std::string path = smoke_fixture_path();
+  if (std::getenv("OIC_GOLDEN_REGEN") != nullptr) {
+    std::ofstream os(path, std::ios::binary);
+    ASSERT_TRUE(os) << "cannot write " << path;
+    os << rendered;
+    return;
+  }
+  const std::string committed = read_file(path);
+  ASSERT_FALSE(committed.empty())
+      << "missing fixture " << path << " (regenerate with OIC_GOLDEN_REGEN=1 and commit)";
+  EXPECT_TRUE(committed == rendered)
+      << path << " differs from the fleet driver's capture (" << committed.size()
+      << " vs " << rendered.size() << " bytes)";
+}
+
+// ------------------------------------------------------------ bit parity
+
+TEST(ServeParity, TickOutputByteIdenticalAcrossTickWorkerCounts) {
+  // The sharded parallel tick must be invisible in the output: replaying
+  // the committed smoke capture through services with 1, 2, and 4 tick
+  // workers yields byte-identical response streams.  The capture spans
+  // three (plant, cert, policy) groups, so the 2- and 4-worker runs
+  // really do serve groups concurrently.
+  const auto& reg = oic::eval::ScenarioRegistry::builtin();
+  const std::string reqs = read_file(smoke_fixture_path());
+  const CaptureShape shape = capture_shape(reqs);
+  ASSERT_GE(shape.groups.size(), 3u);
+  const auto replay = [&](std::size_t tick_workers) {
+    oic::serve::ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.tick_workers = tick_workers;
+    oic::serve::Service svc(reg, cfg);
+    std::istringstream in(reqs);
+    oic::serve::RequestReader reader(in);
+    std::ostringstream os;
+    std::vector<Request> batch;
+    std::vector<Response> out;
+    while (reader.read(batch)) {
+      svc.serve(batch, out);
+      oic::serve::write_response_batch(out, os);
+    }
+    EXPECT_EQ(svc.counters().decisions, shape.decides);
+    EXPECT_EQ(svc.counters().errors, 0u);
+    return os.str();
+  };
+  const std::string w1 = replay(1);
+  ASSERT_FALSE(w1.empty());
+  EXPECT_EQ(w1, replay(2));
+  EXPECT_EQ(w1, replay(4));
+}
+
 // --------------------------------------------------------------- server
 
 TEST(ServeQueue, PopNLeavesQueueAndOutIntactWhenClosedShort) {
@@ -965,7 +1042,8 @@ TEST(ServeQueue, PopNLeavesQueueAndOutIntactWhenClosedShort) {
   EXPECT_FALSE(ch.pop_n(3, out));
   EXPECT_TRUE(out.empty());
   std::vector<int> rest;
-  ASSERT_TRUE(ch.drain(rest));
+  ASSERT_EQ(ch.drain_for(rest, std::chrono::milliseconds(0)),
+            oic::serve::DrainStatus::kItems);
   EXPECT_EQ(rest, (std::vector<int>{1, 2}));
   // Exactly-n still delivers, appending to existing contents.
   oic::serve::Channel<int> ch2;
@@ -986,7 +1064,7 @@ TEST(ServeQueue, DrainForDeliversTimesOutAndDrainsClosed) {
   std::vector<int> out{9};
   EXPECT_EQ(ch.drain_for(out, std::chrono::milliseconds(1)),
             DrainStatus::kTimeout);
-  EXPECT_TRUE(out.empty());  // drain_for clears `out` like drain()
+  EXPECT_TRUE(out.empty());  // drain_for clears `out` first
   ch.push(1);
   EXPECT_EQ(ch.drain_for(out, std::chrono::milliseconds(0)),
             DrainStatus::kItems);
@@ -1026,9 +1104,9 @@ TEST(ServeService, BurstCountdownAnswersSkipsWithoutMembershipRows) {
 }
 
 TEST(ServeServer, ResponsesCorrelateByRefAcrossInterleavedBatches) {
-  // The out-of-order consumption path: several batches in flight across
-  // three (plant, policy) groups, refs deliberately non-monotone, consumed
-  // via await_any and correlated by ref alone (never arrival order).
+  // Several batches in flight across three (plant, policy) groups, refs
+  // deliberately non-monotone, every response correlated by ref alone
+  // (never by its position in the stream).
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
   oic::serve::ServiceConfig cfg;
   cfg.workers = 1;
@@ -1047,14 +1125,9 @@ TEST(ServeServer, ResponsesCorrelateByRefAcrossInterleavedBatches) {
                 decide_req(708, 3, x0)});
 
   std::unordered_map<std::uint64_t, Response> by_ref;
-  std::vector<Response> got;
-  while (by_ref.size() < 6 && conn->await_any(got)) {
-    for (Response& r : got) by_ref[r.ref] = std::move(r);
-  }
+  for (Response& r : conn->await(6)) by_ref[r.ref] = std::move(r);
   conn->submit({close_req(44, 3), close_req(66, 1), close_req(55, 2)});
-  while (by_ref.size() < 9 && conn->await_any(got)) {
-    for (Response& r : got) by_ref[r.ref] = std::move(r);
-  }
+  for (Response& r : conn->await(3)) by_ref[r.ref] = std::move(r);
   ASSERT_EQ(by_ref.size(), 9u);
   EXPECT_EQ(by_ref.at(301).kind, Response::Kind::kOpened);
   EXPECT_EQ(by_ref.at(301).session, 1u);

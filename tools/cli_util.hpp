@@ -1,8 +1,8 @@
 #pragma once
 /// \file cli_util.hpp
 /// Shared CLI plumbing for the oic_* tools (oic_eval, oic_train, oic_cert,
-/// oic_mc, oic_serve, oic_loadgen): the --key value / --key=value argument
-/// parser, strict count parsing, CSV list splitting, the common-flag set
+/// oic_mc, oic_serve): the --key value / --key=value argument parser,
+/// strict count parsing, CSV list splitting, the common-flag set
 /// (--cert-dir / --faults / --seed / --workers / --json), uniform
 /// unknown-flag rejection, JSON file emission, and the registry listing.
 /// One copy, so the binaries' flag grammar cannot drift apart.

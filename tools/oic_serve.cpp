@@ -3,11 +3,14 @@
 /// server speaking the `oic-serve v1` text protocol (src/serve/api.hpp)
 /// over stdin/stdout, files, or a loopback TCP socket:
 ///
-///   oic_loadgen --sessions 256 --steps 5 --emit burst.reqs --json /dev/null
-///   oic_serve --in burst.reqs --out burst.resps --json report.json
+///   oic_serve --in tests/golden/serve_smoke.reqs --out smoke.resps
 ///
 ///   oic_serve --listen 0 --port-file serve.port &
-///   oic_loadgen --connect 127.0.0.1:$(cat serve.port) --sessions 10000
+///
+/// Any `oic-serve v1` client may then connect to 127.0.0.1:$(cat
+/// serve.port).  For load and latency, `python3 perfbench/run.py
+/// --workload serve` drives its own oic_serve --listen; scripts/ci.sh
+/// --serve-only replays the committed capture over stdio and a socket.
 ///
 /// Each request batch read from --in is answered with a matching response
 /// batch on --out, lock-step: open/close mutate the session table, decide
