@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <type_traits>
@@ -13,6 +14,7 @@
 #include "acc/acc.hpp"
 #include "acc/scenarios.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "core/drl_policy.hpp"
 #include "core/w_history.hpp"
 #include "eval/registry.hpp"
@@ -59,6 +61,33 @@ bool same_mlp(const oic::rl::Mlp& a, const oic::rl::Mlp& b) {
   }
   return true;
 }
+
+/// FNV-1a over the bit patterns of a trained agent and its training log:
+/// online and target weights and biases layer by layer, the update count,
+/// then the three per-episode log series in order.
+std::uint64_t trained_hash(const oic::train::TrainedAgent& trained,
+                           const oic::train::TrainingLog& log) {
+  oic::Fnv1a h;
+  for (const oic::rl::Mlp* net : {&trained.agent->online(), &trained.agent->target()}) {
+    for (std::size_t l = 0; l < net->num_layers(); ++l) {
+      const oic::linalg::Matrix& w = net->weight(l);
+      for (std::size_t k = 0; k < w.rows() * w.cols(); ++k) h.f64(w.data()[k]);
+      for (double b : net->bias(l)) h.f64(b);
+    }
+  }
+  h.u64(trained.agent->train_steps());
+  for (const auto* series :
+       {&log.episode_reward, &log.episode_skip_ratio, &log.episode_energy}) {
+    h.u64(series->size());
+    for (double v : *series) h.f64(v);
+  }
+  return h.value();
+}
+
+/// trained_hash of the pre-lift replica below on small_cfg() under the ACC
+/// Fig.4 scenario, captured while the replica still ran the per-sample DQN
+/// update: the golden the generic Trainer must reproduce.
+constexpr std::uint64_t kPreLiftAccAgentHash = 0x84fa756ff2cec306ull;
 
 // ------------------------------------------------------------ golden parity
 
@@ -189,6 +218,10 @@ TEST(TrainerGolden, GenericTrainerReproducesPreLiftAccAgentBitwise) {
     EXPECT_EQ(legacy.state_scale[i], lifted.state_scale[i]);
   }
   EXPECT_EQ(lifted.plant, "acc");
+  EXPECT_EQ(trained_hash(legacy, legacy_log), kPreLiftAccAgentHash)
+      << "hash 0x" << std::hex << trained_hash(legacy, legacy_log);
+  EXPECT_EQ(trained_hash(lifted, lifted_log), kPreLiftAccAgentHash)
+      << "hash 0x" << std::hex << trained_hash(lifted, lifted_log);
 
   // The historical acc:: spelling is the same code path.
   static_assert(std::is_same_v<oic::train::TrainedAgent, oic::train::TrainedAgent>);
