@@ -100,7 +100,7 @@ double DoubleDqn::observe(Transition t) {
   if (replay_.size() < std::max<std::size_t>(config_.min_replay, config_.batch_size)) {
     return 0.0;
   }
-  const double loss = config_.batched ? train_minibatch_batched() : train_minibatch();
+  const double loss = train_minibatch();
   if (config_.target_sync_interval > 0 &&
       train_steps_ % config_.target_sync_interval == 0) {
     sync_target();
@@ -109,50 +109,12 @@ double DoubleDqn::observe(Transition t) {
 }
 
 double DoubleDqn::train_minibatch() {
-  const auto batch = replay_.sample(config_.batch_size, rng_);
-  Gradients grad = online_.zero_gradients();
-  double loss = 0.0;
-
-  for (const Transition* tr : batch) {
-    ForwardCache cache;
-    const Vector q = online_.forward_cached(tr->state, cache);
-
-    // Double-DQN target: evaluate the online argmax under the target net.
-    double target_value = tr->reward;
-    if (!tr->terminal) {
-      const Vector q_next_online = online_.forward(tr->next_state);
-      const std::size_t a_star = argmax(q_next_online);
-      const Vector q_next_target = target_.forward(tr->next_state);
-      target_value += config_.gamma * q_next_target[a_star];
-    }
-
-    const double td = q[static_cast<std::size_t>(tr->action)] - target_value;
-    loss += td * td;
-
-    // dLoss/dq is nonzero only at the taken action (MSE/2 convention).
-    Vector dout(q.size());
-    dout[static_cast<std::size_t>(tr->action)] = td;
-    grad.add(online_.backward(cache, dout));
-  }
-
-  grad.scale(1.0 / static_cast<double>(batch.size()));
-  if (config_.grad_clip > 0.0) {
-    const double n = grad.norm_inf();
-    if (n > config_.grad_clip) grad.scale(config_.grad_clip / n);
-  }
-  optimizer_.step(online_, grad);
-  ++train_steps_;
-  return loss / static_cast<double>(batch.size());
-}
-
-double DoubleDqn::train_minibatch_batched() {
-  // Same update as train_minibatch, streamed through the batched kernels:
-  // one contiguous SoA minibatch, three batched forwards, one batched
-  // backward.  All accumulation orders match the per-sample path (see
-  // linalg/kernels.hpp), so the resulting weights are bit-identical; the
-  // difference is purely the per-sample allocation traffic this avoids
-  // (three allocating forwards plus a full Gradients per transition).
-  const auto batch = replay_.sample(config_.batch_size, rng_);
+  // One contiguous SoA minibatch, three batched forwards, one batched
+  // backward, all into member scratch: no allocation once warm.  Every
+  // accumulation runs in the order of a per-sample update (see
+  // linalg/kernels.hpp); DoubleDqn.TrainedWeightsMatchGoldenHash and
+  // TrainerGolden.* pin the resulting weights bit for bit.
+  const auto& batch = replay_.sample(config_.batch_size, rng_);
   const std::size_t bsz = batch.size();
   if (batch_states_.rows() != bsz || batch_states_.cols() != state_dim_) {
     batch_states_ = linalg::Matrix(bsz, state_dim_);

@@ -44,11 +44,6 @@ struct DqnConfig {
   double epsilon_end = 0.05;
   std::size_t epsilon_decay_steps = 5000;
   double grad_clip = 10.0;             ///< max-abs gradient clip (0 = off)
-  /// Run minibatch updates through the batched forward/backward path
-  /// (contiguous SoA minibatch, fused batched GEMM, zero steady-state
-  /// allocation).  Bit-identical to the per-sample path -- `false` keeps
-  /// the original per-transition loop for parity tests and ablations.
-  bool batched = true;
 };
 
 /// Double DQN agent over a discrete action set {0, ..., num_actions-1}.
@@ -117,8 +112,7 @@ class DoubleDqn {
   std::size_t train_steps_ = 0;
   MlpWorkspace act_ws_;  ///< select_action's allocation-free forward scratch
 
-  // Batched-update scratch, reused across minibatches (empty when
-  // config_.batched is off).
+  // Minibatch-update scratch, sized on the first update and reused.
   linalg::Matrix batch_states_;   ///< SoA minibatch: one state per row
   linalg::Matrix batch_next_;     ///< next states, same layout
   linalg::Matrix batch_dout_;     ///< per-sample dLoss/dQ rows
@@ -132,7 +126,6 @@ class DoubleDqn {
   Gradients grad_scratch_;
 
   double train_minibatch();
-  double train_minibatch_batched();
 };
 
 }  // namespace oic::rl

@@ -170,10 +170,8 @@ TEST(DoubleDqn, ChainMdpValuesConverge) {
 }
 
 /// A fixed 600-transition training stream on a 2-state, 2-action agent.
-DoubleDqn run_stream(bool batched) {
-  DqnConfig cfg = small_config();
-  cfg.batched = batched;
-  DoubleDqn agent(2, 2, cfg, Rng(42));
+DoubleDqn run_stream() {
+  DoubleDqn agent(2, 2, small_config(), Rng(42));
   Rng env(9);
   for (int i = 0; i < 600; ++i) {
     const Vector s{env.uniform(-1, 1), env.uniform(-1, 1)};
@@ -205,33 +203,10 @@ std::uint64_t weight_hash(const oic::rl::Mlp& net) {
 // before the register-blocked kernels and the flat Adam landed.  Any
 // change to a single bit of any update fails here, at every kernel ISA.
 TEST(DoubleDqn, TrainedWeightsMatchGoldenHash) {
-  const DoubleDqn agent = run_stream(true);
+  const DoubleDqn agent = run_stream();
   ASSERT_GT(agent.train_steps(), 0u);
   EXPECT_EQ(weight_hash(agent.online()), 0xe5b8a6061a945b64ull)
       << "hash 0x" << std::hex << weight_hash(agent.online());
-}
-
-// The batched minibatch path (SoA buffers + fused batched GEMM) must be
-// bit-identical to the per-sample loop it replaces: identical training
-// stream in, identical weights and Q-values out.
-TEST(DoubleDqn, BatchedUpdatesBitIdenticalToPerSample) {
-  const DoubleDqn a = run_stream(false);
-  const DoubleDqn b = run_stream(true);
-  ASSERT_GT(a.train_steps(), 0u);
-  EXPECT_EQ(a.train_steps(), b.train_steps());
-  for (std::size_t l = 0; l < a.online().num_layers(); ++l) {
-    for (std::size_t i = 0; i < a.online().weight(l).rows(); ++i) {
-      for (std::size_t j = 0; j < a.online().weight(l).cols(); ++j) {
-        EXPECT_EQ(a.online().weight(l)(i, j), b.online().weight(l)(i, j))
-            << "layer " << l;
-      }
-    }
-    for (std::size_t i = 0; i < a.online().bias(l).size(); ++i) {
-      EXPECT_EQ(a.online().bias(l)[i], b.online().bias(l)[i]) << "layer " << l;
-    }
-  }
-  const Vector probe{0.3, -0.7};
-  EXPECT_TRUE(approx_equal(a.q_values(probe), b.q_values(probe), 0.0));
 }
 
 TEST(DoubleDqn, DeterministicGivenSeeds) {

@@ -85,26 +85,24 @@ std::uint64_t trained_hash(const oic::train::TrainedAgent& trained,
 }
 
 /// trained_hash of the pre-lift replica below on small_cfg() under the ACC
-/// Fig.4 scenario, captured while the replica still ran the per-sample DQN
-/// update: the golden the generic Trainer must reproduce.
+/// Fig.4 scenario, captured while the replica still ran the (since deleted)
+/// per-sample DQN update: the golden the generic Trainer must reproduce.
 constexpr std::uint64_t kPreLiftAccAgentHash = 0x84fa756ff2cec306ull;
 
 // ------------------------------------------------------------ golden parity
 
 /// Verbatim replica of the pre-lift acc::train_dqn loop (src/acc/trainer.cpp
 /// before the src/train lift), kept here as the golden reference: the
-/// ACC-specific calls (fuel_step / delta, w_from_vf) and the per-sample DQN
-/// update path the original used.  The generic Trainer must reproduce its
-/// agent and log bit for bit.
+/// ACC-specific calls (fuel_step / delta, w_from_vf).  The original ran the
+/// per-sample DQN update, since deleted; kPreLiftAccAgentHash pins what it
+/// produced.  The generic Trainer must reproduce its agent and log bit for
+/// bit.
 oic::train::TrainedAgent legacy_acc_train_dqn(oic::acc::AccCase& acc,
                                               const oic::acc::Scenario& scenario,
-                                              const oic::train::TrainerConfig& cfg_in,
+                                              const oic::train::TrainerConfig& cfg,
                                               oic::train::TrainingLog* log) {
   namespace core = oic::core;
   namespace rl = oic::rl;
-  oic::train::TrainerConfig cfg = cfg_in;
-  cfg.dqn.batched = false;  // the pre-lift code had only the per-sample path
-
   const std::size_t nx = acc.system().nx();
   const std::size_t state_dim = core::drl_state_dim(nx, nx, cfg.memory);
   const Vector scale = core::drl_state_scale(acc.system(), cfg.memory);
@@ -201,9 +199,9 @@ TEST(TrainerGolden, GenericTrainerReproducesPreLiftAccAgentBitwise) {
   const auto legacy = legacy_acc_train_dqn(acc, scen, cfg, &legacy_log);
   ASSERT_GT(legacy.agent->train_steps(), 0u);  // the budget must train
 
-  // The generic trainer runs the batched DQN path (the default); the
-  // pre-lift reference ran per-sample.  Bitwise agreement here pins both
-  // the plant-genericity lift AND the batched path's exactness at once.
+  // Bitwise agreement with the replica pins the plant-genericity lift;
+  // the hash pins the batched DQN update against the per-sample update
+  // the replica ran when the constant was captured.
   oic::train::TrainingLog lifted_log;
   const auto lifted = oic::train::train_dqn(acc, scen, cfg, &lifted_log);
 
