@@ -14,16 +14,15 @@ void ReplayBuffer::add(Transition t) {
   if (size_ < storage_.size()) ++size_;
 }
 
-std::vector<const Transition*> ReplayBuffer::sample(std::size_t batch, Rng& rng) const {
+const std::vector<const Transition*>& ReplayBuffer::sample(std::size_t batch, Rng& rng) {
   OIC_REQUIRE(size_ > 0, "ReplayBuffer::sample: buffer is empty");
-  std::vector<const Transition*> out;
-  out.reserve(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
+  sampled_.resize(batch);
+  for (const Transition*& out : sampled_) {
     const std::size_t idx =
         static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(size_) - 1));
-    out.push_back(&storage_[idx]);
+    out = &storage_[idx];
   }
-  return out;
+  return sampled_;
 }
 
 const Transition& ReplayBuffer::at(std::size_t i) const {

@@ -34,15 +34,18 @@ class ReplayBuffer {
   /// Maximum capacity.
   std::size_t capacity() const { return storage_.size(); }
 
-  /// Sample `batch` transitions uniformly with replacement.  Requires a
-  /// non-empty buffer.
-  std::vector<const Transition*> sample(std::size_t batch, Rng& rng) const;
+  /// Sample `batch` transitions uniformly with replacement, one rng draw
+  /// per transition in order.  Requires a non-empty buffer.  The result
+  /// lives in a member buffer that the next call overwrites, so steady-state
+  /// sampling allocates nothing.
+  const std::vector<const Transition*>& sample(std::size_t batch, Rng& rng);
 
   /// Access by age-agnostic index (tests).
   const Transition& at(std::size_t i) const;
 
  private:
   std::vector<Transition> storage_;
+  std::vector<const Transition*> sampled_;  ///< sample()'s result
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

@@ -1,7 +1,7 @@
 // Unit tests for the performance layer: workspace-reuse LP solving
 // (PreparedProblem / solve_warm), SupportSolver parity, the allocation-free
-// MLP forward pass and serve tick, the WHistory ring, and the l1_ball
-// dimension guard.
+// MLP forward pass, DQN update and serve tick, the WHistory ring, and the
+// l1_ball dimension guard.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "lp/simplex.hpp"
 #include "poly/hpolytope.hpp"
 #include "poly/support_solver.hpp"
+#include "rl/dqn.hpp"
 #include "rl/mlp.hpp"
 #include "rl/serialize.hpp"
 #include "serve/service.hpp"
@@ -573,6 +574,44 @@ TEST(Mlp, ForwardIntoMatchesReferenceForward) {
       }
     }
   }
+}
+
+TEST(DoubleDqn, SteadyStateUpdateAllocatesNothing) {
+  // The production update shape: state dim 6, hidden {64, 64}, 2 actions,
+  // minibatch 32.  Replay sampling, the SoA minibatch, the batched passes,
+  // the gradient and Adam all reuse member scratch, so once the first
+  // updates have sized it an observe() allocates nothing.  The transitions
+  // are built before the counted window; observe() only moves them in.
+  oic::rl::DqnConfig cfg;
+  cfg.min_replay = 64;
+  cfg.replay_capacity = 512;
+  cfg.target_sync_interval = 25;  // the counted window syncs the target too
+  oic::rl::DoubleDqn agent(6, 2, cfg, Rng(7));
+  Rng env(11);
+  const auto transition = [&env] {
+    oic::rl::Transition t;
+    t.state = Vector(6);
+    t.next_state = Vector(6);
+    for (std::size_t i = 0; i < 6; ++i) {
+      t.state[i] = env.uniform(-1.0, 1.0);
+      t.next_state[i] = env.uniform(-1.0, 1.0);
+    }
+    t.action = env.uniform_int(0, 1);
+    t.reward = env.uniform(-1.0, 1.0);
+    t.terminal = env.bernoulli(0.05);
+    return t;
+  };
+  while (agent.train_steps() < 10) agent.observe(transition());
+
+  constexpr std::size_t kCalls = 100;
+  std::vector<oic::rl::Transition> stream;
+  for (std::size_t k = 0; k < kCalls; ++k) stream.push_back(transition());
+  const std::size_t steps_before = agent.train_steps();
+  const long before = g_allocations.load();
+  for (oic::rl::Transition& t : stream) agent.observe(std::move(t));
+  const long allocations = g_allocations.load() - before;
+  EXPECT_EQ(agent.train_steps(), steps_before + kCalls);
+  EXPECT_EQ(allocations, 0);
 }
 
 TEST(WHistory, RingSemanticsOldestFirst) {
