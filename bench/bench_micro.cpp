@@ -190,19 +190,34 @@ BENCHMARK(BM_DqnTrainStep);
 // comparisons.
 struct DqnStages {
   static constexpr std::size_t kStateDim = 6, kActions = 2, kBatch = 32;
+  /// Distinct minibatches the backward stage rotates over: one fixed cache
+  /// would let the branch predictor learn its ReLU pattern, which no two
+  /// training updates share.
+  static constexpr std::size_t kCaches = 16;
   Rng rng{2024};
   rl::Mlp net = rl::Mlp({kStateDim, 64, 64, kActions}, rng);
-  Matrix states = Matrix(kBatch, kStateDim);
-  Matrix dout = Matrix(kBatch, kActions);
+  std::vector<Matrix> states;  ///< kCaches input minibatches
+  std::vector<Matrix> douts;   ///< one TD-style output gradient per minibatch
+  std::vector<rl::BatchForwardCache> caches =
+      std::vector<rl::BatchForwardCache>(kCaches);
   rl::BatchWorkspace ws;
-  rl::BatchForwardCache cache;
   rl::Gradients grad = net.zero_gradients();
 
   DqnStages() {
-    for (std::size_t k = 0; k < kBatch * kStateDim; ++k)
-      states.data()[k] = rng.uniform(-1, 1);
-    for (std::size_t b = 0; b < kBatch; ++b) dout(b, b % kActions) = rng.uniform(-1, 1);
-    net.forward_batch_cached(states, cache);
+    for (std::size_t c = 0; c < kCaches; ++c) {
+      Matrix in(kBatch, kStateDim);
+      for (std::size_t k = 0; k < kBatch * kStateDim; ++k) {
+        in.data()[k] = rng.uniform(-1, 1);
+      }
+      // One nonzero per row, at the taken action, like the TD loss.
+      Matrix d(kBatch, kActions);
+      for (std::size_t b = 0; b < kBatch; ++b) {
+        d(b, rng.uniform_int(0, 1)) = rng.uniform(-1, 1);
+      }
+      net.forward_batch_cached(in, caches[c]);
+      states.push_back(in);
+      douts.push_back(d);
+    }
   }
 
   static rl::DoubleDqn make_agent() {
@@ -234,7 +249,7 @@ struct DqnStages {
 void BM_DqnStageForward(benchmark::State& state) {
   DqnStages s;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.net.forward_batch_into(s.states, s.ws));
+    benchmark::DoNotOptimize(s.net.forward_batch_into(s.states[0], s.ws));
   }
 }
 BENCHMARK(BM_DqnStageForward);
@@ -242,24 +257,26 @@ BENCHMARK(BM_DqnStageForward);
 void BM_DqnStageForwardCached(benchmark::State& state) {
   DqnStages s;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.net.forward_batch_cached(s.states, s.cache));
+    benchmark::DoNotOptimize(s.net.forward_batch_cached(s.states[0], s.caches[0]));
   }
 }
 BENCHMARK(BM_DqnStageForwardCached);
 
 void BM_DqnStageBackward(benchmark::State& state) {
   DqnStages s;
+  std::size_t c = 0;
   for (auto _ : state) {
     s.grad.zero();
-    s.net.backward_batch(s.cache, s.dout, s.ws, s.grad);
+    s.net.backward_batch(s.caches[c], s.douts[c], s.ws, s.grad);
     benchmark::ClobberMemory();
+    c = (c + 1) % DqnStages::kCaches;
   }
 }
 BENCHMARK(BM_DqnStageBackward);
 
 void BM_DqnStageAdam(benchmark::State& state) {
   DqnStages s;
-  s.net.backward_batch(s.cache, s.dout, s.ws, s.grad);
+  s.net.backward_batch(s.caches[0], s.douts[0], s.ws, s.grad);
   rl::Adam adam(rl::DqnConfig{}.learning_rate);
   for (auto _ : state) {
     adam.step(s.net, s.grad);

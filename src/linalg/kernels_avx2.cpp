@@ -109,7 +109,8 @@ inline __m256d relu4(__m256d s) {
 
 /// Tile width (doubles) of gemm_transpose / gemm_grad_accum: four YMM
 /// accumulators.  Narrower matrices (the 6-input first DQN layer) take the
-/// same code's 4-wide and scalar column tails.
+/// same code's column tails: a masked partial tile in gemm_grad_accum,
+/// 4-wide then scalar in gemm_transpose.
 constexpr std::size_t kTile = 16;
 
 // ---- MLP kernels: register-blocked across independent outputs -----------
@@ -176,6 +177,34 @@ void gemv_bias_avx2(const Matrix& a, const double* x, const double* b, double* y
   }
 }
 
+/// The last kRows (< 4) output rows of gemm_bias over one packed 4-lane
+/// batch block: one accumulator per row in a single j loop, so the rows'
+/// add chains overlap (the 2-action output layer has no full 4-row block).
+/// Each lane still adds its row's terms j-ascending, then the bias.
+template <int kRows>
+inline void gemm_bias_tail_rows(const double* p, std::size_t cols, const double* xt,
+                                const double* b, double* y, std::size_t ldy,
+                                bool relu) {
+  __m256d acc[kRows];
+  for (int t = 0; t < kRows; ++t) acc[t] = _mm256_setzero_pd();
+  for (std::size_t j = 0; j < cols; ++j) {
+    const __m256d xv = _mm256_loadu_pd(xt + 4 * j);
+    for (int t = 0; t < kRows; ++t) {
+      const __m256d aij = _mm256_set1_pd(p[static_cast<std::size_t>(t) * cols + j]);
+      acc[t] = _mm256_add_pd(acc[t], _mm256_mul_pd(aij, xv));
+    }
+  }
+  for (int t = 0; t < kRows; ++t) {
+    __m256d s = _mm256_add_pd(acc[t], _mm256_set1_pd(b[t]));
+    if (relu) s = relu4(s);
+    double lanes[4];
+    _mm256_storeu_pd(lanes, s);
+    for (std::size_t l = 0; l < 4; ++l) {
+      y[l * ldy + static_cast<std::size_t>(t)] = lanes[l];
+    }
+  }
+}
+
 void gemm_bias_avx2(const Matrix& a, const double* x, std::size_t batch,
                     std::size_t ldx, const double* b, double* y, std::size_t ldy,
                     bool relu) {
@@ -223,21 +252,18 @@ void gemm_bias_avx2(const Matrix& a, const double* x, std::size_t batch,
       _mm256_storeu_pd(y + 2 * ldy + i, acc2);
       _mm256_storeu_pd(y + 3 * ldy + i, acc3);
     }
-    for (; i < rows; ++i, p += cols) {
-      __m256d acc = _mm256_setzero_pd();
-      for (std::size_t j = 0; j < cols; ++j) {
-        const __m256d aij = _mm256_set1_pd(p[j]);
-        const __m256d xv = _mm256_loadu_pd(xt + 4 * j);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(aij, xv));
-      }
-      acc = _mm256_add_pd(acc, _mm256_set1_pd(b[i]));
-      if (relu) acc = relu4(acc);
-      double lanes[4];
-      _mm256_storeu_pd(lanes, acc);
-      y[0 * ldy + i] = lanes[0];
-      y[1 * ldy + i] = lanes[1];
-      y[2 * ldy + i] = lanes[2];
-      y[3 * ldy + i] = lanes[3];
+    switch (rows - rows4) {
+      case 1:
+        gemm_bias_tail_rows<1>(p, cols, xt, b + i, y + i, ldy, relu);
+        break;
+      case 2:
+        gemm_bias_tail_rows<2>(p, cols, xt, b + i, y + i, ldy, relu);
+        break;
+      case 3:
+        gemm_bias_tail_rows<3>(p, cols, xt, b + i, y + i, ldy, relu);
+        break;
+      default:
+        break;
     }
   }
   if (r < batch) scalar::gemm_bias(a, x, batch - r, ldx, b, y, ldy, relu);
@@ -289,10 +315,43 @@ void gemm_transpose_avx2(const Matrix& a, const double* d, std::size_t batch,
   }
 }
 
+/// Lane mask of the first `lanes` (1..4) lanes, for maskload/maskstore.
+inline __m256i first_lanes(std::size_t lanes) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(lanes)),
+                            _mm256_set_epi64x(3, 2, 1, 0));
+}
+
+/// gemm_grad_accum over a row's last `width` (< 16) columns: kVecs =
+/// ceil(width / 4) accumulators advance in one pass over the nonzero list,
+/// the last one masked to the columns that exist.  Each lane runs the
+/// scalar sequence dW(i,j) += d_ri * x_rj over ascending r; masked lanes
+/// read and write nothing.
+template <int kVecs>
+inline void grad_accum_partial_tile(double* p, std::size_t width, const double* di,
+                                    std::size_t ldd, const double* x, std::size_t ldx,
+                                    const std::size_t* nz, std::size_t n) {
+  constexpr std::size_t kLast = 4 * (kVecs - 1);
+  const __m256i mask = first_lanes(width - kLast);
+  __m256d acc[kVecs];
+  for (int v = 0; v + 1 < kVecs; ++v) acc[v] = _mm256_loadu_pd(p + 4 * v);
+  acc[kVecs - 1] = _mm256_maskload_pd(p + kLast, mask);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t r = nz[k];
+    const __m256d dv = _mm256_set1_pd(di[r * ldd]);
+    const double* xr = x + r * ldx;
+    for (int v = 0; v + 1 < kVecs; ++v) {
+      acc[v] = _mm256_add_pd(acc[v], _mm256_mul_pd(dv, _mm256_loadu_pd(xr + 4 * v)));
+    }
+    acc[kVecs - 1] = _mm256_add_pd(
+        acc[kVecs - 1], _mm256_mul_pd(dv, _mm256_maskload_pd(xr + kLast, mask)));
+  }
+  for (int v = 0; v + 1 < kVecs; ++v) _mm256_storeu_pd(p + 4 * v, acc[v]);
+  _mm256_maskstore_pd(p + kLast, mask, acc[kVecs - 1]);
+}
+
 void gemm_grad_accum_avx2(const double* d, std::size_t batch, std::size_t ldd,
                           const double* x, std::size_t ldx, Matrix& dw, double* db) {
   const std::size_t rows = dw.rows(), cols = dw.cols();
-  const std::size_t cols4 = cols & ~std::size_t{3};
   const std::size_t rows4 = rows & ~std::size_t{3};
   // db_i += d_ri over every r, ascending, 4 outputs i per vector.
   for (std::size_t r = 0; r < batch; ++r) {
@@ -333,22 +392,25 @@ void gemm_grad_accum_avx2(const double* d, std::size_t batch, std::size_t ldd,
       _mm256_storeu_pd(p + j + 8, acc2);
       _mm256_storeu_pd(p + j + 12, acc3);
     }
-    for (; j < cols4; j += 4) {
-      __m256d acc = _mm256_loadu_pd(p + j);
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t r = nz[k];
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(di[r * ldd]),
-                                               _mm256_loadu_pd(x + r * ldx + j)));
-      }
-      _mm256_storeu_pd(p + j, acc);
-    }
-    for (; j < cols; ++j) {
-      double s = p[j];
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t r = nz[k];
-        s += di[r * ldd] * x[r * ldx + j];
-      }
-      p[j] = s;
+    // The last w < 16 columns (all of the 6-input first layer) in one pass
+    // over the list, like a tile.
+    const std::size_t w = cols - j;
+    const std::size_t* list = nz.data();
+    switch ((w + 3) / 4) {
+      case 1:
+        grad_accum_partial_tile<1>(p + j, w, di, ldd, x + j, ldx, list, n);
+        break;
+      case 2:
+        grad_accum_partial_tile<2>(p + j, w, di, ldd, x + j, ldx, list, n);
+        break;
+      case 3:
+        grad_accum_partial_tile<3>(p + j, w, di, ldd, x + j, ldx, list, n);
+        break;
+      case 4:
+        grad_accum_partial_tile<4>(p + j, w, di, ldd, x + j, ldx, list, n);
+        break;
+      default:
+        break;
     }
   }
 }

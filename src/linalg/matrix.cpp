@@ -98,11 +98,7 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
-double Matrix::norm_inf_elem() const {
-  double s = 0.0;
-  for (double x : data_) s = std::max(s, std::fabs(x));
-  return s;
-}
+double Matrix::norm_inf_elem() const { return max_abs(data_.data(), data_.size()); }
 
 double Matrix::norm_fro() const {
   double s = 0.0;

@@ -86,6 +86,11 @@ Vector concat(const Vector& a, const Vector& b);
 /// Approximate equality within absolute tolerance `tol` in every coordinate.
 bool approx_equal(const Vector& a, const Vector& b, double tol);
 
+/// max(0.0, |p[0]|, ..., |p[n-1]|) with NaN entries ignored: the value of
+/// the serial `s = std::max(s, std::fabs(p[i]))` scan from s = 0.0, run in
+/// four interleaved lanes (Vector::norm_inf, Matrix::norm_inf_elem).
+double max_abs(const double* p, std::size_t n);
+
 /// Stream a vector as "[x0, x1, ...]".
 std::ostream& operator<<(std::ostream& os, const Vector& v);
 

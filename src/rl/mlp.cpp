@@ -181,13 +181,15 @@ void Mlp::backward_batch(const BatchForwardCache& cache, const Matrix& dout,
     const std::size_t out_dim = sizes_[li + 1];
     if (li + 1 < w_.size()) {
       // Coming from a ReLU layer above: gate by its pre-activation sign.
+      // The select stores unconditionally, so it compiles to a blend: the
+      // signs are random, and a branch per entry mispredicts about half the
+      // time.  Same values as `if (z <= 0.0) d = 0.0` for every input: both
+      // signed zeros gate, a NaN pre-activation keeps its delta.
       const double* pre = cache.pre[li].data();
       for (std::size_t r = 0; r < batch; ++r) {
         double* d = delta + r * widest;
         const double* z = pre + r * out_dim;
-        for (std::size_t i = 0; i < out_dim; ++i) {
-          if (z[i] <= 0.0) d[i] = 0.0;
-        }
+        for (std::size_t i = 0; i < out_dim; ++i) d[i] = z[i] <= 0.0 ? 0.0 : d[i];
       }
     }
     linalg::gemm_grad_accum(delta, batch, widest, cache.post[li].data(), sizes_[li],

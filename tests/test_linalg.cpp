@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "linalg/lu.hpp"
@@ -45,6 +53,54 @@ TEST(Vector, Norms) {
   EXPECT_DOUBLE_EQ(v.norm2(), 5.0);
   EXPECT_DOUBLE_EQ(v.norm1(), 7.0);
   EXPECT_DOUBLE_EQ(v.norm_inf(), 4.0);
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+/// The one-accumulator scan the multi-lane max reductions must reproduce.
+double serial_max_abs(const std::vector<double>& v) {
+  double s = 0.0;
+  for (double x : v) s = std::max(s, std::fabs(x));
+  return s;
+}
+
+TEST(Vector, NormInfMatchesSerialScanBitwise) {
+  // Vector::norm_inf and Matrix::norm_inf_elem run four running maxima.
+  // Every length 0..33 (each lane tail), each special value at every
+  // position, over random entries and over all -0.0 (so the result must
+  // be +0.0, not -0.0, when nothing larger is present).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {nan, -nan, inf, -inf, 0.0, -0.0, sub, -sub, 1e300, -3.0};
+  oic::Rng rng(31);
+  for (std::size_t n = 0; n <= 33; ++n) {
+    for (bool zeros : {false, true}) {
+      std::vector<double> base(n);
+      for (double& x : base) x = zeros ? -0.0 : rng.uniform(-2.0, 2.0);
+      for (std::size_t p = 0; p <= n; ++p) {
+        for (double special : specials) {
+          std::vector<double> v = base;
+          if (p < n) v[p] = special;  // p == n: no special at all
+          const double ref = serial_max_abs(v);
+          Vector vec(n);
+          Matrix mat(n, 1);
+          std::copy(v.begin(), v.end(), vec.data().begin());
+          std::copy(v.begin(), v.end(), mat.data());
+          const std::string where = "n " + std::to_string(n) + " at " + std::to_string(p);
+          EXPECT_EQ(bits_of(vec.norm_inf()), bits_of(ref)) << where;
+          EXPECT_EQ(bits_of(mat.norm_inf_elem()), bits_of(ref)) << where;
+          if (p == n) break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(bits_of(Vector().norm_inf()), bits_of(0.0));
+  EXPECT_EQ(bits_of(Matrix().norm_inf_elem()), bits_of(0.0));
 }
 
 TEST(Vector, Concat) {

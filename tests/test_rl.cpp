@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
@@ -424,28 +426,43 @@ TEST(Mlp, BatchedBackwardMatchesPerSampleAccumulationBitwise) {
     dout(r, r % 2) = rng.uniform(-1.0, 1.0);
   }
 
-  // Per-sample reference: backward each row, add in row order.
-  Gradients ref = net.zero_gradients();
-  for (std::size_t r = 0; r < batch; ++r) {
-    ForwardCache cache;
-    net.forward_cached(in.row(r), cache);
-    ref.add(net.backward(cache, dout.row(r)));
-  }
-
-  oic::rl::BatchForwardCache bcache;
-  net.forward_batch_cached(in, bcache);
-  Gradients got = net.zero_gradients();
-  oic::rl::BatchWorkspace ws;
-  net.backward_batch(bcache, dout, ws, got);
-
-  for (std::size_t l = 0; l < net.num_layers(); ++l) {
-    for (std::size_t i = 0; i < ref.dw[l].rows(); ++i) {
-      for (std::size_t j = 0; j < ref.dw[l].cols(); ++j) {
-        EXPECT_EQ(ref.dw[l](i, j), got.dw[l](i, j)) << "layer " << l;
+  // The ReLU gate's edge cases, written into the hidden pre-activations of
+  // both caches alike: +0.0 and -0.0 gate the delta, NaN keeps it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double edges[] = {0.0, -0.0, nan};
+  for (bool inject : {false, true}) {
+    std::vector<ForwardCache> caches(batch);
+    oic::rl::BatchForwardCache bcache;
+    net.forward_batch_cached(in, bcache);
+    for (std::size_t r = 0; r < batch; ++r) {
+      net.forward_cached(in.row(r), caches[r]);
+      if (!inject) continue;
+      for (std::size_t i = r % 3; i < 16; i += 3) {
+        const double z = edges[(r + i) % 3];
+        caches[r].pre[0][i] = z;
+        bcache.pre[0](r, i) = z;
       }
     }
-    for (std::size_t i = 0; i < ref.db[l].size(); ++i) {
-      EXPECT_EQ(ref.db[l][i], got.db[l][i]) << "layer " << l;
+
+    // Per-sample reference: backward each row, add in row order.
+    Gradients ref = net.zero_gradients();
+    for (std::size_t r = 0; r < batch; ++r) ref.add(net.backward(caches[r], dout.row(r)));
+
+    Gradients got = net.zero_gradients();
+    oic::rl::BatchWorkspace ws;
+    net.backward_batch(bcache, dout, ws, got);
+
+    for (std::size_t l = 0; l < net.num_layers(); ++l) {
+      for (std::size_t i = 0; i < ref.dw[l].rows(); ++i) {
+        for (std::size_t j = 0; j < ref.dw[l].cols(); ++j) {
+          EXPECT_EQ(bits_of(ref.dw[l](i, j)), bits_of(got.dw[l](i, j)))
+              << "layer " << l << " inject " << inject;
+        }
+      }
+      for (std::size_t i = 0; i < ref.db[l].size(); ++i) {
+        EXPECT_EQ(bits_of(ref.db[l][i]), bits_of(got.db[l][i]))
+            << "layer " << l << " inject " << inject;
+      }
     }
   }
 }

@@ -399,13 +399,18 @@ void expect_batched_parity(const Matrix& a, const std::vector<double>& b,
 }
 
 TEST(SimdKernels, ProductionDqnShapesParity) {
-  // The DQN's layers (6 -> 64 -> 64 -> 2, rl/dqn.hpp defaults) at the
-  // default minibatch and at batches that leave a 1- and 3-row tail.
+  // The DQN's layers (6 -> 64 -> 64 -> 2, rl/dqn.hpp defaults; 4 inputs
+  // at disturbance memory 1) at the default minibatch and at batches that
+  // leave a 1- and 3-row tail.  gemm_bias runs the rows past the last
+  // 4-row block in one pass (1..3 of them, the 2-action layer's two), and
+  // gemm_grad_accum the columns past the last 16-wide tile as 1..4
+  // vectors, the last one masked (4, 6, 10 and 15 inputs).
   if (!have_avx2()) GTEST_SKIP() << "AVX2 unavailable; scalar-only build/CPU";
   const KernelTable& sc = table_for(simd::Isa::kScalar);
   const KernelTable& vx = table_for(simd::Isa::kAvx2);
   Rng rng(707);
-  const std::size_t shapes[][2] = {{64, 6}, {64, 64}, {2, 64}};
+  const std::size_t shapes[][2] = {{64, 6},  {64, 64}, {2, 64},  {64, 4}, {64, 10},
+                                   {64, 15}, {1, 64},  {3, 64},  {7, 64}, {3, 6}};
   for (const auto& shape : shapes) {
     const std::size_t rows = shape[0], cols = shape[1];
     for (std::size_t batch : {std::size_t{32}, std::size_t{33}, std::size_t{35}}) {
