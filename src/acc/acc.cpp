@@ -99,7 +99,8 @@ double AccCase::fuel_step(const Vector& x, const Vector& u) const {
 Vector AccCase::sample_x0(Rng& rng) const {
   // Same per-coordinate draw order as the historical 2-D sampler, so the
   // case streams are unchanged.
-  return eval::sample_from_set(rt_.sets.x_prime, rng, "AccCase::sample_x0");
+  return eval::sample_from_set(rt_.sets.x_prime, rt_.x_prime_box, rng,
+                               "AccCase::sample_x0");
 }
 
 }  // namespace oic::acc

@@ -33,6 +33,7 @@ PlantRuntime runtime_from_certificate(const cert::PlantModel& model,
                                                std::move(certificate.terminal));
   rt.sets = std::move(certificate.sets);
   rt.ladder = std::move(certificate.ladder);
+  rt.x_prime_box = rt.sets.x_prime.bounding_box();
   return rt;
 }
 
@@ -42,7 +43,13 @@ PlantRuntime build_plant_runtime(const cert::PlantModel& model,
 }
 
 linalg::Vector sample_from_set(const poly::HPolytope& set, Rng& rng, const char* who) {
-  const auto bb = set.bounding_box();
+  return sample_from_set(set, set.bounding_box(), rng, who);
+}
+
+linalg::Vector sample_from_set(
+    const poly::HPolytope& set,
+    const std::optional<std::pair<linalg::Vector, linalg::Vector>>& bb, Rng& rng,
+    const char* who) {
   OIC_CHECK(bb.has_value(), std::string(who) + ": set unbounded");
   const std::size_t dim = bb->first.size();
   linalg::Vector x(dim);

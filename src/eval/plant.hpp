@@ -23,7 +23,9 @@
 /// and eval/registry.hpp catalogues them by string id.
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cert/store.hpp"
@@ -152,6 +154,9 @@ struct PlantRuntime {
   std::unique_ptr<control::TubeMpc> rmpc;
   core::SafeSets sets;
   std::vector<poly::HPolytope> ladder;  ///< X'_1 .. X'_k
+  /// sets.x_prime.bounding_box(), computed once: every initial-state draw
+  /// (sample_x0) rejection-samples from it, and it costs four support LPs.
+  std::optional<std::pair<linalg::Vector, linalg::Vector>> x_prime_box;
 };
 
 /// Assemble the runtime from an already-resolved certificate (no synthesis
@@ -171,5 +176,11 @@ PlantRuntime build_plant_runtime(const cert::PlantModel& model,
 /// `who` labels diagnostics.  Throws NumericalError when the set is
 /// unbounded or too thin for rejection sampling.
 linalg::Vector sample_from_set(const poly::HPolytope& set, Rng& rng, const char* who);
+
+/// The same draws from `set` given its precomputed bounding_box() `box`.
+linalg::Vector sample_from_set(
+    const poly::HPolytope& set,
+    const std::optional<std::pair<linalg::Vector, linalg::Vector>>& box, Rng& rng,
+    const char* who);
 
 }  // namespace oic::eval

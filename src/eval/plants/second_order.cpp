@@ -44,7 +44,7 @@ double SecondOrderPlant::cost_step(const Vector& /*x*/, const Vector& u,
 }
 
 Vector SecondOrderPlant::sample_x0(Rng& rng) const {
-  return sample_from_set(sets().x_prime, rng, name_.c_str());
+  return sample_from_set(sets().x_prime, rt_.x_prime_box, rng, name_.c_str());
 }
 
 control::RmpcConfig Toy2dCase::default_rmpc() {
