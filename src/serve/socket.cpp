@@ -6,16 +6,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <arpa/inet.h>
-
 #include <atomic>
 #include <cstring>
 #include <istream>
 #include <mutex>
 #include <ostream>
 #include <streambuf>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "serve/server.hpp"
@@ -241,77 +241,6 @@ void SocketListener::stop() { impl_->stop(); }
 
 std::uint64_t SocketListener::connections_accepted() const {
   return impl_->accepted.load();
-}
-
-// ---------------------------------------------------------------------------
-// SocketClient
-// ---------------------------------------------------------------------------
-
-struct SocketClient::Impl {
-  int fd = -1;
-  std::unique_ptr<FdOutBuf> out_buf;
-  std::unique_ptr<std::ostream> os;
-  Channel<Response> responses;
-  std::thread reader;
-
-  ~Impl() {
-    responses.close();
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-    if (reader.joinable()) reader.join();
-    close_fd(fd);
-  }
-};
-
-SocketClient::SocketClient(const std::string& host, std::uint16_t port)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  OIC_REQUIRE(impl_->fd >= 0, "oic-serve: cannot create client socket");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  OIC_REQUIRE(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
-              "oic-serve: '" + host + "' is not an IPv4 address");
-  if (::connect(impl_->fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close_fd(impl_->fd);
-    impl_->fd = -1;
-    throw PreconditionError("oic-serve: cannot connect to " + host + ":" +
-                            std::to_string(port));
-  }
-  set_nodelay(impl_->fd);
-  impl_->out_buf = std::make_unique<FdOutBuf>(impl_->fd);
-  impl_->os = std::make_unique<std::ostream>(impl_->out_buf.get());
-  impl_->reader = std::thread([impl = impl_.get()] {
-    FdInBuf in_buf(impl->fd);
-    std::istream is(&in_buf);
-    std::vector<Response> batch;
-    try {
-      ResponseReader reader(is);
-      while (reader.read(batch)) {
-        impl->responses.push_all(std::move(batch));
-        batch.clear();
-      }
-    } catch (const Error&) {
-      // Torn stream (server died mid-response); deliver what arrived.
-    }
-    impl->responses.close();
-  });
-}
-
-SocketClient::~SocketClient() = default;
-
-void SocketClient::submit(const std::vector<Request>& batch) {
-  write_request_batch(batch, *impl_->os);
-  OIC_REQUIRE(static_cast<bool>(impl_->os->flush()),
-              "oic-serve: connection lost while submitting");
-}
-
-std::vector<Response> SocketClient::await(std::size_t n) {
-  std::vector<Response> out;
-  out.reserve(n);
-  if (!impl_->responses.pop_n(n, out)) {
-    throw NumericalError("oic-serve: connection closed before responding");
-  }
-  return out;
 }
 
 }  // namespace oic::serve

@@ -1,8 +1,7 @@
 #pragma once
 /// \file socket.hpp
 /// TCP front end for the monitor server: a loopback listener that speaks
-/// the exact `oic-serve v1` line grammar of api.hpp over sockets, and the
-/// matching client.
+/// the exact `oic-serve v1` line grammar of api.hpp over sockets.
 ///
 /// Framing on the wire is identical to the stdio mode -- each request
 /// batch document is answered by one response batch document, in
@@ -23,13 +22,8 @@
 /// The listener binds 127.0.0.1 only: the wire protocol is plain text
 /// with no authentication, so exposure stays host-local by construction.
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
-
-#include "serve/api.hpp"
 
 namespace oic::serve {
 
@@ -57,32 +51,6 @@ class SocketListener {
 
   /// Connections accepted over the listener's lifetime.
   std::uint64_t connections_accepted() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Client side of the socket transport.  submit() serializes one request
-/// batch onto the wire; responses stream back per batch document, in
-/// submission order, through a background reader into await().
-/// Not internally synchronized for concurrent submits: one owner thread
-/// submits, the same or another consumes.
-class SocketClient {
- public:
-  /// Connect to `host`:`port`.  Throws PreconditionError on failure.
-  SocketClient(const std::string& host, std::uint16_t port);
-  ~SocketClient();
-
-  SocketClient(const SocketClient&) = delete;
-  SocketClient& operator=(const SocketClient&) = delete;
-
-  /// Serialize + flush one request batch (one `oic-serve v1` document).
-  void submit(const std::vector<Request>& batch);
-
-  /// Block until exactly `n` responses arrived and return them in wire
-  /// order.  Throws NumericalError when the connection closes first.
-  std::vector<Response> await(std::size_t n);
 
  private:
   struct Impl;

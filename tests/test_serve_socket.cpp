@@ -1,6 +1,6 @@
 // Tests for the serve layer's socket transport (src/serve/socket.hpp):
-// the loopback SocketListener/SocketClient pair must answer byte-for-byte
-// what the in-process Service answers for the same request stream, and a
+// the loopback SocketListener must answer byte-for-byte what the
+// in-process Service answers for the same request stream, and a
 // connection feeding the server garbage must die alone -- the listener,
 // the tick thread, and every other connection keep serving.
 
@@ -12,8 +12,12 @@
 
 #include <arpa/inet.h>
 
+#include <cerrno>
+#include <cstdint>
 #include <cstring>
+#include <istream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -28,6 +32,87 @@ namespace {
 
 using oic::serve::Request;
 using oic::serve::Response;
+
+/// A TCP socket connected to 127.0.0.1:`port`, or -1.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Read-side streambuf over a socket fd, so the api.hpp reader parses
+/// straight off the wire.
+class FdInBuf final : public std::streambuf {
+ public:
+  explicit FdInBuf(int fd) : fd_(fd) { setg(buf_, buf_, buf_); }
+
+ private:
+  int_type underflow() override {
+    ssize_t n;
+    do {
+      n = ::read(fd_, buf_, sizeof(buf_));
+    } while (n < 0 && errno == EINTR);
+    if (n <= 0) return traits_type::eof();
+    setg(buf_, buf_, buf_ + n);
+    return traits_type::to_int_type(*gptr());
+  }
+
+  int fd_;
+  char buf_[1 << 12];
+};
+
+/// Lock-step client of the socket transport: submit() writes one request
+/// document, await(n) reads response documents until n responses arrived.
+class LoopbackClient {
+ public:
+  explicit LoopbackClient(std::uint16_t port)
+      : fd_(connect_loopback(port)), in_buf_(fd_), in_(&in_buf_), reader_(in_) {
+    if (fd_ < 0) throw oic::PreconditionError("cannot connect to the listener");
+  }
+  ~LoopbackClient() { ::close(fd_); }
+
+  LoopbackClient(const LoopbackClient&) = delete;
+  LoopbackClient& operator=(const LoopbackClient&) = delete;
+
+  void submit(const std::vector<Request>& batch) {
+    std::ostringstream doc;
+    oic::serve::write_request_batch(batch, doc);
+    const std::string bytes = doc.str();
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n =
+          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) throw oic::NumericalError("connection lost while submitting");
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  std::vector<Response> await(std::size_t n) {
+    std::vector<Response> out, doc;
+    while (out.size() < n) {
+      if (!reader_.read(doc)) {
+        throw oic::NumericalError("connection closed before responding");
+      }
+      out.insert(out.end(), doc.begin(), doc.end());
+    }
+    return out;
+  }
+
+ private:
+  int fd_;
+  FdInBuf in_buf_;
+  std::istream in_;
+  oic::serve::ResponseReader reader_;
+};
 
 Request open_req(std::uint64_t ref, std::uint64_t sid, std::string plant,
                  std::string policy) {
@@ -110,7 +195,7 @@ TEST(ServeSocket, SocketAnswersMatchInProcessByteForByte) {
     cfg.workers = 1;
     oic::serve::Server server(reg, cfg);
     oic::serve::SocketListener listener(server, 0);
-    oic::serve::SocketClient client("127.0.0.1", listener.port());
+    LoopbackClient client(listener.port());
     for (const std::vector<Request>& batch : batches) {
       client.submit(batch);
       const std::vector<Response> out = client.await(batch.size());
@@ -131,14 +216,8 @@ TEST(ServeSocket, MalformedConnectionDiesAloneServerSurvives) {
   // must poison only this connection: the fd is shut down (recv sees EOF)
   // and nothing crashes.
   {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connect_loopback(listener.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(listener.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
     const char garbage[] = "oic-serve v1\nrequests 2\nbogus verb here\n";
     ASSERT_EQ(::send(fd, garbage, sizeof(garbage) - 1, MSG_NOSIGNAL),
               static_cast<ssize_t>(sizeof(garbage) - 1));
@@ -150,7 +229,7 @@ TEST(ServeSocket, MalformedConnectionDiesAloneServerSurvives) {
   }
 
   // A well-formed connection opened after the poisoning round-trips fine.
-  oic::serve::SocketClient client("127.0.0.1", listener.port());
+  LoopbackClient client(listener.port());
   const std::vector<Request> batch{open_req(1, 5, "toy2d", "bang-bang"),
                                    decide_req(2, 5, {0.0, 0.0})};
   client.submit(batch);
