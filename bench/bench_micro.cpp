@@ -198,8 +198,7 @@ struct DqnStages {
   rl::Mlp net = rl::Mlp({kStateDim, 64, 64, kActions}, rng);
   std::vector<Matrix> states;  ///< kCaches input minibatches
   std::vector<Matrix> douts;   ///< one TD-style output gradient per minibatch
-  std::vector<rl::BatchForwardCache> caches =
-      std::vector<rl::BatchForwardCache>(kCaches);
+  std::vector<rl::BatchForwardCache> caches;
   rl::BatchWorkspace ws;
   rl::Gradients grad = net.zero_gradients();
 
@@ -214,7 +213,8 @@ struct DqnStages {
       for (std::size_t b = 0; b < kBatch; ++b) {
         d(b, rng.uniform_int(0, 1)) = rng.uniform(-1, 1);
       }
-      net.forward_batch_cached(in, caches[c]);
+      caches.emplace_back();
+      net.forward_batch_cached(in, caches.back());
       states.push_back(in);
       douts.push_back(d);
     }

@@ -42,20 +42,16 @@ PlantRuntime build_plant_runtime(const cert::PlantModel& model,
   return runtime_from_certificate(model, cert::resolve(model, provider));
 }
 
-linalg::Vector sample_from_set(const poly::HPolytope& set, Rng& rng, const char* who) {
-  return sample_from_set(set, set.bounding_box(), rng, who);
-}
-
 linalg::Vector sample_from_set(
     const poly::HPolytope& set,
-    const std::optional<std::pair<linalg::Vector, linalg::Vector>>& bb, Rng& rng,
+    const std::optional<std::pair<linalg::Vector, linalg::Vector>>& box, Rng& rng,
     const char* who) {
-  OIC_CHECK(bb.has_value(), std::string(who) + ": set unbounded");
-  const std::size_t dim = bb->first.size();
+  OIC_CHECK(box.has_value(), std::string(who) + ": set unbounded");
+  const std::size_t dim = box->first.size();
   linalg::Vector x(dim);
   for (int attempt = 0; attempt < 10000; ++attempt) {
     for (std::size_t i = 0; i < dim; ++i) {
-      x[i] = rng.uniform(bb->first[i], bb->second[i]);
+      x[i] = rng.uniform(box->first[i], box->second[i]);
     }
     if (set.contains(x, -1e-9)) return x;
   }

@@ -172,12 +172,11 @@ PlantRuntime build_plant_runtime(const cert::PlantModel& model,
                                  const cert::Provider& provider = {});
 
 /// Uniform sample from a bounded polytope by rejection sampling from its
-/// bounding box (dimension-generic; the AccCase sampler specialized to 2-D).
-/// `who` labels diagnostics.  Throws NumericalError when the set is
-/// unbounded or too thin for rejection sampling.
-linalg::Vector sample_from_set(const poly::HPolytope& set, Rng& rng, const char* who);
-
-/// The same draws from `set` given its precomputed bounding_box() `box`.
+/// bounding box `box`, which must be set.bounding_box() (callers compute it
+/// once; it costs one support LP per face of the box).  Dimension-generic;
+/// the AccCase sampler specialized to 2-D.  `who` labels diagnostics.
+/// Throws NumericalError when the set is unbounded (no box) or too thin for
+/// rejection sampling.
 linalg::Vector sample_from_set(
     const poly::HPolytope& set,
     const std::optional<std::pair<linalg::Vector, linalg::Vector>>& box, Rng& rng,

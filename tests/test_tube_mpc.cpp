@@ -251,10 +251,11 @@ TEST(TubeMpc, InvocationCounterTracksCalls) {
 std::uint64_t production_lp_hash(const std::string& plant_id) {
   const auto plant = oic::eval::ScenarioRegistry::builtin().make_plant(plant_id);
   oic::Rng rng(0x6c705f676f6c64ull);
+  const auto& x_prime = plant->sets().x_prime;
+  const auto box = x_prime.bounding_box();
   std::vector<Vector> states;
   for (int i = 0; i < 600; ++i) {
-    states.push_back(
-        oic::eval::sample_from_set(plant->sets().x_prime, rng, "production_lp_hash"));
+    states.push_back(oic::eval::sample_from_set(x_prime, box, rng, "production_lp_hash"));
   }
   oic::Fnv1a h;
   for (const bool resets : {false, true}) {
@@ -279,10 +280,12 @@ std::uint64_t infeasible_lp_hash(const std::string& plant_id) {
   const auto plant = oic::eval::ScenarioRegistry::builtin().make_plant(plant_id);
   oic::Rng rng(0x696e66656173ull);
   TubeMpc mpc = plant->rmpc();
+  const auto box = plant->sets().x.bounding_box();
   oic::Fnv1a h;
   std::size_t thrown = 0;
   for (int i = 0; i < 600; ++i) {
-    const Vector x = oic::eval::sample_from_set(plant->sets().x, rng, "infeasible_lp_hash");
+    const Vector x =
+        oic::eval::sample_from_set(plant->sets().x, box, rng, "infeasible_lp_hash");
     try {
       const Vector u = mpc.control(x);
       h.u64(0);
