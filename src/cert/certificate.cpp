@@ -1,12 +1,13 @@
 #include "cert/certificate.hpp"
 
-#include <cstring>
+#include <charconv>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "cert/io.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/textio.hpp"
 #include "control/lqr.hpp"
 
 namespace oic::cert {
@@ -38,31 +39,27 @@ class Fnv1a : public oic::Fnv1a {
   }
 };
 
-void expect_line_tag(std::istream& is, const char* tag, const char* what) {
-  std::string got;
-  if (!(is >> got) || got != tag) {
-    throw NumericalError(std::string("load_certificate: missing ") + what);
+constexpr const char* kFormat = "oic-cert";
+
+/// A `<tag> <16 lowercase hex digits>` hash line.
+std::uint64_t read_hash(textio::Reader& in, const char* tag, const char* what) {
+  in.expect(tag);
+  const std::string_view hex = in.token(what, 16);
+  std::uint64_t v = 0;
+  const auto [p, ec] = std::from_chars(hex.data(), hex.data() + hex.size(), v, 16);
+  if (hex.size() != 16 || ec != std::errc() || p != hex.data() + hex.size() ||
+      hex.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
+    in.fail(std::string("malformed ") + what + " '" + std::string(hex) + "'");
   }
+  return v;
 }
 
-CertHeader read_header(std::istream& is) {
-  std::string magic, version;
-  is >> magic >> version;
-  if (!is || magic != "oic-cert" || version != "v1") {
-    throw NumericalError("load_certificate: bad magic/version header");
-  }
+CertHeader read_header(textio::Reader& in) {
+  in.expect_magic("oic-cert", "v1");
   CertHeader header;
-  expect_line_tag(is, "plant:", "plant id");
-  if (!(is >> header.plant)) {
-    throw NumericalError("load_certificate: missing plant id");
-  }
-  expect_line_tag(is, "model-hash:", "model hash");
-  std::string hex;
-  if (!(is >> hex) || hex.size() != 16 ||
-      hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    throw NumericalError("load_certificate: malformed model hash");
-  }
-  header.model_hash = std::stoull(hex, nullptr, 16);
+  in.expect("plant:");
+  header.plant = in.token("plant id");
+  header.model_hash = read_hash(in, "model-hash:", "model hash");
   return header;
 }
 
@@ -262,57 +259,41 @@ void save_certificate(const PlantCertificate& cert, std::ostream& os) {
 }
 
 PlantCertificate load_certificate(std::istream& is) {
-  const CertHeader header = read_header(is);
+  const std::string text = textio::slurp(is);
+  textio::Reader in(kFormat, text);
+  const CertHeader header = read_header(in);
   PlantCertificate cert;
   cert.plant = header.plant;
   cert.model_hash = header.model_hash;
 
-  expect_line_tag(is, "k-lqr:", "k-lqr section");
-  cert.k_lqr = read_matrix(is);
+  in.expect("k-lqr:");
+  cert.k_lqr = read_matrix(in);
 
-  expect_line_tag(is, "tightened:", "tightened section");
-  std::size_t n_tightened = 0;
-  if (!(is >> n_tightened) || n_tightened > 4096) {
-    throw NumericalError("load_certificate: bad tightened-set count");
-  }
-  cert.tightened.reserve(n_tightened);
+  in.expect("tightened:");
+  const std::size_t n_tightened = in.count("tightened-set count", 4096);
   for (std::size_t i = 0; i < n_tightened; ++i) {
-    cert.tightened.push_back(read_polytope(is));
+    cert.tightened.push_back(read_polytope(in));
   }
 
-  expect_line_tag(is, "terminal:", "terminal section");
-  cert.terminal = read_polytope(is);
+  in.expect("terminal:");
+  cert.terminal = read_polytope(in);
 
-  expect_line_tag(is, "sets:", "sets section");
-  cert.sets.x = read_polytope(is);
-  cert.sets.xi = read_polytope(is);
-  cert.sets.x_prime = read_polytope(is);
+  in.expect("sets:");
+  cert.sets.x = read_polytope(in);
+  cert.sets.xi = read_polytope(in);
+  cert.sets.x_prime = read_polytope(in);
 
-  expect_line_tag(is, "ladder:", "ladder section");
-  std::size_t n_ladder = 0;
-  if (!(is >> n_ladder) || n_ladder > 4096) {
-    throw NumericalError("load_certificate: bad ladder count");
-  }
-  cert.ladder.reserve(n_ladder);
-  for (std::size_t i = 0; i < n_ladder; ++i) cert.ladder.push_back(read_polytope(is));
+  in.expect("ladder:");
+  const std::size_t n_ladder = in.count("ladder count", 4096);
+  for (std::size_t i = 0; i < n_ladder; ++i) cert.ladder.push_back(read_polytope(in));
 
   // Payload integrity: the text round trip is bit-exact, so recomputing
   // the payload hash over what was just parsed must reproduce the recorded
   // value -- any in-place corruption that still parses is caught here.
-  expect_line_tag(is, "payload-hash:", "payload hash");
-  std::string hex;
-  if (!(is >> hex) || hex.size() != 16 ||
-      hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    throw NumericalError("load_certificate: malformed payload hash");
+  if (read_hash(in, "payload-hash:", "payload hash") != payload_hash(cert)) {
+    in.fail("payload hash mismatch (corrupted certificate)");
   }
-  if (std::stoull(hex, nullptr, 16) != payload_hash(cert)) {
-    throw NumericalError(
-        "load_certificate: payload hash mismatch (corrupted certificate)");
-  }
-
-  // The sentinel distinguishes a complete document from one truncated
-  // after a well-formed prefix (e.g. a partial copy of the cache file).
-  expect_line_tag(is, "end", "end sentinel (truncated file?)");
+  in.expect_end();
   return cert;
 }
 
@@ -349,7 +330,9 @@ CertHeader load_certificate_header_file(const std::string& path) {
   if (!is) {
     throw NumericalError("load_certificate_header_file: cannot open " + path);
   }
-  return read_header(is);
+  const std::string text = textio::slurp(is);
+  textio::Reader in(kFormat, text);
+  return read_header(in);
 }
 
 }  // namespace oic::cert

@@ -1,12 +1,9 @@
 #include "cert/io.hpp"
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
-#include <istream>
 #include <ostream>
-#include <string>
 
 #include "common/error.hpp"
 
@@ -18,38 +15,10 @@ using poly::HPolytope;
 
 namespace {
 
-void expect_tag(std::istream& is, const char* tag) {
-  std::string got;
-  if (!(is >> got) || got != tag) {
-    throw NumericalError(std::string("cert::io: expected '") + tag + "', got '" + got +
-                         "'");
-  }
-}
-
-std::size_t read_count(std::istream& is, const char* what) {
-  std::size_t n = 0;
-  // The cap rejects corrupted headers before they turn into huge
-  // allocations (worst accepted shape is 4096 x 4096 doubles, ~134 MB);
-  // real certificate sets are tens of rows in <= ~20 dims.
-  if (!(is >> n) || n > 4096) {
-    throw NumericalError(std::string("cert::io: bad ") + what + " count");
-  }
-  return n;
-}
-
-double read_value(std::istream& is, const char* what) {
-  double v = 0.0;
-  if (!(is >> v)) {
-    throw NumericalError(std::string("cert::io: truncated ") + what + " payload");
-  }
-  // No synthesized artifact is ever non-finite; a nan/inf token is a
-  // corrupted or hand-edited file.  (istream extraction of such tokens is
-  // implementation-defined -- reject explicitly rather than rely on it.)
-  if (!std::isfinite(v)) {
-    throw NumericalError(std::string("cert::io: non-finite ") + what + " value");
-  }
-  return v;
-}
+// The cap rejects corrupted headers before they turn into huge
+// allocations (worst accepted shape is 4096 x 4096 doubles, ~134 MB);
+// real certificate sets are tens of rows in <= ~20 dims.
+constexpr std::size_t kMaxCount = 4096;
 
 }  // namespace
 
@@ -61,11 +30,10 @@ void write_vector(std::ostream& os, const Vector& v) {
   if (!os) throw NumericalError("cert::io: vector write failed");
 }
 
-Vector read_vector(std::istream& is) {
-  expect_tag(is, "vector");
-  const std::size_t n = read_count(is, "vector");
-  Vector v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = read_value(is, "vector");
+Vector read_vector(textio::Reader& in) {
+  in.expect("vector");
+  Vector v(in.count("vector size", kMaxCount));
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = in.finite("vector value");
   return v;
 }
 
@@ -83,13 +51,13 @@ void write_matrix(std::ostream& os, const Matrix& m) {
   if (!os) throw NumericalError("cert::io: matrix write failed");
 }
 
-Matrix read_matrix(std::istream& is) {
-  expect_tag(is, "matrix");
-  const std::size_t rows = read_count(is, "matrix row");
-  const std::size_t cols = read_count(is, "matrix col");
+Matrix read_matrix(textio::Reader& in) {
+  in.expect("matrix");
+  const std::size_t rows = in.count("matrix row count", kMaxCount);
+  const std::size_t cols = in.count("matrix col count", kMaxCount);
   Matrix m(rows, cols);
   for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) m(i, j) = read_value(is, "matrix");
+    for (std::size_t j = 0; j < cols; ++j) m(i, j) = in.finite("matrix value");
   }
   return m;
 }
@@ -106,15 +74,15 @@ void write_polytope(std::ostream& os, const HPolytope& p) {
   if (!os) throw NumericalError("cert::io: polytope write failed");
 }
 
-HPolytope read_polytope(std::istream& is) {
-  expect_tag(is, "polytope");
-  const std::size_t m = read_count(is, "polytope row");
-  const std::size_t n = read_count(is, "polytope dim");
+HPolytope read_polytope(textio::Reader& in) {
+  in.expect("polytope");
+  const std::size_t m = in.count("polytope row count", kMaxCount);
+  const std::size_t n = in.count("polytope dim", kMaxCount);
   Matrix a(m, n);
   Vector b(m);
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = read_value(is, "polytope");
-    b[i] = read_value(is, "polytope");
+    for (std::size_t j = 0; j < n; ++j) a(i, j) = in.finite("polytope coefficient");
+    b[i] = in.finite("polytope offset");
   }
   return HPolytope(std::move(a), std::move(b));
 }

@@ -16,10 +16,13 @@
 ///   matrix <rows> <cols> <row-major values>
 ///   polytope <m> <n> <a_00> ... <a_0,n-1> <b_0>  ...   (one row + offset
 ///                                                       per constraint)
-/// Readers throw NumericalError on malformed or truncated input.
+/// Readers take a textio::Reader over the whole document (token rules in
+/// common/textio.hpp; counts are capped at 4096) and throw NumericalError
+/// on malformed or truncated input.
 
 #include <iosfwd>
 
+#include "common/textio.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "poly/hpolytope.hpp"
@@ -28,17 +31,17 @@ namespace oic::cert {
 
 /// Write / read one tagged vector.
 void write_vector(std::ostream& os, const linalg::Vector& v);
-linalg::Vector read_vector(std::istream& is);
+linalg::Vector read_vector(textio::Reader& in);
 
 /// Write / read one tagged matrix (row-major values).
 void write_matrix(std::ostream& os, const linalg::Matrix& m);
-linalg::Matrix read_matrix(std::istream& is);
+linalg::Matrix read_matrix(textio::Reader& in);
 
 /// Write / read one tagged polytope { x | A x <= b }: each constraint row
 /// is the n coefficients of A followed by the offset b.  Handles the empty
 /// description (m = 0, the universe) and single-row sets.
 void write_polytope(std::ostream& os, const poly::HPolytope& p);
-poly::HPolytope read_polytope(std::istream& is);
+poly::HPolytope read_polytope(textio::Reader& in);
 
 /// Exact (bitwise) equality of the numeric payloads -- the comparison the
 /// round-trip and golden-load tests are phrased in.

@@ -1,9 +1,9 @@
 #include "eval/policy_spec.hpp"
 
-#include <cstdlib>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/textio.hpp"
 #include "core/drl_policy.hpp"
 #include "rl/serialize.hpp"
 
@@ -11,16 +11,14 @@ namespace oic::eval {
 
 namespace {
 
-/// Strict positive-count parse for policy-spec payloads: digits only (no
-/// sign, no trailing junk -- strtoul would wrap "-2" to a huge depth), at
-/// least 1.
+/// Strict positive-count parse for policy-spec payloads: textio's u64
+/// token rule (no sign, no trailing junk -- strtoul would wrap "-2" to a
+/// huge depth), at most 9 digits, at least 1.
 bool parse_policy_count(const std::string& payload, std::size_t& out) {
-  if (payload.empty() || payload.size() > 9 ||
-      payload.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  out = static_cast<std::size_t>(std::strtoul(payload.c_str(), nullptr, 10));
-  return out >= 1;
+  std::uint64_t v = 0;
+  if (payload.size() > 9 || !textio::parse_u64(payload, v) || v < 1) return false;
+  out = static_cast<std::size_t>(v);
+  return true;
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 #include "fault/fault.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/textio.hpp"
 
 namespace oic::fault {
 namespace {
@@ -22,34 +22,32 @@ enum Channel : std::uint64_t {
 
 constexpr std::size_t kMaxDelay = 64;
 
-double parse_prob(const std::string& key, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  OIC_REQUIRE(end == text.c_str() + text.size() && !text.empty() && std::isfinite(v),
+/// A finite decimal value (textio's token rule: no hex, no blanks).
+double parse_number(const std::string& key, const std::string& text) {
+  double v = 0.0;
+  OIC_REQUIRE(textio::parse_finite(text, v),
               "fault spec: '" + key + "' expects a number, got '" + text + "'");
+  return v;
+}
+
+double parse_prob(const std::string& key, const std::string& text) {
+  const double v = parse_number(key, text);
   OIC_REQUIRE(v >= 0.0 && v <= 1.0,
               "fault spec: '" + key + "' must lie in [0, 1], got '" + text + "'");
   return v;
 }
 
 double parse_gain(const std::string& key, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  OIC_REQUIRE(end == text.c_str() + text.size() && !text.empty() && std::isfinite(v),
-              "fault spec: '" + key + "' expects a number, got '" + text + "'");
+  const double v = parse_number(key, text);
   OIC_REQUIRE(v >= 0.0,
               "fault spec: '" + key + "' must be non-negative, got '" + text + "'");
   return v;
 }
 
 std::size_t parse_delay(const std::string& key, const std::string& text) {
-  OIC_REQUIRE(!text.empty() && text.size() <= 4, "fault spec: '" + key +
+  std::uint64_t v = 0;
+  OIC_REQUIRE(textio::parse_u64(text, v), "fault spec: '" + key +
                   "' expects an integer in [0, 64], got '" + text + "'");
-  for (const char c : text) {
-    OIC_REQUIRE(c >= '0' && c <= '9', "fault spec: '" + key +
-                    "' expects an integer in [0, 64], got '" + text + "'");
-  }
-  const unsigned long v = std::strtoul(text.c_str(), nullptr, 10);
   OIC_REQUIRE(v <= kMaxDelay,
               "fault spec: '" + key + "' must be at most 64, got '" + text + "'");
   return static_cast<std::size_t>(v);

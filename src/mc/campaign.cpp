@@ -6,10 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
-#include <istream>
 #include <memory>
 #include <ostream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -19,6 +17,7 @@
 #include "common/hash.hpp"
 #include "common/jsonout.hpp"
 #include "common/parallel.hpp"
+#include "common/textio.hpp"
 #include "eval/engine.hpp"
 #include "eval/sweep.hpp"
 
@@ -83,20 +82,12 @@ void write_welford(std::ostream& os, const Welford& w) {
   }
 }
 
-Welford read_welford(std::istream& is) {
-  std::uint64_t n = 0;
-  double mean = 0.0, m2 = 0.0, lo = 0.0, hi = 0.0;
-  if (!(is >> n >> mean >> m2 >> lo >> hi)) {
-    throw NumericalError("mc checkpoint: truncated accumulator");
-  }
-  // Same discipline as cert::io / rl::serialize: no legitimate
-  // accumulator state is non-finite, and istream acceptance of
-  // "nan"/"inf" tokens is implementation-defined -- reject explicitly so
-  // a corrupted checkpoint cannot poison resumed statistics.
-  if (!std::isfinite(mean) || !std::isfinite(m2) || !std::isfinite(lo) ||
-      !std::isfinite(hi)) {
-    throw NumericalError("mc checkpoint: non-finite accumulator value");
-  }
+Welford read_welford(textio::Reader& in) {
+  const std::uint64_t n = in.u64("accumulator count");
+  const double mean = in.finite("accumulator mean");
+  const double m2 = in.finite("accumulator m2");
+  const double lo = in.finite("accumulator min");
+  const double hi = in.finite("accumulator max");
   return Welford(n, mean, m2, lo, hi);
 }
 
@@ -113,53 +104,45 @@ void write_policy_stats(std::ostream& os, const PolicyStats& ps) {
   os << '\n';
 }
 
-PolicyStats read_policy_stats(std::istream& is) {
-  std::string tag;
+PolicyStats read_policy_stats(textio::Reader& in) {
   PolicyStats ps;
-  if (!(is >> tag) || tag != "stats" || !(is >> ps.name)) {
-    throw NumericalError("mc checkpoint: expected a stats line");
-  }
-  if (!(is >> ps.episodes >> ps.violations >> ps.left_x_episodes)) {
-    throw NumericalError("mc checkpoint: truncated stats counters");
-  }
-  if (!(is >> ps.steps >> ps.degraded_steps >> ps.stale_forced >>
-        ps.policy_unavail >> ps.meas_dropped >> ps.act_dropped)) {
-    throw NumericalError("mc checkpoint: truncated fault counters");
-  }
+  in.expect("stats");
+  ps.name = in.token("policy name");
+  ps.episodes = in.u64("episode count");
+  ps.violations = in.u64("violation count");
+  ps.left_x_episodes = in.u64("left-X count");
+  ps.steps = in.u64("step count");
+  ps.degraded_steps = in.u64("degraded-step count");
+  ps.stale_forced = in.u64("stale-forced count");
+  ps.policy_unavail = in.u64("policy-unavailable count");
+  ps.meas_dropped = in.u64("measurement-drop count");
+  ps.act_dropped = in.u64("actuation-drop count");
   OIC_REQUIRE(ps.violations <= ps.episodes && ps.left_x_episodes <= ps.violations,
               "mc checkpoint: inconsistent violation counters");
   OIC_REQUIRE(ps.degraded_steps <= ps.steps && ps.stale_forced <= ps.degraded_steps &&
                   ps.policy_unavail <= ps.degraded_steps &&
                   ps.meas_dropped <= ps.steps && ps.act_dropped <= ps.steps,
               "mc checkpoint: inconsistent fault counters");
-  ps.saving = read_welford(is);
-  ps.cost = read_welford(is);
-  ps.skipped = read_welford(is);
-  ps.degraded = read_welford(is);
+  ps.saving = read_welford(in);
+  ps.cost = read_welford(in);
+  ps.skipped = read_welford(in);
+  ps.degraded = read_welford(in);
   return ps;
 }
 
-double read_finite(std::istream& is, const char* what) {
-  double v = 0.0;
-  if (!(is >> v)) {
-    throw NumericalError(std::string("mc checkpoint: truncated ") + what);
-  }
-  if (!std::isfinite(v)) {
-    throw NumericalError(std::string("mc checkpoint: non-finite ") + what);
-  }
-  return v;
+/// A 0/1 flag field.
+bool read_flag(textio::Reader& in, const char* what) {
+  const std::uint64_t v = in.u64(what);
+  if (v > 1) in.fail(std::string(what) + " must be 0 or 1");
+  return v == 1;
 }
 
 /// Read a level ladder of `n` entries and reject non-monotone / NaN /
 /// non-negative ladders (validate_levels) -- a corrupted checkpoint must
 /// not seed a nonsense splitting run.
-std::vector<double> read_ladder(std::istream& is, std::size_t n, const char* what) {
-  if (n > 64) {
-    throw NumericalError(std::string("mc checkpoint: oversized ") + what);
-  }
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(read_finite(is, what));
+std::vector<double> read_ladder(textio::Reader& in, std::size_t n, const char* what) {
+  std::vector<double> out(n);
+  for (double& level : out) level = in.finite(what);
   validate_levels(out);
   return out;
 }
@@ -216,65 +199,43 @@ void write_split_cell(std::ostream& os, const SplitCellResult& sc) {
   }
 }
 
-SplitCellResult read_split_cell(std::istream& is) {
-  std::string tag;
+SplitCellResult read_split_cell(textio::Reader& in) {
   SplitCellResult sc;
-  int falsified = 0;
-  std::size_t nseeded = 0;
-  if (!(is >> tag) || tag != "scell" ||
-      !(is >> sc.plant >> sc.family >> falsified >> nseeded) ||
-      (falsified != 0 && falsified != 1)) {
-    throw NumericalError("mc checkpoint: bad splitting cell header");
-  }
-  sc.falsified = falsified == 1;
-  sc.seeded_levels = read_ladder(is, nseeded, "seeded ladder");
-  std::size_t nunits = 0;
-  if (!(is >> nunits) || nunits > 256) {
-    throw NumericalError("mc checkpoint: bad splitting unit count");
-  }
+  in.expect("scell");
+  sc.plant = in.token("plant id");
+  sc.family = in.token("family id");
+  sc.falsified = read_flag(in, "falsified flag");
+  const std::size_t nseeded = in.count("seeded ladder size", 64);
+  sc.seeded_levels = read_ladder(in, nseeded, "seeded level");
+  const std::size_t nunits = in.count("splitting unit count", 256);
   if (sc.falsified) {
     FalsifyResult& f = sc.falsify;
-    int viol = 0;
-    std::size_t nsug = 0;
-    if (!(is >> tag) || tag != "falsify") {
-      throw NumericalError("mc checkpoint: expected a falsify line");
-    }
-    f.worst_level = read_finite(is, "falsify objective");
-    if (!(is >> viol >> f.episodes >> nsug) || (viol != 0 && viol != 1)) {
-      throw NumericalError("mc checkpoint: truncated falsify line");
-    }
-    f.violation = viol == 1;
+    in.expect("falsify");
+    f.worst_level = in.finite("falsify objective");
+    f.violation = read_flag(in, "falsify violation flag");
+    f.episodes = in.u64("falsify episode count");
     OIC_REQUIRE(f.violation == (f.worst_level >= 0.0),
                 "mc checkpoint: falsify violation flag disagrees with the "
                 "objective");
-    f.suggested_levels = read_ladder(is, nsug, "suggested ladder");
+    const std::size_t nsug = in.count("suggested ladder size", 64);
+    f.suggested_levels = read_ladder(in, nsug, "suggested level");
     MixtureParams& p = f.worst;
-    if (!(is >> tag) || tag != "params" || !(is >> p.label)) {
-      throw NumericalError("mc checkpoint: expected a params line");
+    in.expect("params");
+    p.label = in.token("falsify label");
+    for (double* field : {&p.center, &p.lo, &p.hi, &p.noise_gain, &p.noise_alpha,
+                          &p.burst_rate}) {
+      *field = in.finite("falsify params");
     }
-    p.center = read_finite(is, "falsify params");
-    p.lo = read_finite(is, "falsify params");
-    p.hi = read_finite(is, "falsify params");
-    p.noise_gain = read_finite(is, "falsify params");
-    p.noise_alpha = read_finite(is, "falsify params");
-    p.burst_rate = read_finite(is, "falsify params");
-    std::size_t nsines = 0;
-    if (!(is >> p.burst_len_min >> p.burst_len_max)) {
-      throw NumericalError("mc checkpoint: truncated params line");
+    p.burst_len_min = in.u64("burst length min");
+    p.burst_len_max = in.u64("burst length max");
+    for (double* field : {&p.burst_amp, &p.ramp_rate, &p.ramp_span, &p.ramp_slew}) {
+      *field = in.finite("falsify params");
     }
-    p.burst_amp = read_finite(is, "falsify params");
-    p.ramp_rate = read_finite(is, "falsify params");
-    p.ramp_span = read_finite(is, "falsify params");
-    p.ramp_slew = read_finite(is, "falsify params");
-    if (!(is >> nsines) || nsines > 16) {
-      throw NumericalError("mc checkpoint: bad sine count");
-    }
-    for (std::size_t i = 0; i < nsines; ++i) {
-      SineComponent s;
-      s.amplitude = read_finite(is, "sine component");
-      s.omega = read_finite(is, "sine component");
-      s.phase = read_finite(is, "sine component");
-      p.sines.push_back(s);
+    p.sines.resize(in.count("sine count", 16));
+    for (SineComponent& s : p.sines) {
+      s.amplitude = in.finite("sine component");
+      s.omega = in.finite("sine component");
+      s.phase = in.finite("sine component");
     }
     // Constructing the profile runs the full MixtureParams validation, so
     // a corrupted parameter vector is rejected here and not at use time.
@@ -282,15 +243,11 @@ SplitCellResult read_split_cell(std::istream& is) {
   }
   for (std::size_t u = 0; u < nunits; ++u) {
     SplitUnitResult unit;
-    int done = 0;
-    std::uint64_t trials = 0;
-    std::size_t nbatches = 0;
-    if (!(is >> tag) || tag != "unit" ||
-        !(is >> unit.policy >> done >> trials >> nbatches) ||
-        (done != 0 && done != 1) || nbatches > 4096) {
-      throw NumericalError("mc checkpoint: bad splitting unit header");
-    }
-    unit.state.done = done == 1;
+    in.expect("unit");
+    unit.policy = in.token("unit policy name");
+    unit.state.done = read_flag(in, "unit done flag");
+    const std::uint64_t trials = in.u64("unit trial count");
+    const std::size_t nbatches = in.count("batch count", 4096);
     OIC_REQUIRE(nbatches == 0 || trials >= 1,
                 "mc checkpoint: splitting unit with batches but zero trials");
     OIC_REQUIRE(!unit.state.done || nbatches > 0,
@@ -299,23 +256,14 @@ SplitCellResult read_split_cell(std::istream& is) {
       SplitBatch batch;
       SplitEstimate& e = batch.estimate;
       e.trials = trials;
-      int bdone = 0;
-      std::size_t nstages = 0;
-      if (!(is >> tag) || tag != "batch" ||
-          !(is >> bdone >> e.episodes >> nstages) ||
-          (bdone != 0 && bdone != 1) || nstages > 4096) {
-        throw NumericalError("mc checkpoint: bad splitting batch header");
-      }
-      batch.done = bdone == 1;
+      in.expect("batch");
+      batch.done = read_flag(in, "batch done flag");
+      e.episodes = in.u64("batch episode count");
+      const std::size_t nstages = in.count("stage count", 4096);
       for (std::size_t k = 0; k < nstages; ++k) {
-        std::uint64_t survivors = 0;
-        if (!(is >> tag) || tag != "stage") {
-          throw NumericalError("mc checkpoint: expected a stage line");
-        }
-        const double level = read_finite(is, "stage level");
-        if (!(is >> survivors)) {
-          throw NumericalError("mc checkpoint: truncated stage line");
-        }
+        in.expect("stage");
+        const double level = in.finite("stage level");
+        const std::uint64_t survivors = in.u64("stage survivors");
         OIC_REQUIRE(survivors <= e.trials,
                     "mc checkpoint: stage survivors exceed the trial count");
         OIC_REQUIRE(level <= 0.0, "mc checkpoint: stage level above the boundary");
@@ -324,27 +272,18 @@ SplitCellResult read_split_cell(std::istream& is) {
         e.levels.push_back(level);
         e.survivors.push_back(survivors);
       }
-      std::size_t nfront = 0;
-      if (!(is >> tag) || tag != "frontier" || !(is >> nfront) || nfront > 65536) {
-        throw NumericalError("mc checkpoint: bad frontier header");
-      }
+      in.expect("frontier");
+      const std::size_t nfront = in.count("frontier size", 65536);
       OIC_REQUIRE(nfront == 0 || nfront == e.trials,
                   "mc checkpoint: frontier size must be 0 or the trial count");
       OIC_REQUIRE(!batch.done || nfront == 0,
                   "mc checkpoint: a done batch cannot carry a frontier");
       for (std::size_t j = 0; j < nfront; ++j) {
-        std::size_t nentries = 0;
-        if (!(is >> tag) || tag != "lin" || !(is >> nentries) || nentries > 4096) {
-          throw NumericalError("mc checkpoint: bad lineage header");
-        }
-        Lineage lin;
-        lin.reserve(nentries);
-        for (std::size_t i = 0; i < nentries; ++i) {
-          LineageEntry le;
-          if (!(is >> le.from_step >> le.seed)) {
-            throw NumericalError("mc checkpoint: truncated lineage");
-          }
-          lin.push_back(le);
+        in.expect("lin");
+        Lineage lin(in.count("lineage length", 4096));
+        for (LineageEntry& le : lin) {
+          le.from_step = in.u64("lineage step");
+          le.seed = in.u64("lineage seed");
         }
         // Structural validation only; the episode-length bound is enforced
         // against the resuming spec in run_campaign.
@@ -567,54 +506,34 @@ void save_checkpoint(const Checkpoint& ck, std::ostream& os) {
 }
 
 Checkpoint load_checkpoint(std::istream& is) {
-  std::string magic, version;
-  is >> magic >> version;
-  if (!is || magic != "oic-mc-checkpoint" || version != "v2") {
-    throw NumericalError("load_checkpoint: bad magic/version header (v2 "
-                         "required; v1 checkpoints predate fault accounting "
-                         "-- delete and rerun)");
-  }
-  std::string tag;
+  const std::string text = textio::slurp(is);
+  textio::Reader in("oic-mc-checkpoint", text);
+  in.expect_magic("oic-mc-checkpoint", "v2");
   Checkpoint ck;
-  if (!(is >> tag >> ck.fingerprint) || tag != "fingerprint") {
-    throw NumericalError("load_checkpoint: missing fingerprint");
-  }
-  std::size_t cells = 0;
-  if (!(is >> tag >> cells) || tag != "cells" || cells > 65536) {
-    throw NumericalError("load_checkpoint: bad cell count");
-  }
+  in.expect("fingerprint");
+  ck.fingerprint = in.u64("fingerprint");
+  in.expect("cells");
+  const std::size_t cells = in.count("cell count", 65536);
   for (std::size_t c = 0; c < cells; ++c) {
-    CellStats cell;
-    std::size_t policies = 0;
-    if (!(is >> tag) || tag != "cell" ||
-        !(is >> cell.plant >> cell.family >> cell.blocks_done >> cell.episodes >>
-          policies) ||
-        policies > 256) {
-      throw NumericalError("load_checkpoint: bad cell header");
-    }
-    cell.baseline = read_policy_stats(is);
+    CellStats& cell = ck.cells.emplace_back();
+    in.expect("cell");
+    cell.plant = in.token("plant id");
+    cell.family = in.token("family id");
+    cell.blocks_done = in.u64("completed block count");
+    cell.episodes = in.u64("cell episode count");
+    const std::size_t policies = in.count("policy count", 256);
+    cell.baseline = read_policy_stats(in);
     for (std::size_t p = 0; p < policies; ++p) {
-      cell.policies.push_back(read_policy_stats(is));
+      cell.policies.push_back(read_policy_stats(in));
     }
-    ck.cells.push_back(std::move(cell));
   }
-  if (!(is >> tag)) {
-    throw NumericalError("load_checkpoint: truncated document (missing end)");
-  }
+  const std::string_view tag = in.next();
   if (tag == "splitting") {
-    std::size_t n = 0;
-    if (!(is >> n) || n > 65536) {
-      throw NumericalError("load_checkpoint: bad splitting cell count");
-    }
-    for (std::size_t c = 0; c < n; ++c) {
-      ck.split_cells.push_back(read_split_cell(is));
-    }
-    if (!(is >> tag)) {
-      throw NumericalError("load_checkpoint: truncated document (missing end)");
-    }
-  }
-  if (tag != "end") {
-    throw NumericalError("load_checkpoint: truncated document (missing end)");
+    const std::size_t n = in.count("splitting cell count", 65536);
+    for (std::size_t c = 0; c < n; ++c) ck.split_cells.push_back(read_split_cell(in));
+    in.expect_end();
+  } else if (tag != "end") {
+    in.fail("truncated document (missing 'end' sentinel)");
   }
   return ck;
 }

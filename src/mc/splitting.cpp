@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <thread>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/textio.hpp"
 #include "common/parallel.hpp"
 #include "eval/engine.hpp"
 
@@ -75,10 +75,8 @@ std::vector<double> parse_levels(const std::string& text) {
     const std::size_t comma = std::min(text.find(',', pos), text.size());
     const std::string item = text.substr(pos, comma - pos);
     OIC_REQUIRE(!item.empty(), "parse_levels: empty level in '" + text + "'");
-    const char* begin = item.c_str();
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    OIC_REQUIRE(end == begin + item.size(),
+    double v = 0.0;
+    OIC_REQUIRE(textio::parse_finite(item, v),
                 "parse_levels: malformed level '" + item + "'");
     out.push_back(v);
     OIC_REQUIRE(out.size() <= 64, "parse_levels: more than 64 levels");

@@ -1,11 +1,11 @@
 #include "rl/serialize.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <iomanip>
-#include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
+#include "common/textio.hpp"
 
 namespace oic::rl {
 
@@ -18,19 +18,42 @@ constexpr std::size_t kMaxLayerSize = 4096;
 constexpr std::size_t kMaxLayers = 64;
 constexpr std::size_t kMaxMemory = 4096;
 
-/// Weight/bias/scale payload read: truncation and non-finite tokens both
-/// reject (istream behaviour on "nan"/"inf" is implementation-defined, so
-/// the finiteness check is explicit).
-double read_finite(std::istream& is, const char* what) {
-  double v = 0.0;
-  if (!(is >> v)) {
-    throw NumericalError(std::string("rl::serialize: truncated ") + what);
+Mlp read_mlp(textio::Reader& in) {
+  in.expect_magic("oic-mlp", "v1");
+  in.expect("sizes:");
+  // The whole line must be layer sizes: a stray token would silently
+  // reinterpret the network with a shorter shape.
+  std::vector<std::size_t> sizes;
+  while (!in.at_line_end()) {
+    if (sizes.size() == kMaxLayers) {
+      in.fail("layer count exceeds " + std::to_string(kMaxLayers));
+    }
+    sizes.push_back(in.count("layer size", kMaxLayerSize));
+    if (sizes.back() < 1) in.fail("layer size must be >= 1");
   }
-  if (!std::isfinite(v)) {
-    throw NumericalError(std::string("rl::serialize: non-finite ") + what +
-                         " value");
+  if (sizes.size() < 2) in.fail("need at least two layer sizes");
+
+  Rng dummy(0);
+  Mlp net(sizes, dummy);
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    auto& w = net.weight(l);
+    for (std::size_t i = 0; i < w.rows(); ++i)
+      for (std::size_t j = 0; j < w.cols(); ++j) w(i, j) = in.finite("weight");
+    auto& b = net.bias(l);
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = in.finite("bias");
   }
-  return v;
+  in.expect_end();
+  return net;
+}
+
+AgentHeader read_agent_header(textio::Reader& in) {
+  in.expect_magic("oic-agent", "v1");
+  in.expect("plant:");
+  const std::string_view plant = in.token("plant id");
+  in.expect("memory:");
+  const std::size_t memory = in.count("memory length", kMaxMemory);
+  if (memory < 1) in.fail("memory length must be >= 1");
+  return AgentHeader{plant == "?" ? std::string() : std::string(plant), memory};
 }
 
 }  // namespace
@@ -57,55 +80,9 @@ void save_mlp(const Mlp& net, std::ostream& os) {
 }
 
 Mlp load_mlp(std::istream& is) {
-  std::string magic, version;
-  is >> magic >> version;
-  if (!is || magic != "oic-mlp" || version != "v1") {
-    throw NumericalError("load_mlp: bad magic/version header");
-  }
-  std::string sizes_tag;
-  is >> sizes_tag;
-  if (!is || sizes_tag != "sizes:") throw NumericalError("load_mlp: missing sizes");
-  std::vector<std::size_t> sizes;
-  {
-    std::string line;
-    std::getline(is, line);
-    std::istringstream ls(line);
-    std::size_t v;
-    while (ls >> v) sizes.push_back(v);
-    // The whole line must be layer sizes: a stray token would silently
-    // reinterpret the network with a shorter shape.
-    std::string rest;
-    ls.clear();
-    if (ls >> rest) {
-      throw NumericalError("load_mlp: malformed sizes line near '" + rest + "'");
-    }
-  }
-  if (sizes.size() < 2) throw NumericalError("load_mlp: need at least two layer sizes");
-  if (sizes.size() > kMaxLayers) {
-    throw NumericalError("load_mlp: layer count exceeds " +
-                         std::to_string(kMaxLayers));
-  }
-  for (const std::size_t s : sizes) {
-    if (s < 1 || s > kMaxLayerSize) {
-      throw NumericalError("load_mlp: layer size " + std::to_string(s) +
-                           " outside [1, " + std::to_string(kMaxLayerSize) + "]");
-    }
-  }
-
-  Rng dummy(0);
-  Mlp net(sizes, dummy);
-  for (std::size_t l = 0; l < net.num_layers(); ++l) {
-    auto& w = net.weight(l);
-    for (std::size_t i = 0; i < w.rows(); ++i)
-      for (std::size_t j = 0; j < w.cols(); ++j) w(i, j) = read_finite(is, "weights");
-    auto& b = net.bias(l);
-    for (std::size_t i = 0; i < b.size(); ++i) b[i] = read_finite(is, "biases");
-  }
-  std::string sentinel;
-  if (!(is >> sentinel) || sentinel != "end") {
-    throw NumericalError("load_mlp: truncated document (missing end sentinel)");
-  }
-  return net;
+  const std::string text = textio::slurp(is);
+  textio::Reader in("oic-mlp", text);
+  return read_mlp(in);
 }
 
 void save_agent(const AgentSnapshot& snap, std::ostream& os) {
@@ -125,58 +102,25 @@ void save_agent(const AgentSnapshot& snap, std::ostream& os) {
   if (!os) throw NumericalError("save_agent: stream write failed");
 }
 
-namespace {
-
-AgentHeader read_agent_header(std::istream& is) {
-  std::string magic, version;
-  is >> magic >> version;
-  if (!is || magic != "oic-agent" || version != "v1") {
-    throw NumericalError("load_agent: bad magic/version header");
-  }
-  std::string tag, plant;
-  is >> tag >> plant;
-  if (!is || tag != "plant:") throw NumericalError("load_agent: missing plant id");
-  std::size_t memory = 0;
-  is >> tag >> memory;
-  if (!is || tag != "memory:" || memory < 1 || memory > kMaxMemory) {
-    throw NumericalError("load_agent: bad memory length");
-  }
-  return AgentHeader{plant == "?" ? std::string() : plant, memory};
-}
-
-}  // namespace
-
 AgentHeader load_agent_header_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw NumericalError("load_agent_header_file: cannot open " + path);
-  return read_agent_header(is);
+  const std::string text = textio::slurp(is);
+  textio::Reader in("oic-agent", text);
+  return read_agent_header(in);
 }
 
 AgentSnapshot load_agent(std::istream& is) {
-  const AgentHeader header = read_agent_header(is);
-  std::string tag;
-  is >> tag;
-  if (!is || tag != "scale:") throw NumericalError("load_agent: missing scale");
+  const std::string text = textio::slurp(is);
+  textio::Reader in("oic-agent", text);
+  AgentHeader header = read_agent_header(in);
+  in.expect("scale:");
+  // The line must be numbers entirely; stray tokens ("nan", a duplicated
+  // section header) are corruption, not padding.
   linalg::Vector scale;
-  {
-    std::string line;
-    std::getline(is, line);
-    std::istringstream ls(line);
-    double v = 0.0;
-    while (ls >> v) {
-      if (!std::isfinite(v)) {
-        throw NumericalError("load_agent: non-finite scale value");
-      }
-      scale.data().push_back(v);
-    }
-    // The line must have been consumed entirely as numbers; stray tokens
-    // ("nan", a duplicated section header) are corruption, not padding.
-    std::string rest;
-    if (ls.clear(), ls >> rest) {
-      throw NumericalError("load_agent: malformed scale line near '" + rest + "'");
-    }
-  }
-  return AgentSnapshot{header.plant, header.memory, std::move(scale), load_mlp(is)};
+  while (!in.at_line_end()) scale.data().push_back(in.finite("scale value"));
+  return AgentSnapshot{std::move(header.plant), header.memory, std::move(scale),
+                       read_mlp(in)};
 }
 
 void save_agent_file(const AgentSnapshot& snap, const std::string& path) {

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstring>
 #include <istream>
 #include <ostream>
 #include <string_view>
-#include <system_error>
 
 #include "common/error.hpp"
+#include "common/textio.hpp"
 
 namespace oic::serve {
 
@@ -23,17 +22,28 @@ class LineSource {
  public:
   virtual ~LineSource() = default;
   /// Next line without its terminator; false on end of stream.
-  virtual bool next(std::string& line) = 0;
+  bool next(std::string& line) {
+    if (!read(line)) return false;
+    ++lines_;
+    return true;
+  }
+  /// Lines returned so far: the number of the last one (error locations).
+  std::size_t lines() const { return lines_; }
+
+ private:
+  virtual bool read(std::string& line) = 0;
+  std::size_t lines_ = 0;
 };
 
 class IstreamLines final : public LineSource {
  public:
   explicit IstreamLines(std::istream& is) : is_(is) {}
-  bool next(std::string& line) override {
+
+ private:
+  bool read(std::string& line) override {
     return static_cast<bool>(std::getline(is_, line));
   }
 
- private:
   std::istream& is_;
 };
 
@@ -45,7 +55,8 @@ class BufferedLines final : public LineSource {
  public:
   explicit BufferedLines(std::istream& is) : is_(is) {}
 
-  bool next(std::string& line) override {
+ private:
+  bool read(std::string& line) override {
     for (;;) {
       const char* base = buf_.data();
       const void* nl = std::memchr(base + pos_, '\n', buf_.size() - pos_);
@@ -70,7 +81,6 @@ class BufferedLines final : public LineSource {
     }
   }
 
- private:
   void compact() {
     if (pos_ == buf_.size()) {
       buf_.clear();
@@ -109,132 +119,33 @@ class BufferedLines final : public LineSource {
   std::size_t pos_ = 0;
 };
 
-/// Whitespace-tokenizing cursor over one line of a document.  The wire
+constexpr const char* kFormat = "oic-serve";
+
+/// Next line of the document as a Reader over the caller-owned buffer
+/// (reused across lines); truncation (EOF mid-batch) is malformed.  The
 /// grammar is parsed at serve throughput (every decision crosses it twice
-/// on a socket transport), so tokens are cut as string_views over the
-/// line buffer and numbers go through std::from_chars -- no istringstream
-/// construction, no per-token std::string, no locale machinery.
-struct Cursor {
-  const char* p;
-  const char* end;
-
-  explicit Cursor(const std::string& line)
-      : p(line.data()), end(line.data() + line.size()) {}
-
-  static bool is_ws(char c) {
-    return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
-  }
-
-  /// Next whitespace-delimited token; empty view when the line is spent.
-  std::string_view next() {
-    while (p != end && is_ws(*p)) ++p;
-    const char* b = p;
-    while (p != end && !is_ws(*p)) ++p;
-    return std::string_view(b, static_cast<std::size_t>(p - b));
-  }
-
-  /// Rest of the line verbatim (leading whitespace skipped once), for
-  /// free-text payloads like error diagnostics.
-  std::string_view rest() {
-    if (p != end && is_ws(*p)) ++p;
-    std::string_view r(p, static_cast<std::size_t>(end - p));
-    p = end;
-    return r;
-  }
-};
-
-/// Next line of the document; truncation (EOF mid-batch) is malformed.
-/// The buffer is caller-owned and reused across lines.
-void next_line(LineSource& src, std::string& line, const char* what) {
+/// on a socket transport), so tokens are views over the line buffer and
+/// numbers go through std::from_chars.
+textio::Reader next_line(LineSource& src, std::string& line, const char* what) {
   if (!src.next(line)) {
-    throw NumericalError(std::string("oic-serve: truncated document (expected ") +
-                         what + ")");
+    textio::Reader(kFormat, {}, src.lines() + 1)
+        .fail(std::string("truncated document (expected ") + what + ")");
   }
+  return textio::Reader(kFormat, line, src.lines());
 }
 
-/// Strict u64 token: digits only, no sign, bounded length (a permissive
-/// integer parse would happily wrap "-1" to 2^64-1, and 19 digits is the
-/// longest string that cannot overflow).
-std::uint64_t parse_u64(Cursor& cur, const char* what) {
-  const std::string_view tok = cur.next();
-  if (tok.empty()) {
-    throw NumericalError(std::string("oic-serve: missing ") + what);
-  }
-  if (tok.size() > 19) {
-    throw NumericalError(std::string("oic-serve: malformed ") + what + " '" +
-                         std::string(tok) + "'");
-  }
-  std::uint64_t v = 0;
-  for (const char c : tok) {
-    if (c < '0' || c > '9') {
-      throw NumericalError(std::string("oic-serve: malformed ") + what + " '" +
-                           std::string(tok) + "'");
-    }
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
-}
-
-/// Finite double token: parse failure, a partially-consumed token, or
-/// nan/inf (including overflow spellings like 1e999) is malformed -- a
-/// non-finite state would poison every membership LP downstream.
-double read_finite(Cursor& cur, const char* what) {
-  std::string_view tok = cur.next();
-  // std::from_chars takes no leading '+'; accept one like iostreams did.
-  if (!tok.empty() && tok.front() == '+') tok.remove_prefix(1);
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc() || ptr != tok.data() + tok.size() || !std::isfinite(v)) {
-    throw NumericalError(std::string("oic-serve: non-finite or malformed ") + what);
-  }
-  return v;
-}
-
-void expect_keyword(Cursor& cur, const char* kw) {
-  const std::string_view tok = cur.next();
-  if (tok != kw) {
-    throw NumericalError(std::string("oic-serve: expected keyword '") + kw +
-                         "', got '" + std::string(tok) + "'");
-  }
-}
-
-void expect_line_end(Cursor& cur, const char* what) {
-  const std::string_view extra = cur.next();
-  if (!extra.empty()) {
-    throw NumericalError(std::string("oic-serve: trailing tokens after ") + what +
-                         " ('" + std::string(extra) + "')");
-  }
-}
-
-/// A single whitespace-free token (plant ids, policy specs).
-std::string parse_token(Cursor& cur, const char* what) {
-  const std::string_view tok = cur.next();
-  if (tok.empty()) {
-    throw NumericalError(std::string("oic-serve: missing ") + what);
-  }
-  if (tok.size() > kMaxTokenLength) {
-    throw NumericalError(std::string("oic-serve: oversized ") + what);
-  }
-  return std::string(tok);
+/// `session <sid>`, shared by every session-addressed line.
+std::uint64_t read_session(textio::Reader& in) {
+  in.expect("session");
+  return in.u64("session id");
 }
 
 /// `<dim> <v...>` vector payload (the tag keyword was already consumed).
-void parse_vector_body(Cursor& cur, linalg::Vector& out) {
-  const std::uint64_t dim = parse_u64(cur, "vector dimension");
-  if (dim < 1 || dim > kMaxDim) {
-    throw NumericalError("oic-serve: vector dimension out of range (1.." +
-                         std::to_string(kMaxDim) + ")");
-  }
-  out.data().assign(static_cast<std::size_t>(dim), 0.0);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = read_finite(cur, "vector entry");
-  }
-}
-
-/// `<tag> <dim> <v...>` vector payload with the grammar's dimension cap.
-void parse_vector(Cursor& cur, const char* tag, linalg::Vector& out) {
-  expect_keyword(cur, tag);
-  parse_vector_body(cur, out);
+void parse_vector_body(textio::Reader& in, linalg::Vector& out) {
+  const std::size_t dim = in.count("vector dimension", kMaxDim);
+  if (dim < 1) in.fail("vector dimension must be >= 1");
+  out.data().assign(dim, 0.0);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = in.finite("vector entry");
 }
 
 /// Read the batch header shared by both directions; returns the count.
@@ -250,26 +161,20 @@ std::uint64_t read_header(LineSource& src, std::string& line,
     }
   } while (line.empty());
   if (line != kMagic) {
-    throw NumericalError("oic-serve: bad magic/version line '" + line +
-                         "' (expected '" + std::string(kMagic) + "')");
+    textio::Reader(kFormat, line, src.lines())
+        .fail("bad magic/version line (expected '" + std::string(kMagic) + "')");
   }
-  next_line(src, line, count_keyword);
-  Cursor cur(line);
-  expect_keyword(cur, count_keyword);
-  const std::uint64_t n = parse_u64(cur, "batch count");
-  if (n > kMaxBatchRequests) {
-    throw NumericalError("oic-serve: batch count " + std::to_string(n) +
-                         " exceeds the cap of " + std::to_string(kMaxBatchRequests));
-  }
-  expect_line_end(cur, "batch count");
+  textio::Reader in = next_line(src, line, count_keyword);
+  in.expect(count_keyword);
+  const std::uint64_t n = in.count("batch count", kMaxBatchRequests);
+  in.expect_line_end("batch count");
   return n;
 }
 
+/// The sentinel line is exactly `end` (no blanks around it).
 void read_end_sentinel(LineSource& src, std::string& line) {
-  next_line(src, line, "'end' sentinel");
-  if (line != "end") {
-    throw NumericalError("oic-serve: expected 'end' sentinel, got '" + line + "'");
-  }
+  textio::Reader in = next_line(src, line, "'end' sentinel");
+  if (line != "end") in.fail("expected the 'end' sentinel line");
 }
 
 void append_u64(std::string& out, std::uint64_t v) {
@@ -315,57 +220,46 @@ bool read_request_lines(LineSource& src, std::vector<Request>& out) {
   if (eof) return false;
   out.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    next_line(src, line, "request line");
-    Cursor cur(line);
-    const std::string_view verb = cur.next();
-    if (verb.empty()) {
-      throw NumericalError("oic-serve: empty request line");
-    }
+    textio::Reader in = next_line(src, line, "request line");
+    const std::string_view verb = in.next();
     Request r;
     if (verb == "open") {
       r.kind = Request::Kind::kOpen;
-      r.ref = parse_u64(cur, "request ref");
-      expect_keyword(cur, "session");
-      r.session = parse_u64(cur, "session id");
-      expect_keyword(cur, "plant");
-      r.plant = parse_token(cur, "plant id");
-      expect_keyword(cur, "policy");
-      r.policy = parse_token(cur, "policy spec");
-      expect_line_end(cur, "open request");
+      r.ref = in.u64("request ref");
+      r.session = read_session(in);
+      in.expect("plant");
+      r.plant = in.token("plant id", kMaxTokenLength);
+      in.expect("policy");
+      r.policy = in.token("policy spec", kMaxTokenLength);
+      in.expect_line_end("open request");
     } else if (verb == "decide") {
       r.kind = Request::Kind::kDecide;
-      r.ref = parse_u64(cur, "request ref");
-      expect_keyword(cur, "session");
-      r.session = parse_u64(cur, "session id");
+      r.ref = in.u64("request ref");
+      r.session = read_session(in);
       // Peek the next tag: `u` only on subsequent decides.
-      const std::string_view tag = cur.next();
-      if (tag.empty()) {
-        throw NumericalError("oic-serve: decide request missing state vector");
-      }
+      const std::string_view tag = in.next();
       if (tag == "u") {
-        parse_vector_body(cur, r.u);
+        parse_vector_body(in, r.u);
         r.has_u = true;
-        parse_vector(cur, "x", r.x);
+        in.expect("x");
+        parse_vector_body(in, r.x);
       } else if (tag == "x") {
-        parse_vector_body(cur, r.x);
+        parse_vector_body(in, r.x);
       } else {
-        throw NumericalError("oic-serve: decide request expected 'u' or 'x', got '" +
-                             std::string(tag) + "'");
+        in.fail("decide request expected 'u' or 'x', got '" + std::string(tag) + "'");
       }
-      expect_line_end(cur, "decide request");
+      in.expect_line_end("decide request");
     } else if (verb == "close") {
       r.kind = Request::Kind::kClose;
-      r.ref = parse_u64(cur, "request ref");
-      expect_keyword(cur, "session");
-      r.session = parse_u64(cur, "session id");
-      expect_line_end(cur, "close request");
+      r.ref = in.u64("request ref");
+      r.session = read_session(in);
+      in.expect_line_end("close request");
     } else if (verb == "reload") {
       r.kind = Request::Kind::kReload;
-      r.ref = parse_u64(cur, "request ref");
-      expect_line_end(cur, "reload request");
+      r.ref = in.u64("request ref");
+      in.expect_line_end("reload request");
     } else {
-      throw NumericalError("oic-serve: unknown request verb '" + std::string(verb) +
-                           "'");
+      in.fail("unknown request verb '" + std::string(verb) + "'");
     }
     out.push_back(std::move(r));
   }
@@ -439,56 +333,46 @@ bool read_response_lines(LineSource& src, std::vector<Response>& out) {
   if (eof) return false;
   out.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    next_line(src, line, "response line");
-    Cursor cur(line);
-    const std::string_view verb = cur.next();
-    if (verb.empty()) {
-      throw NumericalError("oic-serve: empty response line");
-    }
+    textio::Reader in = next_line(src, line, "response line");
+    const std::string_view verb = in.next();
     Response r;
     if (verb == "opened") {
       r.kind = Response::Kind::kOpened;
-      r.ref = parse_u64(cur, "response ref");
-      expect_keyword(cur, "session");
-      r.session = parse_u64(cur, "session id");
-      expect_line_end(cur, "opened response");
+      r.ref = in.u64("response ref");
+      r.session = read_session(in);
+      in.expect_line_end("opened response");
     } else if (verb == "decision") {
       r.kind = Response::Kind::kDecision;
-      r.ref = parse_u64(cur, "response ref");
-      expect_keyword(cur, "session");
-      r.session = parse_u64(cur, "session id");
-      expect_keyword(cur, "z");
-      const std::uint64_t z = parse_u64(cur, "decision z");
-      expect_keyword(cur, "forced");
-      const std::uint64_t forced = parse_u64(cur, "decision forced");
-      if (z > 1 || forced > 1) {
-        throw NumericalError("oic-serve: decision flags must be 0 or 1");
-      }
+      r.ref = in.u64("response ref");
+      r.session = read_session(in);
+      in.expect("z");
+      const std::uint64_t z = in.u64("decision z");
+      in.expect("forced");
+      const std::uint64_t forced = in.u64("decision forced");
+      if (z > 1 || forced > 1) in.fail("decision flags must be 0 or 1");
       r.z = static_cast<int>(z);
       r.forced = forced == 1;
-      expect_line_end(cur, "decision response");
+      in.expect_line_end("decision response");
     } else if (verb == "closed") {
       r.kind = Response::Kind::kClosed;
-      r.ref = parse_u64(cur, "response ref");
-      expect_keyword(cur, "session");
-      r.session = parse_u64(cur, "session id");
-      expect_line_end(cur, "closed response");
+      r.ref = in.u64("response ref");
+      r.session = read_session(in);
+      in.expect_line_end("closed response");
     } else if (verb == "reloaded") {
       r.kind = Response::Kind::kReloaded;
-      r.ref = parse_u64(cur, "response ref");
-      expect_keyword(cur, "certs");
-      r.certs = parse_u64(cur, "reload cert count");
-      expect_keyword(cur, "agents");
-      r.agents = parse_u64(cur, "reload agent count");
-      expect_line_end(cur, "reloaded response");
+      r.ref = in.u64("response ref");
+      in.expect("certs");
+      r.certs = in.u64("reload cert count");
+      in.expect("agents");
+      r.agents = in.u64("reload agent count");
+      in.expect_line_end("reloaded response");
     } else if (verb == "error") {
       r.kind = Response::Kind::kError;
-      r.ref = parse_u64(cur, "response ref");
-      expect_keyword(cur, "message");
-      r.error = std::string(cur.rest());
+      r.ref = in.u64("response ref");
+      in.expect("message");
+      r.error = std::string(in.rest_of_line());
     } else {
-      throw NumericalError("oic-serve: unknown response verb '" + std::string(verb) +
-                           "'");
+      in.fail("unknown response verb '" + std::string(verb) + "'");
     }
     out.push_back(std::move(r));
   }

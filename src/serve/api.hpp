@@ -35,10 +35,12 @@
 /// realized disturbance exactly like the per-session framework.  Plant ids
 /// and policy specs are single whitespace-free tokens.
 ///
-/// Readers are strict (the PR-5 parser-fuzz discipline): unknown verbs,
-/// non-finite or malformed numbers, oversized counts, missing fields,
-/// trailing tokens, and truncation all raise NumericalError.  A clean EOF
-/// before a magic line is the normal end-of-stream and not an error.
+/// Readers are strict (common/textio's token rules: `ref`, `sid` and every
+/// count are u64 over the full range, numbers finite decimals): unknown
+/// verbs, non-finite or malformed numbers, oversized counts, missing
+/// fields, trailing tokens, and truncation all raise NumericalError
+/// located as `oic-serve:<line>:<column>`.  A clean EOF before a magic
+/// line is the normal end-of-stream and not an error.
 
 #include <cstdint>
 #include <iosfwd>

@@ -93,15 +93,19 @@ TEST(CertIo, VectorAndMatrixRoundTripBitExact) {
   std::stringstream ss;
   oic::cert::write_vector(ss, v);
   oic::cert::write_matrix(ss, m);
-  const Vector v2 = oic::cert::read_vector(ss);
-  const Matrix m2 = oic::cert::read_matrix(ss);
+  const std::string text = ss.str();
+  oic::textio::Reader in("oic-cert", text);
+  const Vector v2 = oic::cert::read_vector(in);
+  const Matrix m2 = oic::cert::read_matrix(in);
   EXPECT_TRUE(bit_equal(v, v2));
   EXPECT_TRUE(bit_equal(m, m2));
 
   // Empty vector round-trips too.
   std::stringstream se;
   oic::cert::write_vector(se, Vector{});
-  EXPECT_TRUE(bit_equal(Vector{}, oic::cert::read_vector(se)));
+  const std::string empty = se.str();
+  oic::textio::Reader empty_in("oic-cert", empty);
+  EXPECT_TRUE(bit_equal(Vector{}, oic::cert::read_vector(empty_in)));
 }
 
 TEST(CertIo, PolytopeRoundTripIncludingEmptyAndSingleRow) {
@@ -111,7 +115,9 @@ TEST(CertIo, PolytopeRoundTripIncludingEmptyAndSingleRow) {
   for (const HPolytope* p : {&universe, &single, &box}) {
     std::stringstream ss;
     oic::cert::write_polytope(ss, *p);
-    const HPolytope q = oic::cert::read_polytope(ss);
+    const std::string text = ss.str();
+    oic::textio::Reader in("oic-cert", text);
+    const HPolytope q = oic::cert::read_polytope(in);
     EXPECT_TRUE(bit_equal(*p, q));
     EXPECT_EQ(p->num_constraints(), q.num_constraints());
     EXPECT_EQ(p->dim(), q.dim());
@@ -119,25 +125,28 @@ TEST(CertIo, PolytopeRoundTripIncludingEmptyAndSingleRow) {
 }
 
 TEST(CertIo, RejectsMalformedAndTruncatedPayloads) {
+  const auto reader = [](const char* text) {
+    return oic::textio::Reader("oic-cert", text);
+  };
   {
-    std::stringstream ss("vectr 2 1.0 2.0");
-    EXPECT_THROW(oic::cert::read_vector(ss), oic::NumericalError);
+    auto in = reader("vectr 2 1.0 2.0");
+    EXPECT_THROW(oic::cert::read_vector(in), oic::NumericalError);
   }
   {
-    std::stringstream ss("vector 3 1.0 2.0");  // one value short
-    EXPECT_THROW(oic::cert::read_vector(ss), oic::NumericalError);
+    auto in = reader("vector 3 1.0 2.0");  // one value short
+    EXPECT_THROW(oic::cert::read_vector(in), oic::NumericalError);
   }
   {
-    std::stringstream ss("matrix 2 2 1.0 2.0 3.0");  // truncated
-    EXPECT_THROW(oic::cert::read_matrix(ss), oic::NumericalError);
+    auto in = reader("matrix 2 2 1.0 2.0 3.0");  // truncated
+    EXPECT_THROW(oic::cert::read_matrix(in), oic::NumericalError);
   }
   {
-    std::stringstream ss("polytope 1 2 1.0 0.0");  // missing offset
-    EXPECT_THROW(oic::cert::read_polytope(ss), oic::NumericalError);
+    auto in = reader("polytope 1 2 1.0 0.0");  // missing offset
+    EXPECT_THROW(oic::cert::read_polytope(in), oic::NumericalError);
   }
   {
-    std::stringstream ss("polytope 99999999999 2");  // absurd count
-    EXPECT_THROW(oic::cert::read_polytope(ss), oic::NumericalError);
+    auto in = reader("polytope 99999999999 2");  // absurd count
+    EXPECT_THROW(oic::cert::read_polytope(in), oic::NumericalError);
   }
 }
 

@@ -1,13 +1,18 @@
-// Unit tests for oic::common - error macros, RNG determinism, statistics.
+// Unit tests for oic::common - error macros, RNG determinism, statistics,
+// the strict text reader's token rules.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "common/stats.hpp"
+#include "common/textio.hpp"
 
 namespace {
 
@@ -302,6 +307,63 @@ TEST(Histogram, LabelsMatchPaperStyle) {
 TEST(Histogram, InvalidConstructionThrows) {
   EXPECT_THROW(Histogram(1.0, 0.0, 3), oic::PreconditionError);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), oic::PreconditionError);
+}
+
+// ------------------------------------------------------------------ textio
+
+TEST(TextIo, U64TokensCoverTheFullRangeAndNothingElse) {
+  std::uint64_t v = 0;
+  EXPECT_TRUE(oic::textio::parse_u64("18446744073709551615", v));
+  EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(oic::textio::parse_u64("10000000000000000000", v));
+  EXPECT_EQ(v, 10000000000000000000ull);
+  EXPECT_TRUE(oic::textio::parse_u64("00000000000000000007", v));
+  EXPECT_EQ(v, 7u);
+  for (const char* bad : {"", "18446744073709551616", "000000000000000000007", "-1", "+1",
+                          "1.5", "0x10", "1e3", " 1", "1 "}) {
+    EXPECT_FALSE(oic::textio::parse_u64(bad, v)) << "'" << bad << "'";
+  }
+}
+
+TEST(TextIo, FiniteTokensAreDecimalAndWhole) {
+  double v = 0.0;
+  EXPECT_TRUE(oic::textio::parse_finite("+0.5", v));
+  EXPECT_EQ(v, 0.5);
+  EXPECT_TRUE(oic::textio::parse_finite("-2.5e-13", v));
+  EXPECT_EQ(v, -2.5e-13);
+  EXPECT_TRUE(oic::textio::parse_finite("4.9406564584124654e-324", v));
+  EXPECT_EQ(v, 4.9406564584124654e-324);
+  for (const char* bad : {"", "nan", "-nan", "inf", "-inf", "1e999", "1e-400", "0x1p-1",
+                          "-0x1p-1", "1.5x", " 1", "+-1", "++1", "1e"}) {
+    EXPECT_FALSE(oic::textio::parse_finite(bad, v)) << "'" << bad << "'";
+  }
+}
+
+TEST(TextIo, ReaderLocatesErrorsByLineAndColumn) {
+  const std::string doc = "magic v1\ncount 3\n  1.5 nan\n";
+  oic::textio::Reader in("demo", doc);
+  in.expect_magic("magic", "v1");
+  in.expect("count");
+  EXPECT_EQ(in.count("count", 4), 3u);
+  EXPECT_TRUE(in.at_line_end());
+  EXPECT_EQ(in.finite("value"), 1.5);
+  EXPECT_FALSE(in.at_line_end());
+  try {
+    in.finite("value");
+    FAIL() << "nan accepted";
+  } catch (const oic::NumericalError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("demo:3:7: ", 0), 0u) << e.what();
+  }
+  oic::textio::Reader capped("demo", "count 5");
+  capped.expect("count");
+  EXPECT_THROW(capped.count("count", 4), oic::NumericalError);
+  oic::textio::Reader trailing("demo", "a b\n");
+  trailing.expect("a");
+  EXPECT_THROW(trailing.expect_line_end("a"), oic::NumericalError);
+  oic::textio::Reader truncated("demo", "1 2");
+  EXPECT_EQ(truncated.u64("n"), 1u);
+  EXPECT_EQ(truncated.u64("n"), 2u);
+  EXPECT_THROW(truncated.expect_end(), oic::NumericalError);
 }
 
 }  // namespace

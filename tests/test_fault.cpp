@@ -100,6 +100,13 @@ TEST(FaultSpec, RejectsMalformedInput) {
                oic::PreconditionError);
   EXPECT_THROW(FaultSpec::parse("hold,zero"), oic::PreconditionError);
   EXPECT_THROW(FaultSpec::parse("spike_gain:nan"), oic::PreconditionError);
+  // The number grammar of every other text format: decimal only, no
+  // leading blanks (strtod used to read these as 0.25, 0.5, 2 and 3).
+  for (const char* spec : {"meas_drop:0x1p-2", "meas_drop: 0.5", "act_drop:+-0.5",
+                           "spike_gain:0x1p1", "meas_spike:0.5,spike_gain: 2",
+                           "meas_delay: 3", "meas_delay:0x3", "meas_delay:+3"}) {
+    EXPECT_THROW(FaultSpec::parse(spec), oic::PreconditionError) << spec;
+  }
 }
 
 TEST(FaultSpec, PresetsResolveThroughTheRegistry) {

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -233,6 +234,39 @@ TEST(ServeApi, ErrorNewlinesAreSanitized) {
   ASSERT_TRUE(oic::serve::read_response_batch(ss, got));
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].error, "line one closed 1 session 2 line three");
+}
+
+TEST(ServeApi, FullRangeRefsAndSessionsRoundTrip) {
+  // ref and sid are any u64: 20-digit ids must survive write + read.
+  const std::uint64_t big = 10000000000000000000ull;
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  std::vector<Request> reqs{close_req(big, max), close_req(max, big), reload_req(max),
+                            decide_req(max, max, {0.5})};
+  std::stringstream rs;
+  oic::serve::write_request_batch(reqs, rs);
+  std::vector<Request> got;
+  ASSERT_TRUE(oic::serve::read_request_batch(rs, got));
+  ASSERT_EQ(got.size(), reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(got[i].ref, reqs[i].ref);
+    EXPECT_EQ(got[i].session, reqs[i].session);
+  }
+  std::vector<Response> resps(2);
+  resps[0].kind = Response::Kind::kClosed;
+  resps[0].ref = big;
+  resps[0].session = max;
+  resps[1].kind = Response::Kind::kDecision;
+  resps[1].ref = max;
+  resps[1].session = big;
+  std::stringstream ps;
+  oic::serve::write_response_batch(resps, ps);
+  std::vector<Response> back;
+  ASSERT_TRUE(oic::serve::read_response_batch(ps, back));
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[0].ref, big);
+  EXPECT_EQ(back[0].session, max);
+  EXPECT_EQ(back[1].ref, max);
+  EXPECT_EQ(back[1].session, big);
 }
 
 TEST(ServeApi, CleanEofIsFalseNotError) {

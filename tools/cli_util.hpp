@@ -9,11 +9,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/textio.hpp"
 #include "eval/registry.hpp"
 
 namespace oic::cliutil {
@@ -77,27 +77,17 @@ class Args {
   std::vector<int> seen_;
 };
 
-/// Strict non-negative integer parse; rejects signs, empty, and trailing
-/// junk (strtoull would happily wrap "-1" to 2^64-1 and crash the sweep
-/// deep inside a reserve()).
-inline bool parse_count(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 19) return false;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  out = std::strtoull(s.c_str(), nullptr, 10);
-  return true;
-}
-
-/// --key with a strict integer value and a uniform diagnostic.  Returns
-/// true when the flag is absent (target untouched) or parsed; prints
+/// --key with a strict integer value (textio's u64 rule: digits only, the
+/// full u64 range; strtoull would wrap "-1" to 2^64-1 and crash the sweep
+/// deep inside a reserve()) and a uniform diagnostic.  Returns true when
+/// the flag is absent (target untouched) or parsed; prints
 /// "<tool>: --<key> expects ..." and returns false on a bad value.
 inline bool u64_flag(Args& args, const char* tool, const char* key,
                      std::uint64_t& target) {
   std::string v;
   if (!args.value(key, v)) return true;
   std::uint64_t n = 0;
-  if (!parse_count(v, n)) {
+  if (!textio::parse_u64(v, n)) {
     std::fprintf(stderr, "%s: --%s expects a non-negative integer, got '%s'\n", tool,
                  key, v.c_str());
     return false;
@@ -186,7 +176,7 @@ inline bool parse_common(Args& args, const char* tool, CommonOpts& out,
     out.seeds.clear();
     for (const auto& s : split_list(v)) {
       std::uint64_t n = 0;
-      if (!parse_count(s, n)) {
+      if (!textio::parse_u64(s, n)) {
         std::fprintf(stderr, "%s: --seeds expects non-negative integers, got '%s'\n",
                      tool, s.c_str());
         return false;

@@ -48,7 +48,6 @@
 namespace {
 
 using oic::cliutil::Args;
-using oic::cliutil::parse_count;
 using oic::cliutil::print_registry;
 using oic::cliutil::split_list;
 using oic::eval::ScenarioRegistry;

@@ -80,7 +80,6 @@
 namespace {
 
 using oic::cliutil::Args;
-using oic::cliutil::parse_count;
 using oic::cliutil::split_list;
 using oic::eval::ScenarioRegistry;
 using oic::mc::CampaignResult;
