@@ -152,6 +152,31 @@ TEST(CertIo, RejectsMalformedAndTruncatedPayloads) {
 
 // ---------------------------------------------------------- certificate
 
+// The payload hash every production certificate is written with: FNV-1a
+// over every synthesized number's bit pattern (docs/cert_format.md).
+// Synthesis runs thousands of cold LPs (redundancy removal, supports,
+// Pontryagin differences), so this pins the cold LP path end to end.  The
+// pins hold as built and with OIC_SIMD=off.
+TEST(CertGolden, ProductionPayloadHashesArePinned) {
+  const std::map<std::string, std::string> pinned = {
+      {"acc", "d50bd131dc09a9d7"},
+      {"lane-keep", "f35e0fe653829715"},
+      {"quad-alt", "3f138fb99f53a1d9"},
+      {"toy2d", "02df51da90dc60c5"},
+  };
+  const auto& registry = ScenarioRegistry::builtin();
+  ASSERT_EQ(registry.production_plant_ids().size(), pinned.size());
+  for (const auto& pid : registry.production_plant_ids()) {
+    std::ostringstream os;
+    oic::cert::save_certificate(shared_cert(pid), os);
+    const std::string text = os.str();
+    const std::string tag = "payload-hash: ";
+    const std::size_t at = text.find(tag);
+    ASSERT_NE(at, std::string::npos) << pid;
+    EXPECT_EQ(text.substr(at + tag.size(), 16), pinned.at(pid)) << pid;
+  }
+}
+
 TEST(Certificate, RoundTripIsBitExactAndVerifiesOnAllRegistryPlants) {
   const auto& registry = ScenarioRegistry::builtin();
   // Production plants only: the test-only analytic bed has no model.
