@@ -40,53 +40,157 @@ Relation effective_relation(Relation rel, bool flipped) {
   return Relation::kEqual;
 }
 
-/// One simplex phase over explicit reduced costs computed from `phase_cost`.
-/// Semantically identical to the classical dense tableau phase this file
-/// used to carry, rewritten on the sparse-packed pivot:
+constexpr std::uint32_t kImplicit = SolverWorkspace::kImplicit;
+constexpr std::uint32_t kDead = SolverWorkspace::kDead;
+
+/// Pack row `row` of the explicit columns: positions into ws.listed
+/// (ascending columns) and values, nonzeros only.  Implicit columns hold
+/// +0.0 off their own basic row, so they are not packed; the pivot handles
+/// the leaving row's own one apart.  Branch-free: always store, advance
+/// past a nonzero (a NaN is packed).
+std::size_t pack_row(SolverWorkspace& ws, std::size_t m, std::size_t row) {
+  const double* blk = ws.blk.data();
+  std::uint32_t* nzk = ws.nz.data();
+  double* nzv = ws.nzv.data();
+  std::size_t nnz = 0;
+  for (std::size_t k = 0; k < ws.listed.size(); ++k) {
+    const double v = blk[ws.listed[k].slot * m + row];
+    nzk[nnz] = static_cast<std::uint32_t>(k);
+    nzv[nnz] = v;
+    nnz += v != 0.0 ? 1 : 0;
+  }
+  return nnz;
+}
+
+/// One pivot on the condensed tableau, shared by both primal phases and
+/// the warm dual continuation: packed entry `pick` of the `nnz` that
+/// pack_row left for row `leave` enters there.  Every explicit value gets
+/// the mul+sub a full row-major tableau gives it, and an implicit column
+/// holds exactly the full tableau's bits (docs/perf.md, "The condensed
+/// warm tableau" and "Certificate synthesis").
+void pivot(SolverWorkspace& ws, std::size_t m, std::size_t leave, std::size_t nnz,
+           std::size_t pick) {
+  const linalg::detail::KernelTable& kt = linalg::detail::table();
+  double* const blk = ws.blk.data();
+  double* const rhs = ws.rhs.data();
+  std::uint32_t* nzk = ws.nz.data();
+  double* nzv = ws.nzv.data();
+  std::vector<SolverWorkspace::Slot>& listed = ws.listed;
+  const std::size_t epos = nzk[pick];
+  const std::uint32_t enter = listed[epos].col;
+  const std::uint32_t eslot = listed[epos].slot;
+
+  // The entering column's slot holds every row's update factor.  Its
+  // nonzeros span rows [lo, hi); outside, the updates are exact no-ops on
+  // a -0.0-free tableau (docs/perf.md, "The row-span argument").
+  double* ecol = blk + eslot * m;
+  std::size_t lo = 0, hi = m;
+  while (ecol[lo] == 0.0) ++lo;
+  while (ecol[hi - 1] == 0.0) --hi;
+  const double inv = 1.0 / ecol[leave];
+  for (std::size_t k = 0; k < nnz; ++k) {
+    if (k == pick) {
+      nzv[k] = 1.0;  // clean exact unit entry
+      continue;
+    }
+    const double sv = nzv[k] * inv;
+    nzv[k] = sv;
+    double* cj = blk + listed[nzk[k]].slot * m;
+    // cj[i] -= f_i * sv over the span; the pivot row is overwritten with
+    // its scaled value right after.
+    kt.lp_row_sub_scaled(cj + lo, ecol + lo, sv, hi - lo);
+    cj[leave] = sv;
+  }
+  rhs[leave] *= inv;
+  // Rows with a zero factor are untouched and must NOT see the clamp.
+  kt.lp_rhs_pivot(rhs + lo, ecol + lo, leave - lo, hi - lo);
+  // An implicit leaving column's 1.0 scales to 1.0 * inv.
+  const std::uint32_t out = static_cast<std::uint32_t>(ws.basis[leave]);
+  const bool out_implicit = ws.where[out] != kDead && ws.where[out] >= kImplicit;
+  const double sv_out = 1.0 * inv;
+  const double fz = ws.z[enter];
+  if (fz != 0.0) {
+    for (std::size_t k = 0; k < nnz; ++k) ws.z[listed[nzk[k]].col] -= fz * nzv[k];
+    if (out_implicit) ws.z[out] -= fz * sv_out;
+    ws.z[enter] = 0.0;
+  }
+
+  // The entering column becomes the exact unit column of `leave`.  An
+  // implicit leaving column takes its slot, filled with what the full
+  // tableau computes for that unit column (+0.0 outside the span, where
+  // ecol already holds +0.0), and its entry moves to its sorted place.
+  // Otherwise the slot falls out of use: a listed leaving column was
+  // updated in place above, a dead one is never read.
+  ws.where[enter] = kImplicit | static_cast<std::uint32_t>(leave);
+  ws.basis[leave] = enter;
+  if (out_implicit) {
+    for (std::size_t i = lo; i < hi; ++i) ecol[i] = 0.0 - ecol[i] * sv_out;
+    ecol[leave] = sv_out;
+    ws.where[out] = eslot;
+    std::size_t p = epos;
+    for (; p > 0 && listed[p - 1].col > out; --p) listed[p] = listed[p - 1];
+    for (; p + 1 < listed.size() && listed[p + 1].col < out; ++p) listed[p] = listed[p + 1];
+    listed[p] = {out, eslot};
+  } else {
+    listed.erase(listed.begin() + static_cast<std::ptrdiff_t>(epos));
+  }
+}
+
+/// One primal simplex phase over explicit reduced costs computed from
+/// `phase_cost`, on the condensed tableau.  It makes the choices of the
+/// classical dense tableau phase:
 ///
-///   * pricing and the z updates run through the per-ISA dispatch kernels
-///     (linalg/dispatch.hpp) -- the Dantzig scan is exactly "first index
-///     of the global minimum below -cost_tol", which vectorizes without
-///     changing which column wins;
-///   * the entering column is gathered contiguously once per pivot and
-///     feeds both the ratio test and the row-update factors (the dense
-///     version walked the strided column twice);
-///   * the pivot row is scaled skip-zero and packed as (index, value)
-///     pairs; each touched row is then updated over the packed support
-///     (~10% of the width on the MPC tableaus) or, above a density
-///     threshold, through the vectorized dense kernel.
+///   * pricing runs through the per-ISA dispatch kernels
+///     (linalg/dispatch.hpp) over the full reduced-cost row -- the Dantzig
+///     scan is exactly "first index of the global minimum below
+///     -cost_tol"; an implicit column's reduced cost is exactly +0.0, so it
+///     never enters;
+///   * the ratio test walks the entering column's slot in row order, ties
+///     broken by the lower basic column index;
+///   * the pivot row is packed skip-zero over the explicit columns and
+///     the update runs column by column over the packed support (pivot()).
 ///
-/// Every variant is bit-identical to the dense original: template zeros
-/// are +0.0 and skip-zero scaling never manufactures -0.0, so a skipped
-/// entry's dense update would have been an exact no-op
-/// (x -= f*(+-0) == x for every value the tableau holds); the dense
-/// kernel applies the identical mul+sub per element.  docs/perf.md spells
-/// out the signed-zero argument.
+/// Every entry is computed by the same single x - f*p as on the dense
+/// tableau, so every result keeps its bits: template zeros are +0.0 and
+/// skip-zero scaling never manufactures -0.0, so a skipped entry's dense
+/// update would have been an exact no-op.  docs/perf.md spells out the
+/// signed-zero argument and "Certificate synthesis" the implicit columns.
 Status run_phase(std::size_t m, std::size_t n, SolverWorkspace& ws,
                  const unsigned char* blocked, const std::vector<double>& phase_cost,
                  const SimplexOptions& opt) {
   const linalg::detail::KernelTable& kt = linalg::detail::table();
-  std::vector<double>& a = ws.a;
   std::vector<double>& rhs = ws.rhs;
   std::vector<std::size_t>& basis = ws.basis;
   std::vector<double>& z = ws.z;
+  ws.nz.resize(n);
+  ws.nzv.resize(n);
 
-  // Reduced-cost row mirrors the classical bottom row.
+  // Reduced-cost row: z = c - sum_i c_B(i) * (row i), the rows subtracted
+  // in ascending order as the classical bottom row does.  An explicit
+  // column replays that sum over its slot; an implicit column basic in
+  // row r gets c_j - c_j * 1.0 from row r and exact no-ops from the rest,
+  // which is +0.0 (c_B(r) is c_j itself; costs are finite and never -0.0).
   z.assign(phase_cost.begin(), phase_cost.end());
   double obj = 0.0;
+  std::size_t nb = 0;
   for (std::size_t i = 0; i < m; ++i) {
     const double cb = phase_cost[basis[i]];
     if (cb == 0.0) continue;
     obj += cb * rhs[i];
-    kt.lp_row_sub_scaled(z.data(), &a[i * n], cb, n);
+    ws.nz[nb] = static_cast<std::uint32_t>(i);
+    ws.nzv[nb] = cb;
+    ++nb;
   }
-
-  ws.col.resize(m);
-  ws.nz.resize(n);
-  ws.nzv.resize(n);
-  double* col = ws.col.data();
-  std::uint32_t* nzi = ws.nz.data();
-  double* nzv = ws.nzv.data();
+  for (const SolverWorkspace::Slot& s : ws.listed) {
+    const double* c = ws.blk.data() + s.slot * m;
+    double zj = z[s.col];
+    for (std::size_t k = 0; k < nb; ++k) zj -= ws.nzv[k] * c[ws.nz[k]];
+    z[s.col] = zj;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::uint32_t w = ws.where[basis[i]];
+    if (w != kDead && w >= kImplicit) z[basis[i]] = 0.0;
+  }
 
   std::size_t stall = 0;
   double best_obj = obj;
@@ -108,9 +212,10 @@ Status run_phase(std::size_t m, std::size_t n, SolverWorkspace& ws,
     }
     if (enter == n) return Status::kOptimal;
 
-    // --- Gather the entering column; ratio test over it ---
-    for (std::size_t i = 0; i < m; ++i) col[i] = a[i * n + enter];
-
+    // --- Ratio test over the entering column's slot ---
+    const std::uint32_t w = ws.where[enter];
+    OIC_CHECK(w < kImplicit, "simplex: a basic or dropped column priced to enter");
+    const double* col = ws.blk.data() + w * m;
     std::size_t leave = m;
     double best_ratio = kInf;
     for (std::size_t i = 0; i < m; ++i) {
@@ -125,51 +230,16 @@ Status run_phase(std::size_t m, std::size_t n, SolverWorkspace& ws,
       }
     }
     if (leave == m) return Status::kUnbounded;
-
-    // --- Pivot: skip-zero scale + pack the pivot row ---
-    const double piv = col[leave];
-    OIC_CHECK(std::fabs(piv) > opt.pivot_tol,
+    OIC_CHECK(std::fabs(col[leave]) > opt.pivot_tol,
               "simplex: degenerate pivot slipped through");
-    const double inv = 1.0 / piv;
-    double* arow = &a[leave * n];
-    std::size_t nnz = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double v = arow[j];
-      if (v == 0.0) continue;
-      const double sv = (j == enter) ? 1.0 : v * inv;  // clean exact unit entry
-      arow[j] = sv;
-      nzi[nnz] = static_cast<std::uint32_t>(j);
-      nzv[nnz] = sv;
-      ++nnz;
-    }
-    rhs[leave] *= inv;
-    const bool dense_update = nnz * 4 > n;
 
-    for (std::size_t i = 0; i < m; ++i) {
-      if (i == leave) continue;
-      const double f = col[i];
-      if (f == 0.0) continue;
-      double* irow = &a[i * n];
-      if (dense_update) {
-        kt.lp_row_sub_scaled(irow, arow, f, n);
-      } else {
-        for (std::size_t k = 0; k < nnz; ++k) irow[nzi[k]] -= f * nzv[k];
-      }
-      irow[enter] = 0.0;
-      rhs[i] -= f * rhs[leave];
-      if (rhs[i] < 0.0 && rhs[i] > -1e-11) rhs[i] = 0.0;
-    }
+    // --- Pivot ---
+    const std::size_t nnz = pack_row(ws, m, leave);
+    std::size_t pick = 0;
+    while (ws.listed[ws.nz[pick]].col != enter) ++pick;
     const double fz = z[enter];
-    if (fz != 0.0) {
-      if (dense_update) {
-        kt.lp_row_sub_scaled(z.data(), arow, fz, n);
-      } else {
-        for (std::size_t k = 0; k < nnz; ++k) z[nzi[k]] -= fz * nzv[k];
-      }
-      z[enter] = 0.0;
-      obj -= fz * rhs[leave];
-    }
-    basis[leave] = enter;
+    pivot(ws, m, leave, nnz, pick);
+    if (fz != 0.0) obj -= fz * rhs[leave];
 
     // --- Anti-cycling bookkeeping ---
     if (obj < best_obj - 1e-12) {
@@ -185,25 +255,50 @@ Status run_phase(std::size_t m, std::size_t n, SolverWorkspace& ws,
 
 }  // namespace
 
-void PreparedProblem::emit_structural(std::size_t r, const linalg::Vector& coeffs,
-                                      double sign) {
-  double* row = &a_[r * n_];
-  for (std::size_t j = 0; j < ncols_; ++j) row[j] = 0.0;
+void PreparedProblem::emit_structural(std::size_t r, const double* coeffs, double sign) {
+  // Structural columns are always explicit; the template is +0.0 here.
   for (std::size_t j = 0; j < nv_; ++j) {
     const double aij = coeffs[j] * sign;
     if (aij == 0.0) continue;
     switch (vmap_[j].kind) {
       case VarMap::Kind::kShiftedLow:
-        row[vmap_[j].col] += aij;
+        entry(r, vmap_[j].col) += aij;
         break;
       case VarMap::Kind::kShiftedHigh:
-        row[vmap_[j].col] -= aij;
+        entry(r, vmap_[j].col) -= aij;
         break;
       case VarMap::Kind::kSplit:
-        row[vmap_[j].col] += aij;
-        row[vmap_[j].col2] -= aij;
+        entry(r, vmap_[j].col) += aij;
+        entry(r, vmap_[j].col2) -= aij;
         break;
     }
+  }
+}
+
+void PreparedProblem::emit_layout(std::size_t r) {
+  // An implicit column is the row's unit column by definition: only
+  // explicit entries are written.
+  const RowInfo& info = rows_[r];
+  const auto put = [&](std::size_t col, double v) {
+    if (where_[col] < kImplicit) entry(r, col) = v;
+  };
+  if (info.art_col != kNoCol) {
+    put(info.art_col, 0.0);
+    phase1_cost_[info.art_col] = 0.0;
+  }
+  const Relation eff = effective_relation(info.rel, info.flipped);
+  if (eff == Relation::kLessEq) {
+    put(info.slack_col, 1.0);
+    basis0_[r] = info.slack_col;
+  } else if (eff == Relation::kGreaterEq) {
+    put(info.slack_col, -1.0);
+    put(info.art_col, 1.0);
+    basis0_[r] = info.art_col;
+    phase1_cost_[info.art_col] = 1.0;
+  } else {  // kEqual
+    put(info.art_col, 1.0);
+    basis0_[r] = info.art_col;
+    phase1_cost_[info.art_col] = 1.0;
   }
 }
 
@@ -242,13 +337,7 @@ PreparedProblem::PreparedProblem(const Problem& p,
 
   m_ = mc_ + bound_rows.size();
   rows_.assign(m_, RowInfo{});
-  row_coeffs_.reserve(mc_);
-  for (std::size_t i = 0; i < mc_; ++i) {
-    const Constraint& row = p.constraint(i);
-    OIC_REQUIRE(row.coeffs.size() == nv_, "PreparedProblem: ragged constraint row");
-    row_coeffs_.push_back(row.coeffs);
-    rows_[i].rel = row.rel;
-  }
+  for (std::size_t i = 0; i < mc_; ++i) rows_[i].rel = p.constraint(i).rel;
   for (std::size_t i : dynamic_rows) {
     OIC_REQUIRE(i < mc_, "PreparedProblem: dynamic row index out of range");
     rows_[i].dynamic = true;
@@ -256,7 +345,7 @@ PreparedProblem::PreparedProblem(const Problem& p,
   // Normalized-rhs shift terms, built once: set_rhs replays exactly these
   // subtractions, in this order, on every patch.
   for (std::size_t i = 0; i < mc_; ++i) {
-    const linalg::Vector& coeffs = row_coeffs_[i];
+    const double* coeffs = p.constraint(i).coeffs;
     rows_[i].shift_begin = shift_terms_.size();
     for (std::size_t j = 0; j < nv_; ++j) {
       const double aij = coeffs[j];
@@ -294,8 +383,28 @@ PreparedProblem::PreparedProblem(const Problem& p,
   }
   n_ = next_extra;
 
-  // ---------- Template tableau ----------
-  a_.assign(m_ * n_, 0.0);
+  // ---------- Template tableau, condensed ----------
+  // Each row's starting basic column -- the slack of an effectively-<=
+  // row, the artificial of a >= or equality row -- is exactly its unit
+  // column, so it stays implicit.  Every other column (the structurals,
+  // the -1 slacks of >= rows) gets a column-major slot, in column order:
+  // the m x m slack identity is never stored.  A dynamic inequality row
+  // may flip between <= and >=, which swaps its basic column, so both of
+  // its columns keep slots (an explicit exact unit pivots as stored).
+  where_.assign(n_, kDead);
+  for (std::size_t r = 0; r < m_; ++r) {
+    const RowInfo& info = rows_[r];
+    if (info.dynamic && info.rel != Relation::kEqual) continue;
+    const bool le = effective_relation(info.rel, info.flipped) == Relation::kLessEq;
+    where_[le ? info.slack_col : info.art_col] = kImplicit | static_cast<std::uint32_t>(r);
+  }
+  listed_.clear();
+  for (std::size_t j = 0; j < n_; ++j) {
+    if (where_[j] != kDead) continue;
+    where_[j] = static_cast<std::uint32_t>(listed_.size());
+    listed_.push_back({static_cast<std::uint32_t>(j), where_[j]});
+  }
+  blk_.assign(listed_.size() * m_, 0.0);
   rhs_.assign(m_, 0.0);
   basis0_.assign(m_, 0);
   phase1_cost_.assign(n_, 0.0);
@@ -310,12 +419,18 @@ PreparedProblem::PreparedProblem(const Problem& p,
   hot_.assign(m_, 1);  // every row patchable until set_hot_rows narrows it
   hot_rows_.resize(m_);
   for (std::size_t r = 0; r < m_; ++r) hot_rows_[r] = r;
-  update_live_cols();
-  for (std::size_t i = 0; i < mc_; ++i) set_rhs(i, p.constraint(i).rhs);
+  update_dead_cols();
+  // The structural rows straight from the Problem's row block, no copy.
+  for (std::size_t i = 0; i < mc_; ++i) {
+    const Constraint row = p.constraint(i);
+    emit_structural(i, row.coeffs, rows_[i].flipped ? -1.0 : 1.0);
+    emit_layout(i);
+    const double b = shifted_rhs(i, row.rhs);
+    rhs_[i] = rows_[i].flipped ? -b : b;
+  }
   for (std::size_t i = 0; i < bound_rows.size(); ++i) {
     const std::size_t r = mc_ + i;
-    a_[r * n_ + bound_rows[i].col] = 1.0;
-    a_[r * n_ + rows_[r].slack_col] = 1.0;
+    entry(r, bound_rows[i].col) = 1.0;
     rhs_[r] = bound_rows[i].rhs;
     basis0_[r] = rows_[r].slack_col;
   }
@@ -333,45 +448,26 @@ void PreparedProblem::set_rhs(std::size_t i, double rhs) {
   const double b = shifted_rhs(i, rhs);
   const bool flip = b < 0.0;
 
-  // Hot path: orientation unchanged -- the structural row, slack/artificial
-  // layout, starting basis and phase-1 costs already in the template are
-  // all still correct; only the scalar rhs moves.
-  if (info.emitted && flip == info.flipped) {
-    rhs_[i] = flip ? -b : b;
-    return;
-  }
-
-  if (flip != info.flipped && info.rel != Relation::kEqual) {
-    OIC_REQUIRE(info.dynamic,
-                "PreparedProblem::set_rhs: rhs sign change on a non-dynamic "
-                "inequality row would alter the standard-form structure; "
-                "declare the row dynamic at construction");
-  }
-  info.flipped = flip;
-  const Relation eff = effective_relation(info.rel, flip);
-
-  emit_structural(i, row_coeffs_[i], flip ? -1.0 : 1.0);
-  double* row = &a_[i * n_];
-  if (info.slack_col != kNoCol) row[info.slack_col] = 0.0;
-  if (info.art_col != kNoCol) {
-    row[info.art_col] = 0.0;
-    phase1_cost_[info.art_col] = 0.0;
-  }
-  if (eff == Relation::kLessEq) {
-    row[info.slack_col] = 1.0;
-    basis0_[i] = info.slack_col;
-  } else if (eff == Relation::kGreaterEq) {
-    row[info.slack_col] = -1.0;
-    row[info.art_col] = 1.0;
-    basis0_[i] = info.art_col;
-    phase1_cost_[info.art_col] = 1.0;
-  } else {  // kEqual
-    row[info.art_col] = 1.0;
-    basis0_[i] = info.art_col;
-    phase1_cost_[info.art_col] = 1.0;
+  // Orientation change: re-emit the row.  Hot path (no change): the
+  // structural row, slack/artificial layout, starting basis and phase-1
+  // costs in the template are all still correct; only the scalar rhs moves.
+  if (flip != info.flipped) {
+    if (info.rel != Relation::kEqual) {
+      OIC_REQUIRE(info.dynamic,
+                  "PreparedProblem::set_rhs: rhs sign change on a non-dynamic "
+                  "inequality row would alter the standard-form structure; "
+                  "declare the row dynamic at construction");
+    }
+    info.flipped = flip;
+    // Negating the nonzero structural entries writes the bits an emission
+    // with the other sign would (coeff * -1 is exact), and zeros stay +0.0.
+    for (std::size_t c = 0; c < ncols_; ++c) {
+      double& v = entry(i, c);
+      if (v != 0.0) v = -v;
+    }
+    emit_layout(i);
   }
   rhs_[i] = flip ? -b : b;
-  info.emitted = true;
 }
 
 double PreparedProblem::shifted_rhs(std::size_t i, double rhs) const {
@@ -384,18 +480,14 @@ double PreparedProblem::shifted_rhs(std::size_t i, double rhs) const {
   return b;
 }
 
-void PreparedProblem::update_live_cols() {
+void PreparedProblem::update_dead_cols() {
   // A column is live when it may enter (not blocked) or when it is the
   // artificial -- hence, for >= and equality rows, the B^-1 unit column --
   // of a row whose rhs may still be patched.  Slack unit columns are never
   // blocked, so they are always live.
-  std::vector<unsigned char> dead = blocked0_;
+  dead_ = blocked0_;
   for (std::size_t r = 0; r < m_; ++r) {
-    if (hot_[r] && rows_[r].art_col != kNoCol) dead[rows_[r].art_col] = 0;
-  }
-  live_cols_.clear();
-  for (std::size_t j = 0; j < n_; ++j) {
-    if (!dead[j]) live_cols_.push_back(static_cast<std::uint32_t>(j));
+    if (hot_[r] && rows_[r].art_col != kNoCol) dead_[rows_[r].art_col] = 0;
   }
 }
 
@@ -432,7 +524,7 @@ void PreparedProblem::set_hot_rows(const std::vector<std::size_t>& rows) {
   for (std::size_t r = 0; r < m_; ++r) {
     if (hot_[r]) hot_rows_.push_back(r);
   }
-  update_live_cols();
+  update_dead_cols();
   // A tableau carried under the old live set may hold stale columns that
   // are live now: a fresh identity sends every existing WarmState cold.
   problem_id_ = ++g_serial;
@@ -442,7 +534,9 @@ void PreparedProblem::set_hot_rows(const std::vector<std::size_t>& rows) {
   // patch), so the seed is a pure function of the problem structure and
   // every copy of the problem shares one canonical restart point -- the
   // property that keeps parallel-worker episode schedules bit-identical.
-  seed_.a = a_;
+  seed_.blk = blk_;
+  seed_.listed = listed_;
+  seed_.where = where_;
   seed_.rhs = rhs_;
   seed_.basis = basis0_;
   seed_b_ = rhs_;
@@ -455,28 +549,38 @@ void PreparedProblem::set_hot_rows(const std::vector<std::size_t>& rows) {
 }
 
 Result PreparedProblem::solve(SolverWorkspace& ws, const SimplexOptions& opt) const {
+  return solve_cold(ws, opt, /*anchor=*/false);
+}
+
+Result PreparedProblem::solve_cold(SolverWorkspace& ws, const SimplexOptions& opt,
+                                   bool anchor) const {
   // Overwriting the tableau orphans any WarmState annotating this
   // workspace; clear the pairing token so solve_warm notices.
   ws.warm_serial = 0;
   // Working copies; std::vector::assign reuses capacity, so repeated solves
   // through one workspace do not allocate.
-  ws.a.assign(a_.begin(), a_.end());
+  ws.blk.assign(blk_.begin(), blk_.end());
+  ws.listed.assign(listed_.begin(), listed_.end());
+  ws.where.assign(where_.begin(), where_.end());
   ws.rhs.assign(rhs_.begin(), rhs_.end());
   ws.basis.assign(basis0_.begin(), basis0_.end());
-  return run_phases(ws, opt);
+  return run_phases(ws, opt, anchor);
 }
 
 Result PreparedProblem::solve_once(const SimplexOptions& opt) && {
   // The template will never be reused: hand its buffers to the phase
   // driver directly instead of copying them.
   SolverWorkspace ws;
-  ws.a = std::move(a_);
+  ws.blk = std::move(blk_);
+  ws.listed = std::move(listed_);
+  ws.where = std::move(where_);
   ws.rhs = std::move(rhs_);
   ws.basis = std::move(basis0_);
-  return run_phases(ws, opt);
+  return run_phases(ws, opt, /*anchor=*/false);
 }
 
-Result PreparedProblem::run_phases(SolverWorkspace& ws, const SimplexOptions& opt) const {
+Result PreparedProblem::run_phases(SolverWorkspace& ws, const SimplexOptions& opt,
+                                   bool anchor) const {
   // ---------- Phase 1 ----------
   if (any_artificial_) {
     const Status s1 = run_phase(m_, n_, ws, nullptr, phase1_cost_, opt);
@@ -488,38 +592,20 @@ Result PreparedProblem::run_phases(SolverWorkspace& ws, const SimplexOptions& op
       if (phase1_cost_[ws.basis[i]] > 0.0) resid += ws.rhs[i];
     }
     if (resid > opt.feas_tol) return {Status::kInfeasible, 0.0, {}};
+    drive_out(ws, opt);
 
-    // Drive remaining zero-level artificials out of the basis where possible.
-    const linalg::detail::KernelTable& kt = linalg::detail::table();
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (phase1_cost_[ws.basis[i]] == 0.0) continue;
-      std::size_t piv_col = n_;
-      for (std::size_t j = 0; j < n_; ++j) {
-        if (phase1_cost_[j] > 0.0) continue;  // never pivot in an artificial
-        if (std::fabs(ws.a[i * n_ + j]) > opt.pivot_tol) {
-          piv_col = j;
-          break;
-        }
-      }
-      if (piv_col == n_) continue;  // redundant row; artificial stays at zero
-      const double piv = ws.a[i * n_ + piv_col];
-      const double inv = 1.0 / piv;
-      double* prow = &ws.a[i * n_];
-      // Skip-zero scale (zeros stay +0.0); the historical dense loop's only
-      // difference was scaling zeros, an exact no-op by value.
-      for (std::size_t j = 0; j < n_; ++j) {
-        if (prow[j] != 0.0) prow[j] *= inv;
-      }
-      ws.rhs[i] *= inv;
-      for (std::size_t r = 0; r < m_; ++r) {
-        if (r == i) continue;
-        const double f = ws.a[r * n_ + piv_col];
-        if (f == 0.0) continue;
-        kt.lp_row_sub_scaled(&ws.a[r * n_], prow, f, n_);
-        ws.rhs[r] -= f * ws.rhs[i];
-      }
-      ws.basis[i] = piv_col;
+    // Artificial columns never enter phase 2 (blocked0_ bars them), so no
+    // later pivot reads them: drop them from the tableau.  A warm anchor
+    // keeps the hot rows' artificials, its B^-1 columns.
+    const unsigned char* drop = anchor ? dead_.data() : blocked0_.data();
+    for (std::size_t j = 0; j < n_; ++j) {
+      if (drop[j]) ws.where[j] = kDead;
     }
+    ws.listed.erase(std::remove_if(ws.listed.begin(), ws.listed.end(),
+                                   [&](const SolverWorkspace::Slot& s) {
+                                     return drop[s.col] != 0;
+                                   }),
+                    ws.listed.end());
   }
 
   // ---------- Phase 2 ----------
@@ -527,8 +613,108 @@ Result PreparedProblem::run_phases(SolverWorkspace& ws, const SimplexOptions& op
   const Status s2 = run_phase(m_, n_, ws, any_artificial_ ? blocked0_.data() : nullptr,
                               cost_, opt);
   if (s2 != Status::kOptimal) return {s2, 0.0, {}};
-
+  if (anchor) this->anchor(ws);
   return extract(ws);
+}
+
+void PreparedProblem::drive_out(SolverWorkspace& ws, const SimplexOptions& opt) const {
+  // Drive remaining zero-level artificials out of the basis where possible:
+  // pivot row i on its first non-artificial column, ascending, whose entry
+  // exceeds pivot_tol.  An implicit column holds +0.0 off its own row, and
+  // the one basic in row i is the artificial, so only listed columns can
+  // qualify.  The row is scaled skip-zero, with no clean 1.0 for the
+  // entering entry, and every other row with a nonzero factor gets the
+  // plain x - f*p of the dense drive-out (no clamp).  The entering column
+  // is generally not an exact unit afterwards, so it stays explicit.
+  const std::size_t m = m_;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (phase1_cost_[ws.basis[i]] == 0.0) continue;
+    std::size_t pk = ws.listed.size();
+    for (std::size_t k = 0; k < ws.listed.size(); ++k) {
+      if (phase1_cost_[ws.listed[k].col] > 0.0) continue;  // never pivot in an artificial
+      if (std::fabs(ws.blk[ws.listed[k].slot * m + i]) > opt.pivot_tol) {
+        pk = k;
+        break;
+      }
+    }
+    if (pk == ws.listed.size()) continue;  // redundant row; artificial stays at zero
+    const std::size_t piv_col = ws.listed[pk].col;
+    const double* pcol = ws.blk.data() + ws.listed[pk].slot * m;
+    const double inv = 1.0 / pcol[i];
+    ws.col.assign(pcol, pcol + m);  // the row factors, before the update
+    const double* f = ws.col.data();
+
+    // An implicit artificial leaving row i takes a new slot: its 1.0
+    // scales to 1.0 * inv, and a row with factor f gets 0.0 - f * that.
+    const std::size_t out = ws.basis[i];
+    const bool out_implicit = ws.where[out] != kDead && ws.where[out] >= kImplicit;
+    if (out_implicit) {
+      const std::uint32_t slot = static_cast<std::uint32_t>(ws.blk.size() / m);
+      ws.blk.resize(ws.blk.size() + m, 0.0);
+      double* c = ws.blk.data() + slot * m;
+      const double p = 1.0 * inv;
+      for (std::size_t r = 0; r < m; ++r) {
+        if (r != i && f[r] != 0.0) c[r] = 0.0 - f[r] * p;
+      }
+      c[i] = p;
+      ws.where[out] = slot;
+      auto at = std::lower_bound(
+          ws.listed.begin(), ws.listed.end(), out,
+          [](const SolverWorkspace::Slot& s, std::size_t j) { return s.col < j; });
+      ws.listed.insert(at, {static_cast<std::uint32_t>(out), slot});
+    }
+    for (const SolverWorkspace::Slot& s : ws.listed) {
+      if (out_implicit && s.col == out) continue;  // written above
+      double* c = ws.blk.data() + s.slot * m;
+      if (c[i] == 0.0) continue;
+      c[i] *= inv;
+      const double p = c[i];
+      for (std::size_t r = 0; r < m; ++r) {
+        if (r != i && f[r] != 0.0) c[r] -= f[r] * p;
+      }
+    }
+    ws.rhs[i] *= inv;
+    for (std::size_t r = 0; r < m; ++r) {
+      if (r != i && f[r] != 0.0) ws.rhs[r] -= f[r] * ws.rhs[i];
+    }
+    ws.basis[i] = piv_col;
+  }
+}
+
+void PreparedProblem::anchor(SolverWorkspace& ws) const {
+  // Settle a two-phase optimum for warm continuation.  A listed basic
+  // column that is exactly its row's unit column (1.0 there, the bits of
+  // +0.0 everywhere else) turns implicit; round-off residue or a -0.0 left
+  // by the drive-out keeps its slot.  The remaining slots are then packed
+  // in column order, so a seed restart copies no hole.
+  const std::size_t m = m_;
+  for (std::size_t r = 0; r < m; ++r) {
+    const std::size_t j = ws.basis[r];
+    const std::uint32_t w = ws.where[j];
+    if (w >= kImplicit) continue;
+    const double* c = ws.blk.data() + w * m;
+    bool unit = true;
+    for (std::size_t i = 0; i < m && unit; ++i) {
+      unit = i == r ? c[i] == 1.0 : c[i] == 0.0 && !std::signbit(c[i]);
+    }
+    if (unit) ws.where[j] = kImplicit | static_cast<std::uint32_t>(r);
+  }
+  std::vector<double> packed;
+  packed.reserve(ws.listed.size() * m);
+  std::uint32_t kept = 0;
+  for (std::size_t k = 0; k < ws.listed.size(); ++k) {
+    const std::uint32_t col = ws.listed[k].col;
+    if (ws.where[col] >= kImplicit) continue;
+    const double* c = ws.blk.data() + ws.listed[k].slot * m;
+    packed.insert(packed.end(), c, c + m);
+    ws.where[col] = kept;
+    ws.listed[kept] = {col, kept};
+    ++kept;
+  }
+  ws.listed.resize(kept);
+  ws.blk.swap(packed);
+  ws.rhs_neg_zero = std::any_of(ws.rhs.begin(), ws.rhs.end(),
+                                [](double v) { return v == 0.0 && std::signbit(v); });
 }
 
 Result PreparedProblem::extract(SolverWorkspace& ws) const {
@@ -559,41 +745,9 @@ Result PreparedProblem::extract(SolverWorkspace& ws) const {
   return {Status::kOptimal, obj, std::move(x)};
 }
 
-void PreparedProblem::condense(SolverWorkspace& ws) const {
-  // A live basic column is implicit when it is exactly the unit column of
-  // its row: 1.0 there and the bits of +0.0 everywhere else.  Round-off
-  // residue or a -0.0 left by the two-phase path keeps a slot instead.
-  // Runs only when the warm tableau is anchored, off the row-major tableau.
-  ws.where.assign(n_, SolverWorkspace::kDead);
-  for (const std::uint32_t j : live_cols_) ws.where[j] = 0;  // live; slot below
-  for (std::size_t r = 0; r < m_; ++r) {
-    const std::size_t j = ws.basis[r];
-    bool unit = ws.where[j] != SolverWorkspace::kDead;
-    for (std::size_t i = 0; i < m_ && unit; ++i) {
-      const double v = ws.a[i * n_ + j];
-      unit = i == r ? v == 1.0 : v == 0.0 && !std::signbit(v);
-    }
-    if (unit) ws.where[j] = SolverWorkspace::kImplicit | static_cast<std::uint32_t>(r);
-  }
-  ws.listed.clear();
-  for (const std::uint32_t j : live_cols_) {
-    if (ws.where[j] != 0) continue;
-    ws.where[j] = static_cast<std::uint32_t>(ws.listed.size());
-    ws.listed.push_back({j, ws.where[j]});
-  }
-  ws.blk.resize(ws.listed.size() * m_);
-  for (const SolverWorkspace::Slot& c : ws.listed) {
-    for (std::size_t i = 0; i < m_; ++i) ws.blk[c.slot * m_ + i] = ws.a[i * n_ + c.col];
-  }
-  ws.rhs_neg_zero = std::any_of(ws.rhs.begin(), ws.rhs.end(),
-                                [](double v) { return v == 0.0 && std::signbit(v); });
-}
-
 void PreparedProblem::build_seed(const SimplexOptions& opt) const {
   seed_built_ = true;  // one attempt; failures fall back to two-phase colds
-  seed_ok_ = run_phases(seed_, opt).status == Status::kOptimal;
-  if (seed_ok_) condense(seed_);
-  std::vector<double>().swap(seed_.a);  // restarts copy only the condensed block
+  seed_ok_ = run_phases(seed_, opt, /*anchor=*/true).status == Status::kOptimal;
 }
 
 Result PreparedProblem::solve_warm(SolverWorkspace& ws, WarmState& warm,
@@ -619,6 +773,7 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   // (set_hot_rows), otherwise run both phases; either way snapshot the
   // optimum so the next call can continue from it.
   if (!warm.valid) {
+    Result cold;
     const bool seed_usable =
         allow_seed && seed_captured_ && seed_obj_revision_ == objective_revision_;
     if (seed_usable && !seed_built_) build_seed(opt);
@@ -639,9 +794,8 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       warm.b = seed_b_;
       warm.flip = seed_flip_;
     } else {
-      const Result r = solve(ws, opt);
-      if (r.status != Status::kOptimal) return r;
-      condense(ws);
+      cold = solve_cold(ws, opt, /*anchor=*/true);
+      if (cold.status != Status::kOptimal) return cold;
       warm.b.assign(rhs_.begin(), rhs_.end());
       warm.flip.resize(m_);
       for (std::size_t i = 0; i < m_; ++i) warm.flip[i] = rows_[i].flipped ? 1 : 0;
@@ -654,7 +808,7 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
     ws.warm_serial = warm.serial;
     // A plain cold solve already sits at the optimum for the current rhs;
     // only a seed restart needs the continuation below to patch it.
-    if (!from_seed) return extract(ws);
+    if (!from_seed) return cold;
   }
 
   const linalg::detail::KernelTable& kt = linalg::detail::table();
@@ -724,16 +878,8 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
 
     // Pack the leaving row's nonzeros once, as positions into `listed`
     // (ascending columns).  Dead columns have no slot (docs/perf.md, "The
-    // live-column argument"); an implicit column is +0.0 off its own row,
-    // and the leaving row's own one is handled apart below.  Branch-free:
-    // always store, advance past a nonzero (a NaN is packed).
-    std::size_t nnz = 0;
-    for (std::size_t k = 0; k < listed.size(); ++k) {
-      const double v = blk[listed[k].slot * m_ + leave];
-      nzk[nnz] = static_cast<std::uint32_t>(k);
-      nzv[nnz] = v;
-      nnz += v != 0.0 ? 1 : 0;
-    }
+    // live-column argument").
+    const std::size_t nnz = pack_row(ws, m_, leave);
 
     // Entering column: dual ratio test over the leaving row's negative
     // entries (artificials stay barred).  Strict improvement only: a near
@@ -759,66 +905,7 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       warm.valid = false;
       return solve_warm_inner(ws, warm, opt, /*allow_seed=*/false);
     }
-    const std::size_t epos = nzk[pick];
-    const std::uint32_t enter = listed[epos].col;
-    const std::uint32_t eslot = listed[epos].slot;
-
-    // --- Pivot over the packed support ---
-    // The entering column's slot holds every row's update factor.  Its
-    // nonzeros span rows [lo, hi); outside, the updates are exact no-ops
-    // on a -0.0-free tableau (docs/perf.md, "The row-span argument").
-    double* ecol = blk + eslot * m_;
-    std::size_t lo = 0, hi = m_;
-    while (ecol[lo] == 0.0) ++lo;
-    while (ecol[hi - 1] == 0.0) --hi;
-    const double inv = 1.0 / ecol[leave];
-    for (std::size_t k = 0; k < nnz; ++k) {
-      if (k == pick) {
-        nzv[k] = 1.0;  // clean exact unit entry
-        continue;
-      }
-      const double sv = nzv[k] * inv;
-      nzv[k] = sv;
-      double* cj = blk + listed[nzk[k]].slot * m_;
-      // cj[i] -= f_i * sv over the span; the pivot row is overwritten with
-      // its scaled value right after.
-      kt.lp_row_sub_scaled(cj + lo, ecol + lo, sv, hi - lo);
-      cj[leave] = sv;
-    }
-    rhs[leave] *= inv;
-    // Rows with a zero factor are untouched and must NOT see the clamp.
-    kt.lp_rhs_pivot(rhs + lo, ecol + lo, leave - lo, hi - lo);
-    // An implicit leaving column's 1.0 scales to 1.0 * inv.
-    const std::uint32_t out = static_cast<std::uint32_t>(ws.basis[leave]);
-    const bool out_implicit =
-        ws.where[out] != SolverWorkspace::kDead && ws.where[out] >= kImplicit;
-    const double sv_out = 1.0 * inv;
-    const double fz = ws.z[enter];
-    if (fz != 0.0) {
-      for (std::size_t k = 0; k < nnz; ++k) ws.z[listed[nzk[k]].col] -= fz * nzv[k];
-      if (out_implicit) ws.z[out] -= fz * sv_out;
-      ws.z[enter] = 0.0;
-    }
-
-    // The entering column becomes the exact unit column of `leave`.  An
-    // implicit leaving column takes its slot, filled with what the full
-    // tableau computes for that unit column (+0.0 outside the span, where
-    // ecol already holds +0.0), and its entry moves to its sorted place.
-    // Otherwise the slot falls out of use: a listed leaving column was
-    // updated in place above, a dead one is never read.
-    ws.where[enter] = kImplicit | static_cast<std::uint32_t>(leave);
-    ws.basis[leave] = enter;
-    if (out_implicit) {
-      for (std::size_t i = lo; i < hi; ++i) ecol[i] = 0.0 - ecol[i] * sv_out;
-      ecol[leave] = sv_out;
-      ws.where[out] = eslot;
-      std::size_t p = epos;
-      for (; p > 0 && listed[p - 1].col > out; --p) listed[p] = listed[p - 1];
-      for (; p + 1 < listed.size() && listed[p + 1].col < out; ++p) listed[p] = listed[p + 1];
-      listed[p] = {out, eslot};
-    } else {
-      listed.erase(listed.begin() + static_cast<std::ptrdiff_t>(epos));
-    }
+    pivot(ws, m_, leave, nnz, pick);
   }
 
   if (!ok) {

@@ -10,9 +10,9 @@
 ///
 /// A PreparedProblem performs the conversion once and caches the resulting
 /// tableau as an immutable template.  Each solve copies the template into a
-/// caller-provided SolverWorkspace (a pair of buffer reuses, no allocation
-/// after warm-up) and runs the identical two-phase simplex, so results are
-/// bit-for-bit the same as a fresh lp::solve() of the same Problem.
+/// caller-provided SolverWorkspace (buffer reuses, no allocation after
+/// warm-up) and runs the two-phase simplex, so results are bit-for-bit the
+/// same as a fresh lp::solve() of the same Problem.
 ///
 /// Between solves the caller may patch
 ///   * the objective (set_objective)           -- any values, and
@@ -22,20 +22,21 @@
 ///     declare such rows "dynamic" at construction to reserve the extra
 ///     slack+artificial columns up front).
 ///
-/// The warm continuation (solve_warm) runs on a CONDENSED copy of the
-/// working tableau: every basic column that is exactly a unit column stays
-/// implicit (the basis map says which row it is basic in), and every other
-/// column the warm pivots read gets one column-major slot.  The dual
-/// pivot's rank-1 update touches only the pivot row's support columns
-/// (~10% dense on the MPC tableaus), and each of those is one contiguous
-/// streaming axpy over its slot.  Receding-horizon callers that re-solve
-/// the same structure thousands of times additionally call set_hot_rows:
-/// this snapshots the construction-time template as a canonical warm-start
-/// seed -- every "cold" restart (episode reset, scheduled refactorization)
-/// then copies the seed's condensed block and continues from the canonical
-/// optimum with a few dual pivots instead of re-running both phases -- and
-/// narrows the warm pivots to the *live* columns: those that may enter
-/// plus the B^-1 unit columns of the hot rows.  See docs/perf.md.
+/// Every solve -- both phases, the artificial drive-out and the warm
+/// continuation (solve_warm) -- runs on one CONDENSED tableau: every basic
+/// column that is exactly a unit column stays implicit (the basis map says
+/// which row it is basic in), and every other column gets one column-major
+/// slot.  A pivot's rank-1 update touches only the pivot row's support
+/// columns, each one contiguous streaming axpy over its slot, and the
+/// template never stores the m x m slack identity.  Receding-horizon
+/// callers that re-solve the same structure thousands of times
+/// additionally call set_hot_rows: this snapshots the construction-time
+/// template as a canonical warm-start seed -- every "cold" restart (episode
+/// reset, scheduled refactorization) then copies the seed's condensed block
+/// and continues from the canonical optimum with a few dual pivots instead
+/// of re-running both phases -- and narrows the warm pivots to the *live*
+/// columns: those that may enter plus the B^-1 unit columns of the hot
+/// rows.  See docs/perf.md.
 ///
 /// This is the engine behind poly::SupportSolver (repeated support queries
 /// on one polytope) and the TubeMpc per-step solve (only the x(0) = x0
@@ -55,28 +56,26 @@ namespace oic::lp {
 /// number of PreparedProblems, but not by concurrent solves; give each
 /// thread its own.
 struct SolverWorkspace {
-  std::vector<double> a;       ///< working tableau, m x n row-major
   std::vector<double> rhs;
   std::vector<double> z;       ///< reduced-cost row
   std::vector<std::size_t> basis;
   std::vector<double> y;       ///< basic-solution scratch for recovery
   std::uint64_t warm_serial = 0;  ///< pairing token; see WarmState::serial
 
-  // Pivot scratch: the entering column gathered contiguously once per
-  // pivot, and the pivot row's nonzeros packed as (index, value) pairs so
-  // row updates touch only the ~10%-dense support instead of the full
-  // width (lp/prepared.cpp; bit-identical by the signed-zero argument in
-  // docs/perf.md).
+  // Pivot scratch: the pivot row's nonzeros packed as (position in
+  // `listed`, value) pairs, so updates touch only its support, and the
+  // drive-out's pivot column saved as its row factors.
   std::vector<double> col;
   std::vector<std::uint32_t> nz;
   std::vector<double> nzv;
 
-  /// The condensed warm tableau (docs/perf.md, "The condensed warm
-  /// tableau"): one column-major slot [s*m, (s+1)*m) of `blk` per live
-  /// column that is not a certified unit column (basic, exactly 1.0 on its
-  /// row and +0.0 elsewhere).  `listed` holds the explicit columns
-  /// ascending, for the order-sensitive ratio test; `where` maps each
-  /// column to its slot, to kImplicit | its basic row, or to kDead.
+  /// The condensed working tableau (docs/perf.md, "The condensed warm
+  /// tableau" and "Certificate synthesis"): one column-major slot
+  /// [s*m, (s+1)*m) of `blk` per explicit column.  A column is implicit
+  /// when it is basic and exactly its row's unit column (1.0 there, +0.0
+  /// elsewhere).  `listed` holds the explicit columns ascending, for the
+  /// order-sensitive scans; `where` maps each column to its slot, to
+  /// kImplicit | its basic row, or to kDead (a column no later pivot reads).
   struct Slot {
     std::uint32_t col, slot;
   };
@@ -204,7 +203,6 @@ class PreparedProblem {
     Relation rel = Relation::kLessEq;
     bool flipped = false;        ///< row was negated to make rhs >= 0
     bool dynamic = false;        ///< eager slack+artificial columns reserved
-    bool emitted = false;        ///< structural row written into the template
     std::size_t slack_col = kNoCol;
     std::size_t art_col = kNoCol;
     /// The row's normalized-rhs shift terms: shift_terms_[shift_begin,
@@ -213,7 +211,12 @@ class PreparedProblem {
   };
   static constexpr std::size_t kNoCol = static_cast<std::size_t>(-1);
 
-  void emit_structural(std::size_t r, const linalg::Vector& coeffs, double sign);
+  void emit_structural(std::size_t r, const double* coeffs, double sign);
+  /// Row r's slack/artificial entries, starting basic column and phase-1
+  /// cost for its current orientation.
+  void emit_layout(std::size_t r);
+  /// Template entry (r, col) of an explicit column.
+  double& entry(std::size_t r, std::size_t col) { return blk_[where_[col] * m_ + r]; }
   /// `rhs` of constraint row i less the row's shift terms.
   double shifted_rhs(std::size_t i, double rhs) const;
 
@@ -225,7 +228,6 @@ class PreparedProblem {
 
   std::vector<VarMap> vmap_;
   std::vector<RowInfo> rows_;
-  std::vector<linalg::Vector> row_coeffs_;  ///< original rows (for re-emission)
   /// One term of a row's normalized-rhs shift b -= coeff * offset: the
   /// nonzero coefficients of non-split variables, j ascending per row.
   struct ShiftTerm {
@@ -234,8 +236,11 @@ class PreparedProblem {
   };
   std::vector<ShiftTerm> shift_terms_;
 
-  // Immutable-per-structure template; rhs/cost blocks mutate via setters.
-  std::vector<double> a_;             ///< m_ x n_ template tableau
+  // Immutable-per-structure template, condensed like the working tableau
+  // (SolverWorkspace::blk/listed/where); rhs/cost blocks mutate via setters.
+  std::vector<double> blk_;
+  std::vector<SolverWorkspace::Slot> listed_;
+  std::vector<std::uint32_t> where_;
   std::vector<double> rhs_;
   std::vector<double> cost_;          ///< phase-2 costs over standard columns
   std::vector<double> phase1_cost_;
@@ -251,9 +256,9 @@ class PreparedProblem {
   std::vector<unsigned char> hot_;
   /// The hot rows, ascending (the warm rhs patch walks only these).
   std::vector<std::size_t> hot_rows_;
-  /// Ascending columns the warm pivots pack, price and update: every
-  /// unblocked column plus the artificials of hot rows.
-  std::vector<std::uint32_t> live_cols_;
+  /// Columns no warm pivot reads: blocked, and not the artificial of a hot
+  /// row.  A warm anchor drops them when phase 2 starts.
+  std::vector<unsigned char> dead_;
 
   // ---- canonical warm-start seed (set_hot_rows) ----
   // All seed state is mutable: it is a lazily materialized pure function
@@ -270,13 +275,21 @@ class PreparedProblem {
   std::vector<double> seed_b_;
   std::vector<unsigned char> seed_flip_;
 
-  Result run_phases(SolverWorkspace& ws, const SimplexOptions& options) const;
+  /// Load the template into `ws` and run both phases; see run_phases.
+  Result solve_cold(SolverWorkspace& ws, const SimplexOptions& options,
+                    bool anchor) const;
+  /// Phase 1, the drive-out and phase 2 on the tableau in `ws`.  With
+  /// `anchor` the optimum is left ready for warm continuation: phase 2
+  /// drops only the dead columns, and the result is settled by anchor().
+  Result run_phases(SolverWorkspace& ws, const SimplexOptions& options,
+                    bool anchor) const;
+  void drive_out(SolverWorkspace& ws, const SimplexOptions& options) const;
+  void anchor(SolverWorkspace& ws) const;
   Result extract(SolverWorkspace& ws) const;
   Result solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
                           const SimplexOptions& options, bool allow_seed) const;
   void build_seed(const SimplexOptions& options) const;
-  void condense(SolverWorkspace& ws) const;
-  void update_live_cols();
+  void update_dead_cols();
 };
 
 }  // namespace oic::lp

@@ -11,15 +11,17 @@ std::size_t Problem::add_variable(double lo, double hi) {
   OIC_REQUIRE(lo <= hi, "Problem::add_variable: empty bound interval");
   lo_.push_back(lo);
   hi_.push_back(hi);
-  linalg::Vector c(num_vars());
-  for (std::size_t j = 0; j + 1 < num_vars(); ++j) c[j] = c_[j];
+  const std::size_t n = num_vars();
+  linalg::Vector c(n);
+  for (std::size_t j = 0; j + 1 < n; ++j) c[j] = c_[j];
   c_ = c;
-  for (auto& row : rows_) {
-    linalg::Vector a(num_vars());
-    for (std::size_t j = 0; j + 1 < num_vars(); ++j) a[j] = row.coeffs[j];
-    row.coeffs = a;
+  // Widen every row by one zero coefficient.
+  std::vector<double> widened(num_constraints() * n, 0.0);
+  for (std::size_t i = 0; i < num_constraints(); ++i) {
+    for (std::size_t j = 0; j + 1 < n; ++j) widened[i * n + j] = coeffs_[i * (n - 1) + j];
   }
-  return num_vars() - 1;
+  coeffs_.swap(widened);
+  return n - 1;
 }
 
 void Problem::set_bounds(std::size_t j, double lo, double hi) {
@@ -52,20 +54,21 @@ void Problem::set_objective(const linalg::Vector& c) {
 void Problem::add_constraint(const linalg::Vector& coeffs, Relation rel, double rhs) {
   OIC_REQUIRE(coeffs.size() == num_vars(),
               "Problem::add_constraint: coefficient dimension mismatch");
-  rows_.push_back(Constraint{coeffs, rel, rhs});
+  add_constraint(coeffs.data().data(), coeffs.size(), rel, rhs);
 }
 
 void Problem::add_constraint(const double* coeffs, std::size_t n, Relation rel,
                              double rhs) {
-  OIC_REQUIRE(coeffs != nullptr && n == num_vars(),
+  OIC_REQUIRE((coeffs != nullptr || n == 0) && n == num_vars(),
               "Problem::add_constraint: coefficient dimension mismatch");
-  rows_.push_back(
-      Constraint{linalg::Vector(std::vector<double>(coeffs, coeffs + n)), rel, rhs});
+  coeffs_.insert(coeffs_.end(), coeffs, coeffs + n);
+  rel_.push_back(rel);
+  rhs_.push_back(rhs);
 }
 
-const Constraint& Problem::constraint(std::size_t i) const {
-  OIC_REQUIRE(i < rows_.size(), "Problem::constraint: row out of range");
-  return rows_[i];
+Constraint Problem::constraint(std::size_t i) const {
+  OIC_REQUIRE(i < num_constraints(), "Problem::constraint: row out of range");
+  return Constraint{coeffs_.data() + i * num_vars(), rel_[i], rhs_[i]};
 }
 
 }  // namespace oic::lp

@@ -24,9 +24,11 @@ enum class Relation {
   kEqual,      ///< a^T x  = b
 };
 
-/// One dense constraint row.
+/// One dense constraint row, viewed in place: `coeffs` points at the
+/// row's num_vars() coefficients inside the Problem's row block, and stays
+/// valid until the next add_constraint or add_variable.
 struct Constraint {
-  linalg::Vector coeffs;  ///< dense coefficient row a (dimension = num variables)
+  const double* coeffs = nullptr;  ///< dense coefficient row a
   Relation rel = Relation::kLessEq;
   double rhs = 0.0;
 };
@@ -43,7 +45,7 @@ class Problem {
   /// Number of variables.
   std::size_t num_vars() const { return lo_.size(); }
   /// Number of constraint rows.
-  std::size_t num_constraints() const { return rows_.size(); }
+  std::size_t num_constraints() const { return rhs_.size(); }
 
   /// Add a variable with bounds [lo, hi]; returns its index.
   std::size_t add_variable(double lo = -kInf, double hi = kInf);
@@ -68,13 +70,17 @@ class Problem {
   /// feed matrix rows without materializing a Vector per row).
   void add_constraint(const double* coeffs, std::size_t n, Relation rel, double rhs);
   /// Constraint row i.
-  const Constraint& constraint(std::size_t i) const;
+  Constraint constraint(std::size_t i) const;
 
  private:
   linalg::Vector c_;
   std::vector<double> lo_;
   std::vector<double> hi_;
-  std::vector<Constraint> rows_;
+  /// Every row's coefficients in one row-major block, num_vars() per row:
+  /// appending a row is one copy into it, never a heap row of its own.
+  std::vector<double> coeffs_;
+  std::vector<Relation> rel_;
+  std::vector<double> rhs_;
 };
 
 }  // namespace oic::lp

@@ -97,7 +97,7 @@ bool HPolytope::is_empty() const {
   if (num_constraints() == 0) return false;
   lp::Problem p(dim());
   for (std::size_t i = 0; i < num_constraints(); ++i)
-    p.add_constraint(a_.row(i), lp::Relation::kLessEq, b_[i]);
+    p.add_constraint(a_.row_data(i), dim(), lp::Relation::kLessEq, b_[i]);
   const lp::Result r = lp::solve(p);
   return r.status == lp::Status::kInfeasible;
 }
@@ -122,7 +122,7 @@ Support HPolytope::support(const Vector& d) const {
   lp::Problem p(dim());
   p.set_objective(-d);  // maximize d.x == minimize -d.x
   for (std::size_t i = 0; i < num_constraints(); ++i)
-    p.add_constraint(a_.row(i), lp::Relation::kLessEq, b_[i]);
+    p.add_constraint(a_.row_data(i), dim(), lp::Relation::kLessEq, b_[i]);
   const lp::Result r = lp::solve(p);
   Support s;
   switch (r.status) {
@@ -167,7 +167,7 @@ ChebyshevBall HPolytope::chebyshev() const {
     // point found by a bounded re-solve.
     lp::Problem p2(dim() + 1);
     for (std::size_t i = 0; i < num_constraints(); ++i)
-      p2.add_constraint(p.constraint(i).coeffs, lp::Relation::kLessEq,
+      p2.add_constraint(p.constraint(i).coeffs, dim() + 1, lp::Relation::kLessEq,
                         p.constraint(i).rhs);
     p2.set_bounds(dim(), 0.0, 1e9);
     p2.set_objective_coeff(dim(), -1.0);
@@ -255,7 +255,8 @@ HPolytope HPolytope::remove_redundancy(double tol) const {
   }
 
   // LP pass: row i is redundant iff maximizing a_i.x subject to all *other*
-  // kept rows cannot exceed b_i.
+  // kept rows cannot exceed b_i.  Rows are appended by pointer into the
+  // LP's one row block.
   for (std::size_t i = 0; i < m; ++i) {
     if (!keep[i]) continue;
     lp::Problem p(dim());
@@ -263,13 +264,13 @@ HPolytope HPolytope::remove_redundancy(double tol) const {
     bool any = false;
     for (std::size_t j = 0; j < m; ++j) {
       if (j == i || !keep[j]) continue;
-      p.add_constraint(a_.row(j), lp::Relation::kLessEq, b_[j]);
+      p.add_constraint(a_.row_data(j), dim(), lp::Relation::kLessEq, b_[j]);
       any = true;
     }
     if (!any) continue;  // last remaining row is never redundant
     // Relaxation trick: also cap by b_i + 1 to keep the LP bounded when the
     // row is the only bound in its direction.
-    p.add_constraint(a_.row(i), lp::Relation::kLessEq, b_[i] + 1.0);
+    p.add_constraint(a_.row_data(i), dim(), lp::Relation::kLessEq, b_[i] + 1.0);
     const lp::Result r = lp::solve(p);
     if (r.status == lp::Status::kInfeasible) {
       // The remaining rows are already empty; any row can be dropped safely,

@@ -128,9 +128,9 @@ TEST(PreparedProblem, SetRhsOnEqualityRowsMatchesRebuild) {
         rebuilt.set_objective_coeff(j, base.objective()[j]);
         rebuilt.set_bounds(j, -8.0, 8.0);
       }
-      rebuilt.add_constraint(base.constraint(0).coeffs, Relation::kEqual, v);
+      rebuilt.add_constraint(base.constraint(0).coeffs, 3, Relation::kEqual, v);
       for (std::size_t i = 1; i < base.num_constraints(); ++i) {
-        rebuilt.add_constraint(base.constraint(i).coeffs, Relation::kLessEq,
+        rebuilt.add_constraint(base.constraint(i).coeffs, 3, Relation::kLessEq,
                                base.constraint(i).rhs);
       }
       const oic::lp::Result fresh = oic::lp::solve(rebuilt);
