@@ -122,9 +122,16 @@ class Reader {
   }
 
   /// The `end` sentinel that closes every document: without it a
-  /// well-formed prefix of the document would parse.
+  /// well-formed prefix of the document would parse.  Only whitespace may
+  /// follow it, so a second document or a corrupted tail rejects too.
   void expect_end() {
     if (next() != "end") fail("truncated document (missing 'end' sentinel)");
+    expect_eof();
+  }
+
+  /// Only whitespace may remain after the `end` sentinel.
+  void expect_eof() {
+    if (!next().empty()) fail("trailing data after the 'end' sentinel");
   }
 
   /// Rest of the current line verbatim (one separating blank skipped), for

@@ -1,11 +1,13 @@
 #include "eval/registry.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
+#include <string_view>
 
 #include "acc/acc.hpp"
 #include "acc/scenarios.hpp"
 #include "common/error.hpp"
+#include "common/textio.hpp"
 #include "eval/plants/lane_keep.hpp"
 #include "eval/plants/quad_alt.hpp"
 #include "eval/plants/second_order.hpp"
@@ -29,10 +31,11 @@ Scenario make_acc_scenario(const std::string& id) {
   const acc::AccParams params;  // registry plants use paper parameters
   if (id == "Fig.4") return acc::fig4_scenario(params);
   if (id == "Jam") return acc::stop_and_go_scenario(params);
-  if (id.rfind("Ex.", 0) == 0) {
-    const int index = std::atoi(id.c_str() + 3);
-    if (index >= 1 && index <= 5) return acc::range_scenario(index, params);
-    if (index >= 6 && index <= 10) return acc::regularity_scenario(index, params);
+  std::uint64_t index = 0;
+  if (id.rfind("Ex.", 0) == 0 && textio::parse_u64(std::string_view(id).substr(3), index)) {
+    const int i = static_cast<int>(index);
+    if (index >= 1 && index <= 5) return acc::range_scenario(i, params);
+    if (index >= 6 && index <= 10) return acc::regularity_scenario(i, params);
   }
   throw PreconditionError("unknown acc scenario '" + id + "'");
 }

@@ -532,7 +532,9 @@ Checkpoint load_checkpoint(std::istream& is) {
     const std::size_t n = in.count("splitting cell count", 65536);
     for (std::size_t c = 0; c < n; ++c) ck.split_cells.push_back(read_split_cell(in));
     in.expect_end();
-  } else if (tag != "end") {
+  } else if (tag == "end") {
+    in.expect_eof();
+  } else {
     in.fail("truncated document (missing 'end' sentinel)");
   }
   return ck;

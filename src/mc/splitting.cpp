@@ -87,6 +87,13 @@ std::vector<double> parse_levels(const std::string& text) {
   return out;
 }
 
+double parse_split_quantile(const std::string& text) {
+  double q = 0.0;
+  OIC_REQUIRE(textio::parse_finite(text, q) && q > 0.0 && q < 1.0,
+              "expects a number in (0, 1), got '" + text + "'");
+  return q;
+}
+
 // ---------------------------------------------------------------- estimate
 
 bool SplitEstimate::extinct() const {

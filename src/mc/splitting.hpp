@@ -152,6 +152,11 @@ void validate_levels(const std::vector<double>& levels);
 /// >= 0 are all rejected with a diagnostic).
 std::vector<double> parse_levels(const std::string& text);
 
+/// Parse a `--split-quantile` survivor fraction: one textio finite token
+/// strictly inside (0, 1).  Hex, blank-led and out-of-range spellings
+/// throw PreconditionError.
+double parse_split_quantile(const std::string& text);
+
 /// Outcome of ONE BATCH of splitting.  levels/survivors are parallel
 /// arrays, one entry per completed stage; the ladder ends at 0.0 unless
 /// the run went extinct on an intermediate explicit level first.  The

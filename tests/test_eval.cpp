@@ -51,6 +51,12 @@ TEST(Registry, ListsBuiltinPlants) {
   EXPECT_THROW(reg.plant("submarine"), oic::PreconditionError);
   EXPECT_THROW(reg.make_scenario("acc", "sine"), oic::PreconditionError);
   EXPECT_THROW(reg.make_scenario("lane-keep", "Ex.1"), oic::PreconditionError);
+  // The Ex.N index is one u64 token: no trailing junk, sign, blank or
+  // second number.
+  for (const char* bad : {"Ex.3x", "Ex.+3", "Ex. 3", "Ex.3 ", "Ex.-3", "Ex.", "Ex.0",
+                          "Ex.11", "Ex.1.5", "Ex.18446744073709551619"}) {
+    EXPECT_THROW(reg.make_scenario("acc", bad), oic::PreconditionError) << bad;
+  }
   EXPECT_THROW(reg.make_scenario("toy2d", "gusts"), oic::PreconditionError);
   // Every production plant exposes its declarative model with a matching
   // id; the analytic bed has no controller/certificate and throws from

@@ -122,6 +122,18 @@ TEST(Splitting, ParseLevelsRejectsMalformedInput) {
   EXPECT_THROW(parse_levels(many), PreconditionError);
 }
 
+TEST(Splitting, ParseSplitQuantileTakesOnlyStrictNumbersInsideTheUnitInterval) {
+  using oic::mc::parse_split_quantile;
+  EXPECT_EQ(parse_split_quantile("0.25"), 0.25);
+  EXPECT_EQ(parse_split_quantile("+0.5"), 0.5);
+  EXPECT_EQ(parse_split_quantile("1e-1"), 0.1);
+  // One spelling per way a loose strtod-style parse would accept it.
+  for (const char* bad : {"0x1p-2", " 0.25", "0.25 ", "\t0.25", "0.25x", "", "nan",
+                          "inf", "0", "1", "2", "-0.25"}) {
+    EXPECT_THROW(parse_split_quantile(bad), PreconditionError) << "'" << bad << "'";
+  }
+}
+
 TEST(Splitting, RunnerValidatesConfig) {
   const auto factory = [] { return oic::mc::make_rare1d_process({}, 10); };
   SplitConfig cfg;

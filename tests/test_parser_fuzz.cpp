@@ -451,6 +451,22 @@ TEST(ParserFuzz, EveryTruncationRejects) {
   });
 }
 
+TEST(ParserFuzz, TrailingDataAfterEndRejects) {
+  // A file document closes at its `end` sentinel: a second document or a
+  // corrupted tail after it rejects, and only whitespace may follow.  (A
+  // serve stream is a sequence of batches: what follows one batch's `end`
+  // is the next batch, read by the next call.)
+  for_each_doc([](const Format& f, const std::string& doc) {
+    const std::string name = f.name;
+    if (name == "requests" || name == "responses") return;
+    for (const char* tail : {"x", "end", "0", "nan 1e999", "\n\ngarbage\n"}) {
+      EXPECT_FALSE(accepts(f, doc + tail)) << "appended '" << tail << "'";
+      EXPECT_FALSE(accepts(f, doc + " " + tail + "\n")) << "appended ' " << tail << "'";
+    }
+    EXPECT_TRUE(accepts(f, doc + " \t\n\n"));
+  });
+}
+
 TEST(ParserFuzz, NonFiniteAndOverflowFieldsReject) {
   expect_token_mutations_reject({Kind::kFinite, Kind::kInteger, Kind::kCount},
                                 {"nan", "inf", "-inf", "1e999", "0x1p9999", "bogus"});

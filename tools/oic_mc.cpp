@@ -278,16 +278,12 @@ int main(int argc, char** argv) {
     }
   }
   if (args.value("split-quantile", v)) {
-    char* end = nullptr;
-    const double q = std::strtod(v.c_str(), &end);
-    if (end != v.c_str() + v.size() || !(q > 0.0 && q < 1.0)) {
-      std::fprintf(stderr,
-                   "oic_mc: --split-quantile expects a number in (0, 1), got "
-                   "'%s'\n",
-                   v.c_str());
+    try {
+      spec.split_quantile = oic::mc::parse_split_quantile(v);
+    } catch (const oic::Error& e) {
+      std::fprintf(stderr, "oic_mc: --split-quantile %s\n", e.what());
       return 1;
     }
-    spec.split_quantile = q;
   }
 
   if (!oic::cliutil::reject_unknown(args, "oic_mc")) return 1;
