@@ -111,7 +111,9 @@ void BM_RemoveRedundancy(benchmark::State& state) {
     benchmark::DoNotOptimize(p.remove_redundancy());
   }
 }
-BENCHMARK(BM_RemoveRedundancy)->Arg(16)->Arg(64);
+// Arg(512) is the size of a Fourier-Motzkin output before pruning (the
+// acc feasible-set recursion prunes 438-682 rows to 32-51).
+BENCHMARK(BM_RemoveRedundancy)->Arg(16)->Arg(64)->Arg(512)->Unit(benchmark::kMicrosecond);
 
 void BM_MinkowskiSum2d(benchmark::State& state) {
   const HPolytope a = HPolytope::l1_ball(2, 1.0);
@@ -435,6 +437,23 @@ void BM_CertStoreLoad(benchmark::State& state) {
   state.SetLabel(ids[index] + ", cache hit");
 }
 BENCHMARK(BM_CertStoreLoad)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+
+// Certificate cold start without the cache: one full `cert::synthesize`
+// per iteration, per production plant (LQR, tightening, terminal set, XI,
+// X' and the ladder; thousands of cold LPs, most of them redundancy LPs).
+void BM_CertSynthesize(benchmark::State& state) {
+  const eval::ScenarioRegistry& registry = eval::ScenarioRegistry::builtin();
+  const std::vector<std::string> ids = registry.production_plant_ids();
+  const auto index = static_cast<std::size_t>(state.range(0));
+  if (index >= ids.size()) {
+    state.SkipWithError("no such production plant");
+    return;
+  }
+  const cert::PlantModel model = registry.make_model(ids[index]);
+  for (auto _ : state) benchmark::DoNotOptimize(cert::synthesize(model));
+  state.SetLabel(ids[index]);
+}
+BENCHMARK(BM_CertSynthesize)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

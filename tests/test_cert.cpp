@@ -349,7 +349,7 @@ TEST(CertStore, CachedPlantSweepsBitIdenticalToFreshSynthesis) {
 
 TEST(CertStore, CacheHitLoadsFasterThanSynthesisOnEveryPlant) {
   // The reason the cache exists: a hit parses one file instead of running
-  // the LP-bound synthesis, 100x (quad-alt) to 1600x (acc) faster on a
+  // the LP-bound synthesis, 330x (quad-alt) to 2500x (acc) faster on a
   // Release build.  On every production plant the fastest of three hits
   // must be 10x faster than the one synthesis shared_cert timed (a get()
   // that re-synthesized would not be), and each hit must reproduce that
