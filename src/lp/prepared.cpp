@@ -812,7 +812,6 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   }
 
   const linalg::detail::KernelTable& kt = linalg::detail::table();
-  constexpr std::uint32_t kImplicit = SolverWorkspace::kImplicit;
   double* const blk = ws.blk.data();
   double* const rhs = ws.rhs.data();
 
