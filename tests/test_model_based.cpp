@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
+#include <sstream>
 
+#include "common/hash.hpp"
 #include "common/random.hpp"
 #include "control/invariant.hpp"
 #include "control/lqr.hpp"
@@ -237,5 +240,82 @@ TEST_P(ExactVsMip, SameCostSameFirstDecision) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactVsMip, ::testing::Range(0, 20));
+
+// One Equation-6 instance: a start state in X' and a known disturbance
+// sequence over the horizon.
+struct Case {
+  std::size_t h;
+  std::vector<Vector> wseq;
+  Vector x0;
+};
+
+// The 20 seeded cases: horizon 3-5, w and x0 drawn from one stream per
+// seed (x0 by rejection into X' shrunk by 1e-6).
+Case seeded_case(const Rig& rig, int seed) {
+  Rng rng{static_cast<std::uint64_t>(seed * 6151 + 29)};
+  Case c;
+  c.h = 3 + static_cast<std::size_t>(seed % 3);
+  for (std::size_t t = 0; t < c.h; ++t)
+    c.wseq.push_back(Vector{rng.uniform(-0.03, 0.03), rng.uniform(-0.03, 0.03)});
+  int guard = 0;
+  do {
+    c.x0 = Vector{rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8)};
+  } while (!rig.sets.x_prime.contains(c.x0, -1e-6) && ++guard < 1000);
+  EXPECT_LT(guard, 1000) << "seed " << seed << " could not sample X'";
+  return c;
+}
+
+// The six horizon-4 trials, drawn in turn from one Rng(23) stream; each
+// carries two disturbance samples past its horizon.
+std::vector<Case> trial_cases(const Rig& rig) {
+  Rng rng(23);
+  std::vector<Case> cases;
+  for (int trial = 0; trial < 6; ++trial) {
+    Case c;
+    c.h = 4;
+    for (std::size_t t = 0; t < c.h + 2; ++t)
+      c.wseq.push_back(Vector{rng.uniform(-0.03, 0.03), rng.uniform(-0.03, 0.03)});
+    do {
+      c.x0 = Vector{rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5)};
+    } while (!rig.sets.x_prime.contains(c.x0, -1e-6));
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+std::vector<Case> all_cases(const Rig& rig) {
+  std::vector<Case> cases;
+  for (int seed = 0; seed < 20; ++seed) cases.push_back(seeded_case(rig, seed));
+  for (Case& c : trial_cases(rig)) cases.push_back(std::move(c));
+  return cases;
+}
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
+  return os.str();
+}
+
+// Pins the exact search's decisions on the 26 cases: feasibility, the
+// first decision, the planned sequence and the bits of the planned cost
+// (not the node count, which is a property of the pruning order).
+TEST(ModelBasedGolden, ExactSearchDecisionsArePinned) {
+  const Rig rig = Rig::make();
+  oic::Fnv1a h;
+  for (const Case& c : all_cases(rig)) {
+    SequenceOracle oracle(c.wseq);
+    ModelBasedConfig cfg;
+    cfg.horizon = c.h;
+    ModelBasedPolicy policy(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, cfg);
+    const int z = policy.decide(c.x0, {});
+    const auto& info = policy.last();
+    h.u64(info.feasible ? 1 : 0);
+    h.u64(static_cast<std::uint64_t>(z));
+    h.u64(info.planned_z.size());
+    for (int zk : info.planned_z) h.u64(static_cast<std::uint64_t>(zk));
+    h.f64(info.planned_cost);
+  }
+  EXPECT_EQ(hex(h.value()), "0xed388d3cfe7ea382");
+}
 
 }  // namespace
