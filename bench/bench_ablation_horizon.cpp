@@ -1,11 +1,9 @@
 /// \file bench_ablation_horizon.cpp
-/// Ablation of the model-based skipping policy (Equation 6), a design
-/// choice called out in DESIGN.md: the exact branch-and-prune search over
-/// binary skip sequences versus the big-M MIP formulation solved by branch
-/// & bound, across horizons H.  Both are exact optimizers of the same
-/// problem, so costs must agree; the interesting outputs are wall time and
-/// node counts, plus the energy saving the model-based policy achieves on
-/// the noise-free sinusoid (where the disturbance oracle is exact).
+/// Horizon ablation of the model-based skipping policy (Equation 6): the
+/// cost of the exact branch-and-prune search over binary skip sequences
+/// (wall time and search nodes per call) across horizons H, plus the energy
+/// saving the model-based policy achieves on the noise-free sinusoid (where
+/// the disturbance oracle is exact).
 ///
 /// Flags: --cases=N evaluation cases (default 30), --steps=N (default 100).
 
@@ -46,7 +44,7 @@ int main(int argc, char** argv) {
   const std::size_t cases = benchutil::flag(argc, argv, "cases", 30);
   const std::size_t steps = benchutil::flag(argc, argv, "steps", 100);
 
-  std::printf("=== Ablation: model-based Omega (Eq. 6) -- exact search vs MIP ===\n");
+  std::printf("=== Ablation: model-based Omega (Eq. 6) -- exact search horizon ===\n");
   std::printf("workload: noise-free sinusoid (known disturbance), kappa = LQR "
               "feedback\ncases=%zu, steps=%zu\n\n",
               cases, steps);
@@ -56,50 +54,28 @@ int main(int argc, char** argv) {
   SinusoidOracle oracle(acc_case, 9.0);
 
   benchutil::rule('=');
-  std::printf("%-4s | %-26s | %-26s | %s\n", "H", "exact search", "big-M MIP",
-              "cost match");
-  std::printf("%-4s | %12s %13s | %12s %13s |\n", "", "mean us/call", "mean nodes",
-              "mean us/call", "mean nodes");
+  std::printf("%-4s | %s\n", "H", "exact search");
+  std::printf("%-4s | %12s %13s\n", "", "mean us/call", "mean nodes");
   benchutil::rule();
 
   for (std::size_t h : {2u, 4u, 6u, 8u, 10u}) {
-    core::ModelBasedConfig ecfg;
-    ecfg.horizon = h;
-    ecfg.solver = core::ModelBasedConfig::Solver::kExactSearch;
+    core::ModelBasedConfig cfg;
+    cfg.horizon = h;
     core::ModelBasedPolicy exact(acc_case.system(), acc_case.sets(), kappa,
-                                 acc_case.u_skip(), oracle, ecfg);
-    core::ModelBasedConfig mcfg = ecfg;
-    mcfg.solver = core::ModelBasedConfig::Solver::kBigMMip;
-    core::ModelBasedPolicy mip(acc_case.system(), acc_case.sets(), kappa,
-                               acc_case.u_skip(), oracle, mcfg);
+                                 acc_case.u_skip(), oracle, cfg);
 
     Rng rng(9000 + h);
-    double t_exact = 0.0, t_mip = 0.0;
-    double n_exact = 0.0, n_mip = 0.0;
-    std::size_t mismatches = 0;
+    double t_exact = 0.0, n_exact = 0.0;
     const std::size_t probes = 40;
     for (std::size_t i = 0; i < probes; ++i) {
       const linalg::Vector x = acc_case.sample_x0(rng);
       exact.reset();
-      mip.reset();
-      auto t0 = Clock::now();
+      const auto t0 = Clock::now();
       exact.decide(x, {});
-      auto t1 = Clock::now();
-      mip.decide(x, {});
-      auto t2 = Clock::now();
-      t_exact += std::chrono::duration<double, std::micro>(t1 - t0).count();
-      t_mip += std::chrono::duration<double, std::micro>(t2 - t1).count();
+      t_exact += std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
       n_exact += static_cast<double>(exact.last().nodes_explored);
-      n_mip += static_cast<double>(mip.last().nodes_explored);
-      if (exact.last().feasible != mip.last().feasible ||
-          (exact.last().feasible &&
-           std::abs(exact.last().planned_cost - mip.last().planned_cost) > 1e-4)) {
-        ++mismatches;
-      }
     }
-    std::printf("%-4zu | %12.1f %13.1f | %12.1f %13.1f | %s\n", h, t_exact / probes,
-                n_exact / probes, t_mip / probes, n_mip / probes,
-                mismatches == 0 ? "yes" : "MISMATCH");
+    std::printf("%-4zu | %12.1f %13.1f\n", h, t_exact / probes, n_exact / probes);
   }
   benchutil::rule();
 

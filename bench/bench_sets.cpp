@@ -1,7 +1,7 @@
 /// \file bench_sets.cpp
 /// Micro-benchmarks of the safe-set pipeline of Sec. III-A (google-
 /// benchmark), plus the open-loop vs closed-loop constraint-tightening
-/// ablation called out in DESIGN.md:
+/// ablation:
 ///
 ///   * mRPI outer approximation (Rakovic scheme) for linear feedback;
 ///   * maximal robust control invariant set (fixed-point iteration);

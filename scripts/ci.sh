@@ -10,7 +10,10 @@
 #                 [--fault-only] [--serve-only] [--perfbench-only]
 #                 [--format-only]
 #
-#   build+test   configure with -Werror, build everything, ctest twice:
+#   build+test   configure with -Werror, build everything, fail when a
+#                liboic.a member that defines code is linked by none of the
+#                five oic_* tools and is not on the inline allowlist, then
+#                ctest twice:
 #                once as built (AVX2 dispatch on capable hosts) and once
 #                with OIC_SIMD=off pinning the scalar kernel tier; under
 #                config Sanitize this runs the AVX2 TU under ASan/UBSan;
@@ -18,12 +21,12 @@
 #                suites (engine, mc, train, serve, serve_socket,
 #                mc_splitting) under ThreadSanitizer, halting on the first
 #                report
-#   perf guard   scripts/perf_pairs.py --pairs 10 on the campaign and lossy
-#                perfbench workloads against the merge-base with
+#   perf guard   scripts/perf_pairs.py --pairs 10 on the campaign, lossy
+#                and train perfbench workloads against the merge-base with
 #                origin/main (HEAD^ when HEAD is on it): fails on a run
 #                that fails, on periods_per_s losing 9 of 10 pairs by more
 #                than the base IQR, or on an end-to-end median past its
-#                BENCHMARK.json bound (~11 min; needs the full git history)
+#                BENCHMARK.json bound (~16 min; needs the full git history)
 #   train smoke  tiny-budget oic_train on lane-keep, then oic_eval deploys
 #                the serialized agent via --policies drl:<path>; both JSON
 #                documents pass check_bench_json.py
@@ -167,6 +170,60 @@ if [[ ${do_build} -eq 1 && "${config}" == Tsan ]]; then
 elif [[ ${do_build} -eq 1 ]]; then
   cmake --build "${build_dir}" -j"$(nproc)"
 
+  echo "=== [${compiler}/${config}] every liboic member is linked by a tool ==="
+  # The tools link liboic.a without --gc-sections, so the linker pulls in
+  # whole archive members: a member is linked exactly when one of its
+  # global text (T) symbols is defined in one of the five tools.  That
+  # holds whatever the compiler inlines.  Members that define no T symbol
+  # are skipped; duplicate member names (two profile.cpp.o) are told apart
+  # by their order in the archive.  A member that no tool links is code
+  # only tests, benches or examples reach: delete it, or name it below
+  # with the reason it stays.
+  declare -A unlinked_ok=(
+    [model_based]="Eq. 6 model-based policy: benches, examples and tests"
+    [controller]="LinearFeedback, the analytic kappa of the Eq. 6 policy"
+    [trace]="Trace of run_closed_loop, pinned by test_golden"
+  )
+  tool_syms="${build_dir}/tool_text_symbols.txt"
+  for tool in oic_eval oic_train oic_cert oic_mc oic_serve; do
+    nm --defined-only "${build_dir}/${tool}" | awk '$2 == "T" { print $3 }'
+  done | sort -u >"${tool_syms}"
+  mapfile -t unlinked < <(nm -g --defined-only "${build_dir}/liboic.a" | awk \
+    -v syms="${tool_syms}" '
+      BEGIN { while ((getline s < syms) > 0) linked[s] = 1 }
+      /:$/ {
+        name = substr($0, 1, length($0) - 1)
+        m = ++seen[name] > 1 ? name "#" seen[name] : name
+        order[++n] = m
+        next
+      }
+      NF == 3 && $2 == "T" { has_text[m] = 1; if ($3 in linked) hit[m] = 1 }
+      END {
+        for (i = 1; i <= n; ++i)
+          if (has_text[order[i]] && !hit[order[i]]) print order[i]
+      }')
+  link_failed=0
+  for member in "${unlinked[@]}"; do
+    key="${member%.cpp.o}"
+    if [[ -n "${unlinked_ok[${key}]:-}" ]]; then
+      echo "  ${member}: linked by no tool, allowed (${unlinked_ok[${key}]})"
+    else
+      echo "  ${member}: linked by no tool and not on the allowlist" >&2
+      link_failed=1
+    fi
+  done
+  for key in "${!unlinked_ok[@]}"; do
+    if [[ ! " ${unlinked[*]} " =~ " ${key}.cpp.o " ]]; then
+      echo "  WARNING: allowlisted ${key}.cpp.o is linked by a tool or gone;" \
+           "drop it from the allowlist" >&2
+    fi
+  done
+  if [[ ${link_failed} -ne 0 ]]; then
+    echo "ci.sh: liboic members above are reached only by tests, benches or" \
+         "examples" >&2
+    exit 1
+  fi
+
   echo "=== [${compiler}/${config}] ctest ==="
   ctest --test-dir "${build_dir}" --output-on-failure -j"$(nproc)"
 
@@ -197,7 +254,7 @@ if [[ ${do_bench} -eq 1 ]]; then
     base="$(git -C "${repo_root}" rev-parse HEAD^)"
   fi
   guard_failed=0
-  for workload in campaign lossy; do
+  for workload in campaign lossy train; do
     python3 "${repo_root}/scripts/perf_pairs.py" --base "${base}" \
       --workload "${workload}" --pairs 10 --work-dir "${repo_root}/.perf_pairs" \
       || guard_failed=1

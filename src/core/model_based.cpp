@@ -1,15 +1,13 @@
 #include "core/model_based.hpp"
 
-#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
 
 namespace oic::core {
 
-using linalg::Matrix;
 using linalg::Vector;
-using poly::HPolytope;
 
 SequenceOracle::SequenceOracle(std::vector<Vector> seq) : seq_(std::move(seq)) {
   OIC_REQUIRE(!seq_.empty(), "SequenceOracle: need at least one sample");
@@ -42,24 +40,12 @@ double ModelBasedPolicy::energy(const Vector& u) const {
 
 std::string ModelBasedPolicy::name() const {
   std::ostringstream os;
-  os << "model-based(H=" << config_.horizon << ","
-     << (config_.solver == ModelBasedConfig::Solver::kExactSearch ? "exact" : "mip")
-     << ")";
+  os << "model-based(H=" << config_.horizon << ")";
   return os.str();
 }
 
 int ModelBasedPolicy::decide(const Vector& x, const core::WHistory&) {
   OIC_REQUIRE(x.size() == sys_.nx(), "ModelBasedPolicy::decide: state mismatch");
-  const int z = config_.solver == ModelBasedConfig::Solver::kExactSearch
-                    ? decide_exact(x)
-                    : decide_mip(x);
-  ++t_;
-  return z;
-}
-
-// --------------------------------------------------------------- exact DFS
-
-int ModelBasedPolicy::decide_exact(const Vector& x) {
   const std::size_t h = config_.horizon;
   last_ = ModelBasedInfo{};
 
@@ -106,6 +92,7 @@ int ModelBasedPolicy::decide_exact(const Vector& x) {
     }
   };
   dfs(dfs, 0, x, 0.0);
+  ++t_;
 
   last_.nodes_explored = nodes;
   if (best_z.empty()) {
@@ -118,144 +105,6 @@ int ModelBasedPolicy::decide_exact(const Vector& x) {
   last_.planned_cost = best_cost;
   last_.planned_z = best_z;
   return best_z.front();
-}
-
-// --------------------------------------------------------------- big-M MIP
-
-int ModelBasedPolicy::decide_mip(const Vector& x) {
-  const std::size_t h = config_.horizon;
-  const std::size_t nx = sys_.nx();
-  const std::size_t nu = sys_.nu();
-  last_ = ModelBasedInfo{};
-
-  // Automatic big-M: bound |kappa(x)|, |u|, |u_skip| over X' and U.
-  double big_m = config_.big_m;
-  if (big_m <= 0.0) {
-    double m = u_skip_.norm_inf() + 1.0;
-    for (std::size_t i = 0; i < nu; ++i) {
-      const Vector ki = kappa_.gain().row(i);
-      const auto up = sets_.x_prime.support(ki);
-      const auto dn = sets_.x_prime.support(-ki);
-      OIC_REQUIRE(up.bounded && dn.bounded,
-                  "ModelBasedPolicy: X' unbounded; cannot derive big-M");
-      m = std::max(m, std::max(std::fabs(up.value), std::fabs(dn.value)) +
-                          std::fabs(kappa_.offset()[i]) + u_skip_.norm_inf() + 1.0);
-    }
-    const auto ubb = sys_.u_set().bounding_box();
-    OIC_REQUIRE(ubb.has_value(), "ModelBasedPolicy: U unbounded; cannot derive big-M");
-    for (std::size_t i = 0; i < nu; ++i)
-      m = std::max(m, std::max(std::fabs(ubb->first[i]), std::fabs(ubb->second[i])) +
-                          u_skip_.norm_inf() + 1.0);
-    big_m = 2.0 * m;
-  }
-
-  // Variable layout: [ z(0..H-1) | u blocks | x(1..H) blocks | e blocks ].
-  const std::size_t zofs = 0;
-  const std::size_t uofs = h;
-  const std::size_t xofs = uofs + h * nu;
-  const std::size_t eofs = xofs + h * nx;
-  const std::size_t total = eofs + h * nu;
-
-  mip::MipProblem mp(total);
-  for (std::size_t k = 0; k < h; ++k) mp.set_binary(zofs + k);
-  for (std::size_t k = 0; k < h; ++k)
-    for (std::size_t i = 0; i < nu; ++i) {
-      mp.lp().set_objective_coeff(eofs + k * nu + i, 1.0);
-      mp.lp().set_bounds(eofs + k * nu + i, 0.0, lp::Problem::kInf);
-    }
-
-  auto uvar = [&](std::size_t k, std::size_t i) { return uofs + k * nu + i; };
-  auto xvar = [&](std::size_t k, std::size_t i) {  // k in 1..H
-    return xofs + (k - 1) * nx + i;
-  };
-  auto evar = [&](std::size_t k, std::size_t i) { return eofs + k * nu + i; };
-  auto row = [&]() { return Vector(total); };
-
-  // Dynamics: x(k+1) - A x(k) - B u(k) = E w(t+k) + c, with x(0) = x fixed.
-  for (std::size_t k = 0; k < h; ++k) {
-    const Vector wk = oracle_.at(t_ + k);
-    const Vector affine = sys_.e() * wk + sys_.c();
-    for (std::size_t i = 0; i < nx; ++i) {
-      Vector r = row();
-      r[xvar(k + 1, i)] = 1.0;
-      for (std::size_t j = 0; j < nu; ++j) r[uvar(k, j)] -= sys_.b()(i, j);
-      double rhs = affine[i];
-      if (k == 0) {
-        for (std::size_t j = 0; j < nx; ++j) rhs += sys_.a()(i, j) * x[j];
-      } else {
-        for (std::size_t j = 0; j < nx; ++j) r[xvar(k, j)] -= sys_.a()(i, j);
-      }
-      mp.lp().add_constraint(r, lp::Relation::kEqual, rhs);
-    }
-  }
-
-  // Successors inside X'.
-  for (std::size_t k = 1; k <= h; ++k) {
-    for (std::size_t ci = 0; ci < sets_.x_prime.num_constraints(); ++ci) {
-      Vector r = row();
-      for (std::size_t j = 0; j < nx; ++j) r[xvar(k, j)] = sets_.x_prime.a()(ci, j);
-      mp.lp().add_constraint(r, lp::Relation::kLessEq, sets_.x_prime.b()[ci]);
-    }
-  }
-
-  // Inputs inside U.
-  for (std::size_t k = 0; k < h; ++k) {
-    for (std::size_t ci = 0; ci < sys_.u_set().num_constraints(); ++ci) {
-      Vector r = row();
-      for (std::size_t j = 0; j < nu; ++j) r[uvar(k, j)] = sys_.u_set().a()(ci, j);
-      mp.lp().add_constraint(r, lp::Relation::kLessEq, sys_.u_set().b()[ci]);
-    }
-  }
-
-  // Input selection by big-M:
-  //   |u(k) - kappa(x(k))| <= M (1 - z(k)),    |u(k) - u_skip| <= M z(k).
-  for (std::size_t k = 0; k < h; ++k) {
-    for (std::size_t i = 0; i < nu; ++i) {
-      // u - K x - k0 - M(1-z) <= 0  and  -(u - K x - k0) - M(1-z) <= 0.
-      for (const double sign : {1.0, -1.0}) {
-        Vector r = row();
-        r[uvar(k, i)] = sign;
-        double rhs = big_m + sign * kappa_.offset()[i];
-        if (k == 0) {
-          for (std::size_t j = 0; j < nx; ++j)
-            rhs += sign * kappa_.gain()(i, j) * x[j];
-        } else {
-          for (std::size_t j = 0; j < nx; ++j)
-            r[xvar(k, j)] -= sign * kappa_.gain()(i, j);
-        }
-        r[zofs + k] = big_m;
-        mp.lp().add_constraint(r, lp::Relation::kLessEq, rhs);
-      }
-      // |u - u_skip| <= M z.
-      for (const double sign : {1.0, -1.0}) {
-        Vector r = row();
-        r[uvar(k, i)] = sign;
-        r[zofs + k] = -big_m;
-        mp.lp().add_constraint(r, lp::Relation::kLessEq, sign * u_skip_[i]);
-      }
-      // Energy epigraph: e >= +-(u - offset).
-      for (const double sign : {1.0, -1.0}) {
-        Vector r = row();
-        r[uvar(k, i)] = sign;
-        r[evar(k, i)] = -1.0;
-        mp.lp().add_constraint(r, lp::Relation::kLessEq,
-                               sign * config_.energy_offset[i]);
-      }
-    }
-  }
-
-  const mip::MipResult res = mip::solve(mp, config_.mip_options);
-  last_.nodes_explored = res.nodes_explored;
-  if (!res.has_incumbent) {
-    last_.feasible = false;
-    return 1;  // same safe fallback as the exact search
-  }
-  last_.feasible = true;
-  last_.planned_cost = res.objective;
-  last_.planned_z.resize(h);
-  for (std::size_t k = 0; k < h; ++k)
-    last_.planned_z[k] = static_cast<int>(std::lround(res.x[zofs + k]));
-  return last_.planned_z.front();
 }
 
 }  // namespace oic::core

@@ -11,13 +11,17 @@
 ///        x(k+1|t) in X',  u(k|t) in U,
 ///        u(k|t) = kappa(x(k|t)) if z(k) = 1,  u_skip if z(k) = 0,
 ///
-/// and applies z*(0|t).  Two exact solvers are provided and ablated in
-/// bench_ablation_horizon:
-///   * kExactSearch -- branch-and-prune over the 2^H binary sequences;
-///     with z fixed the trajectory is fully determined (kappa is a feedback
-///     law and w is known), so each leaf costs one rollout.
-///   * kBigMMip     -- the textbook big-M MIP formulation solved by
-///     oic::mip branch & bound, faithful to the paper's "MIP program".
+/// and applies z*(0|t).
+///
+/// The paper states Equation 6 as a mixed-integer program: binaries z(k),
+/// continuous u(k) and x(k+1), and big-M rows |u(k) - kappa(x(k))| <=
+/// M (1 - z(k)) and |u(k) - u_skip| <= M z(k) that select the input.  Here
+/// kappa is a feedback law and w is known, so fixing z determines the
+/// whole trajectory: the continuous part of the MIP has exactly one
+/// feasible point per z-sequence.  The policy therefore searches the 2^H
+/// sequences directly (depth first, cheapest option first, pruned on
+/// accumulated energy); each leaf costs one rollout, and the optimum is
+/// the MIP's optimum.
 
 #include <memory>
 
@@ -25,7 +29,6 @@
 #include "control/lti.hpp"
 #include "core/policy.hpp"
 #include "core/safe_sets.hpp"
-#include "mip/mip.hpp"
 
 namespace oic::core {
 
@@ -60,14 +63,9 @@ class SequenceOracle final : public DisturbanceOracle {
 /// Configuration of the model-based policy.
 struct ModelBasedConfig {
   std::size_t horizon = 8;  ///< H in Equation 6
-  enum class Solver { kExactSearch, kBigMMip } solver = Solver::kExactSearch;
   /// Energy is measured as || u - energy_offset ||_1; non-zero when the
   /// model is in shifted coordinates and the physical input is u + const.
   linalg::Vector energy_offset;
-  /// Big-M constant for the MIP linearization; 0 selects an automatic value
-  /// from the bounding boxes of X' and U.
-  double big_m = 0.0;
-  mip::MipOptions mip_options = {};
 };
 
 /// Diagnostics of the most recent decide() call.
@@ -75,7 +73,7 @@ struct ModelBasedInfo {
   bool feasible = false;          ///< some z-sequence satisfied all constraints
   double planned_cost = 0.0;      ///< optimal horizon cost
   std::vector<int> planned_z;     ///< optimal skip sequence z*(0..H-1)
-  std::size_t nodes_explored = 0; ///< search/B&B nodes
+  std::size_t nodes_explored = 0; ///< search nodes
 };
 
 /// The Equation-6 policy.  Holds a step clock advanced by each decide();
@@ -109,8 +107,6 @@ class ModelBasedPolicy final : public SkipPolicy {
   ModelBasedInfo last_;
 
   double energy(const linalg::Vector& u) const;
-  int decide_exact(const linalg::Vector& x);
-  int decide_mip(const linalg::Vector& x);
 };
 
 }  // namespace oic::core

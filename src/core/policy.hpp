@@ -10,7 +10,6 @@
 /// interface and the trivial baselines.
 
 #include <string>
-#include <vector>
 
 #include "core/w_history.hpp"
 #include "linalg/vector.hpp"
@@ -99,41 +98,6 @@ class BurstSkipPolicy final : public SkipPolicy {
 
  private:
   std::size_t depth_;
-};
-
-/// Weakly-hard (m, K) governor (the constraint family of the paper's
-/// related-work section): wraps any skipping policy and guarantees at most
-/// `m` skips in every window of `K` consecutive steps by overriding excess
-/// skip decisions to z = 1.  Useful when a downstream schedulability or
-/// stability argument is phrased in (m, K) terms; composes with the monitor
-/// (which can only force z = 1, never break the bound).
-class WeaklyHardPolicy final : public SkipPolicy {
- public:
-  /// `inner` is consulted first; the caller owns its lifetime.
-  /// Requires m <= K, K >= 1.
-  WeaklyHardPolicy(SkipPolicy& inner, std::size_t m, std::size_t k);
-
-  int decide(const linalg::Vector& x, const WHistory& w_history) override;
-  void reset() override;
-  std::string name() const override;
-
-  /// Record an externally-forced decision (e.g. the monitor overrode the
-  /// policy with z = 1) so the window stays accurate.  Calling decide()
-  /// already records its own outcome.
-  void note_forced_run();
-
-  /// Number of skips in the current window (diagnostics).
-  std::size_t skips_in_window() const;
-
- private:
-  SkipPolicy& inner_;
-  std::size_t m_;
-  std::size_t k_;
-  std::vector<int> window_;  // ring of the last K decisions
-  std::size_t head_ = 0;
-  std::size_t filled_ = 0;
-
-  void push(int z);
 };
 
 }  // namespace oic::core

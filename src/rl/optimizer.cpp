@@ -6,26 +6,6 @@
 
 namespace oic::rl {
 
-Sgd::Sgd(double learning_rate, double momentum)
-    : lr_(learning_rate), momentum_(momentum) {
-  OIC_REQUIRE(learning_rate > 0.0, "Sgd: learning rate must be positive");
-  OIC_REQUIRE(momentum >= 0.0 && momentum < 1.0, "Sgd: momentum out of range");
-}
-
-void Sgd::step(Mlp& net, const Gradients& g) {
-  if (!initialized_) {
-    velocity_ = net.zero_gradients();
-    initialized_ = true;
-  }
-  OIC_REQUIRE(velocity_.dw.size() == g.dw.size(), "Sgd::step: gradient shape mismatch");
-  for (std::size_t l = 0; l < g.dw.size(); ++l) {
-    velocity_.dw[l] = momentum_ * velocity_.dw[l] + g.dw[l];
-    velocity_.db[l] = momentum_ * velocity_.db[l] + g.db[l];
-    net.weight(l) -= lr_ * velocity_.dw[l];
-    net.bias(l) -= lr_ * velocity_.db[l];
-  }
-}
-
 namespace {
 
 /// One Adam step over a flat parameter block: every element evaluates the

@@ -1,27 +1,11 @@
 #pragma once
 /// \file optimizer.hpp
-/// First-order optimizers for the Mlp parameters: SGD (with momentum) and
-/// Adam.  DQN training in the paper uses Adam-style adaptive steps; SGD is
-/// kept for ablations and tests.
+/// First-order optimizer for the Mlp parameters: Adam, the adaptive step
+/// DQN training uses.
 
 #include "rl/mlp.hpp"
 
 namespace oic::rl {
-
-/// Plain SGD with optional momentum:  v <- mu v + g;  theta <- theta - lr v.
-class Sgd {
- public:
-  explicit Sgd(double learning_rate, double momentum = 0.0);
-
-  /// Apply one update from the given gradients.
-  void step(Mlp& net, const Gradients& g);
-
- private:
-  double lr_;
-  double momentum_;
-  bool initialized_ = false;
-  Gradients velocity_;
-};
 
 /// Adam (Kingma & Ba) with bias correction.
 class Adam {

@@ -168,63 +168,4 @@ std::unique_ptr<VelocityProfile> StopAndGoProfile::clone() const {
   return std::make_unique<StopAndGoProfile>(*this);
 }
 
-// -------------------------------------------------------- PiecewiseConstant
-
-PiecewiseConstantProfile::PiecewiseConstantProfile(std::vector<Segment> segments)
-    : segments_(std::move(segments)) {
-  OIC_REQUIRE(!segments_.empty(), "PiecewiseConstantProfile: need segments");
-  for (const auto& s : segments_)
-    OIC_REQUIRE(s.steps >= 1, "PiecewiseConstantProfile: zero-length segment");
-}
-
-void PiecewiseConstantProfile::reset(Rng /*rng*/) {
-  seg_ = 0;
-  into_ = 0;
-}
-
-double PiecewiseConstantProfile::next() {
-  const double v = segments_[seg_].velocity;
-  if (++into_ >= segments_[seg_].steps) {
-    into_ = 0;
-    seg_ = (seg_ + 1) % segments_.size();
-  }
-  return v;
-}
-
-std::string PiecewiseConstantProfile::name() const { return "piecewise-constant"; }
-
-std::unique_ptr<VelocityProfile> PiecewiseConstantProfile::clone() const {
-  return std::make_unique<PiecewiseConstantProfile>(*this);
-}
-
-double PiecewiseConstantProfile::v_min() const {
-  double v = segments_.front().velocity;
-  for (const auto& s : segments_) v = std::min(v, s.velocity);
-  return v;
-}
-
-double PiecewiseConstantProfile::v_max() const {
-  double v = segments_.front().velocity;
-  for (const auto& s : segments_) v = std::max(v, s.velocity);
-  return v;
-}
-
-// ----------------------------------------------------------------- Constant
-
-ConstantProfile::ConstantProfile(double v) : v_(v) {}
-
-void ConstantProfile::reset(Rng /*rng*/) {}
-
-double ConstantProfile::next() { return v_; }
-
-std::string ConstantProfile::name() const {
-  std::ostringstream os;
-  os << "constant(" << v_ << ")";
-  return os.str();
-}
-
-std::unique_ptr<VelocityProfile> ConstantProfile::clone() const {
-  return std::make_unique<ConstantProfile>(*this);
-}
-
 }  // namespace oic::sim

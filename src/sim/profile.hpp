@@ -10,12 +10,9 @@
 ///   * BoundedAccelProfile     -- Ex.1-Ex.5 / Ex.7: random acceleration in
 ///                                 [-a_max, a_max], velocity clipped to range
 ///   * StopAndGoProfile        -- traffic-jam pattern from the introduction
-///   * PiecewiseConstantProfile-- scripted maneuvers for examples and tests
-///   * ConstantProfile         -- degenerate baseline
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/random.hpp"
 
@@ -137,46 +134,6 @@ class StopAndGoProfile final : public VelocityProfile {
   int phase_ = 0;  // 0 low-dwell, 1 ramp-up, 2 high-dwell, 3 ramp-down
   std::size_t phase_len_ = 0;
   Rng rng_{0};
-};
-
-/// Scripted piecewise-constant profile: (duration, velocity) segments,
-/// repeating from the start when exhausted.
-class PiecewiseConstantProfile final : public VelocityProfile {
- public:
-  struct Segment {
-    std::size_t steps;
-    double velocity;
-  };
-
-  explicit PiecewiseConstantProfile(std::vector<Segment> segments);
-
-  void reset(Rng rng) override;
-  double next() override;
-  std::string name() const override;
-  std::unique_ptr<VelocityProfile> clone() const override;
-  double v_min() const override;
-  double v_max() const override;
-
- private:
-  std::vector<Segment> segments_;
-  std::size_t seg_ = 0;
-  std::size_t into_ = 0;
-};
-
-/// Constant velocity (the trivial pattern).
-class ConstantProfile final : public VelocityProfile {
- public:
-  explicit ConstantProfile(double v);
-
-  void reset(Rng rng) override;
-  double next() override;
-  std::string name() const override;
-  std::unique_ptr<VelocityProfile> clone() const override;
-  double v_min() const override { return v_; }
-  double v_max() const override { return v_; }
-
- private:
-  double v_;
 };
 
 }  // namespace oic::sim

@@ -1,6 +1,5 @@
 // Tests for the extension features beyond the paper's core: multi-step
-// strengthened safe sets (burst skipping), the weakly-hard (m, K) governor,
-// and MLP serialization.
+// strengthened safe sets (burst skipping) and MLP serialization.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +9,6 @@
 #include "common/random.hpp"
 #include "control/invariant.hpp"
 #include "control/lqr.hpp"
-#include "core/intermittent.hpp"
-#include "core/policy.hpp"
-#include "core/runner.hpp"
 #include "core/safe_sets.hpp"
 #include "rl/serialize.hpp"
 
@@ -26,7 +22,6 @@ using oic::poly::HPolytope;
 
 struct Rig {
   AffineLTI sys;
-  Matrix k;
   HPolytope xi;
 
   static const Rig& get() {
@@ -41,7 +36,7 @@ struct Rig {
                                           Matrix{{1.0}});
       const auto inv =
           oic::control::maximal_robust_control_invariant(sys, lqr.k, Vector{0.0});
-      return Rig{std::move(sys), lqr.k, inv.set};
+      return Rig{std::move(sys), inv.set};
     }();
     return rig;
   }
@@ -99,79 +94,6 @@ TEST(MultiStepSafeSets, InvalidArgsThrow) {
   EXPECT_THROW(
       oic::core::compute_multi_step_safe_sets(rig.sys, rig.xi, Vector{0.0}, 0),
       oic::PreconditionError);
-}
-
-TEST(WeaklyHard, EnforcesSkipBudget) {
-  oic::core::BangBangPolicy skip_always;
-  oic::core::WeaklyHardPolicy gov(skip_always, 2, 4);  // at most 2 skips per 4
-  const Vector x{0, 0};
-  std::vector<int> zs;
-  for (int i = 0; i < 20; ++i) zs.push_back(gov.decide(x, {}));
-  // Every window of 4 consecutive decisions has at most 2 zeros.
-  for (std::size_t i = 0; i + 4 <= zs.size(); ++i) {
-    int skips = 0;
-    for (std::size_t j = i; j < i + 4; ++j) skips += zs[j] == 0 ? 1 : 0;
-    EXPECT_LE(skips, 2) << "window at " << i;
-  }
-  // And the budget is actually used (not trivially all-run).
-  int total_skips = 0;
-  for (int z : zs) total_skips += z == 0 ? 1 : 0;
-  EXPECT_GE(total_skips, 8);
-}
-
-TEST(WeaklyHard, PassThroughWhenInnerRuns) {
-  oic::core::AlwaysRunPolicy run;
-  oic::core::WeaklyHardPolicy gov(run, 1, 3);
-  const Vector x{0, 0};
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(gov.decide(x, {}), 1);
-  EXPECT_EQ(gov.skips_in_window(), 0u);
-}
-
-TEST(WeaklyHard, ResetClearsWindow) {
-  oic::core::BangBangPolicy skip_always;
-  oic::core::WeaklyHardPolicy gov(skip_always, 1, 4);
-  const Vector x{0, 0};
-  EXPECT_EQ(gov.decide(x, {}), 0);
-  EXPECT_EQ(gov.decide(x, {}), 1);  // budget spent
-  gov.reset();
-  EXPECT_EQ(gov.decide(x, {}), 0);  // fresh window
-}
-
-TEST(WeaklyHard, NoteForcedRunCountsTowardWindow) {
-  oic::core::BangBangPolicy skip_always;
-  oic::core::WeaklyHardPolicy gov(skip_always, 1, 2);
-  const Vector x{0, 0};
-  EXPECT_EQ(gov.decide(x, {}), 0);
-  gov.note_forced_run();
-  // Window now holds {0, 1}: one skip used, so next decide is blocked.
-  EXPECT_EQ(gov.decide(x, {}), 1);
-}
-
-TEST(WeaklyHard, InvalidConfigThrows) {
-  oic::core::BangBangPolicy p;
-  EXPECT_THROW(oic::core::WeaklyHardPolicy(p, 3, 2), oic::PreconditionError);
-  EXPECT_THROW(oic::core::WeaklyHardPolicy(p, 0, 0), oic::PreconditionError);
-}
-
-TEST(WeaklyHard, SafeUnderTheMonitor) {
-  // The governor composes with Algorithm 1 without breaking Theorem 1.
-  const Rig& rig = Rig::get();
-  const auto sets = oic::core::compute_safe_sets(rig.sys, rig.xi, Vector{0.0});
-  oic::control::LinearFeedback kappa(rig.k);
-  oic::core::BangBangPolicy inner;
-  oic::core::WeaklyHardPolicy gov(inner, 3, 5);
-  oic::core::IntermittentConfig cfg;
-  cfg.u_skip = Vector{0.0};
-  oic::core::IntermittentController ic(rig.sys, sets, kappa, gov, cfg);
-  Rng rng(11);
-  const auto rr = oic::core::run_closed_loop(
-      rig.sys, ic, Vector{0.2, 0.1}, 150, [&](std::size_t, Vector& w) {
-        w[0] = rng.uniform(-0.04, 0.04);
-        w[1] = rng.uniform(-0.04, 0.04);
-      });
-  EXPECT_FALSE(rr.left_xi);
-  EXPECT_GT(rr.skipped, 30u);
-  EXPECT_LT(rr.skipped, 105u);  // the (3,5) budget caps skipping below 70%
 }
 
 TEST(Serialize, RoundTripPreservesOutputs) {

@@ -1,4 +1,4 @@
-// Unit tests for oic::linalg - vectors, matrices, LU, QR.
+// Unit tests for oic::linalg - vectors, matrices, LU.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "common/random.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/qr.hpp"
 #include "linalg/vector.hpp"
 
 namespace {
@@ -215,30 +214,6 @@ TEST(LU, MatrixRhsSolve) {
   const Matrix b{{2, 4}, {8, 12}};
   const Matrix x = oic::linalg::LU(a).solve(b);
   EXPECT_TRUE(approx_equal(a * x, b, 1e-12));
-}
-
-TEST(QR, SolvesSquareSystem) {
-  const Matrix a{{2, 1}, {1, 3}};
-  const Vector b{3, 5};
-  const Vector x = oic::linalg::QR(a).solve(b);
-  EXPECT_TRUE(approx_equal(a * x, b, 1e-10));
-}
-
-TEST(QR, LeastSquaresResidualOrthogonal) {
-  // Overdetermined fit: residual must be orthogonal to the column space.
-  const Matrix a{{1, 0}, {1, 1}, {1, 2}, {1, 3}};
-  const Vector b{0.1, 0.9, 2.1, 2.9};
-  const Vector x = oic::linalg::lstsq(a, b);
-  const Vector r = a * x - b;
-  const Vector atr = transpose_mul(a, r);
-  EXPECT_LT(atr.norm_inf(), 1e-10);
-}
-
-TEST(QR, RankDeficientDetected) {
-  const Matrix a{{1, 1}, {2, 2}, {3, 3}};
-  oic::linalg::QR qr(a);
-  EXPECT_TRUE(qr.rank_deficient());
-  EXPECT_THROW(qr.solve(Vector{1, 2, 3}), oic::NumericalError);
 }
 
 // Property sweep: LU solve must reproduce random right-hand sides across a

@@ -1,10 +1,13 @@
-// Tests for the model-based skipping policy (Equation 6): exact search,
-// big-M MIP, and their agreement.
+// Tests for the model-based skipping policy (Equation 6): the exact search
+// against a brute-force enumeration of every skip sequence, and a golden
+// of its decisions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "common/hash.hpp"
@@ -51,195 +54,6 @@ struct Rig {
     return rig;
   }
 };
-
-TEST(ModelBased, SkipsWhenOriginIsSelfSustaining) {
-  // At the origin with zero disturbance, skipping forever is free and
-  // feasible, so the policy must skip.
-  Rig rig = Rig::make();
-  ConstantOracle oracle(Vector{0.0, 0.0});
-  ModelBasedConfig cfg;
-  cfg.horizon = 6;
-  ModelBasedPolicy policy(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, cfg);
-  EXPECT_EQ(policy.decide(Vector{0.0, 0.0}, {}), 0);
-  EXPECT_TRUE(policy.last().feasible);
-  EXPECT_NEAR(policy.last().planned_cost, 0.0, 1e-12);
-  for (int z : policy.last().planned_z) EXPECT_EQ(z, 0);
-}
-
-TEST(ModelBased, ClockAdvancesAndResets) {
-  Rig rig = Rig::make();
-  ConstantOracle oracle(Vector{0.0, 0.0});
-  ModelBasedPolicy policy(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle);
-  policy.decide(Vector{0, 0}, {});
-  policy.decide(Vector{0, 0}, {});
-  EXPECT_EQ(policy.clock(), 2u);
-  policy.reset();
-  EXPECT_EQ(policy.clock(), 0u);
-}
-
-TEST(ModelBased, ExactMatchesBruteForce) {
-  // Enumerate all 2^H sequences by hand and compare the optimal cost.
-  Rig rig = Rig::make();
-  const std::size_t h = 5;
-  std::vector<Vector> wseq;
-  Rng rng(7);
-  for (std::size_t t = 0; t < h; ++t)
-    wseq.push_back(Vector{rng.uniform(-0.03, 0.03), rng.uniform(-0.03, 0.03)});
-  SequenceOracle oracle(wseq);
-
-  ModelBasedConfig cfg;
-  cfg.horizon = h;
-  ModelBasedPolicy policy(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, cfg);
-
-  const auto ball = rig.sets.x_prime.chebyshev();
-  ASSERT_TRUE(ball.feasible);
-  const Vector x0 = ball.center + Vector{0.7, 0.2};
-  if (!rig.sets.x_prime.contains(x0)) GTEST_SKIP() << "probe state left X'";
-
-  policy.decide(x0, {});
-  ASSERT_TRUE(policy.last().feasible);
-  const double got = policy.last().planned_cost;
-
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t mask = 0; mask < (std::size_t{1} << h); ++mask) {
-    Vector x = x0;
-    double cost = 0.0;
-    bool ok = true;
-    for (std::size_t k = 0; k < h && ok; ++k) {
-      const Vector u = ((mask >> k) & 1u) ? Vector{(rig.k * x)[0]} : Vector{0.0};
-      if (!rig.sys.u_set().contains(u, 1e-9)) {
-        ok = false;
-        break;
-      }
-      x = rig.sys.step(x, u, wseq[k]);
-      if (!rig.sets.x_prime.contains(x, 1e-9)) ok = false;
-      cost += u.norm1();
-    }
-    if (ok) best = std::min(best, cost);
-  }
-  ASSERT_TRUE(std::isfinite(best));
-  EXPECT_NEAR(got, best, 1e-9);
-}
-
-TEST(ModelBased, MipAgreesWithExactSearch) {
-  Rig rig = Rig::make();
-  Rng rng(23);
-  for (int trial = 0; trial < 6; ++trial) {
-    std::vector<Vector> wseq;
-    const std::size_t h = 4;
-    for (std::size_t t = 0; t < h + 2; ++t)
-      wseq.push_back(Vector{rng.uniform(-0.03, 0.03), rng.uniform(-0.03, 0.03)});
-    SequenceOracle oracle(wseq);
-
-    ModelBasedConfig ecfg;
-    ecfg.horizon = h;
-    ecfg.solver = ModelBasedConfig::Solver::kExactSearch;
-    ModelBasedPolicy exact(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, ecfg);
-
-    ModelBasedConfig mcfg = ecfg;
-    mcfg.solver = ModelBasedConfig::Solver::kBigMMip;
-    ModelBasedPolicy mip(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, mcfg);
-
-    Vector x0;
-    do {
-      x0 = Vector{rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5)};
-    } while (!rig.sets.x_prime.contains(x0, -1e-6));
-
-    exact.decide(x0, {});
-    mip.decide(x0, {});
-    ASSERT_EQ(exact.last().feasible, mip.last().feasible) << "trial " << trial;
-    if (exact.last().feasible) {
-      EXPECT_NEAR(exact.last().planned_cost, mip.last().planned_cost, 1e-5)
-          << "trial " << trial;
-    }
-  }
-}
-
-TEST(ModelBased, EnergyOffsetChangesOptimum) {
-  // With energy measured around -kappa's output the controller becomes the
-  // cheap option; the policy should then prefer running it.
-  Rig rig = Rig::make();
-  ConstantOracle oracle(Vector{0.0, 0.0});
-
-  // Pick a state where kappa produces a clearly nonzero input.
-  Vector x0{1.0, 0.4};
-  if (!rig.sets.x_prime.contains(x0)) {
-    const auto ball = rig.sets.x_prime.chebyshev();
-    x0 = ball.center;
-  }
-  const Vector u_kappa = rig.k * x0;
-  ASSERT_GT(u_kappa.norm1(), 1e-3);
-
-  ModelBasedConfig cfg;
-  cfg.horizon = 3;
-  cfg.energy_offset = u_kappa;  // energy = ||u - kappa(x0)||: running is free now
-  ModelBasedPolicy policy(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, cfg);
-  const int z = policy.decide(x0, {});
-  EXPECT_EQ(z, 1);
-}
-
-TEST(ModelBased, InfeasibleFallsBackToRun) {
-  // Shrink X' to a sliver around the origin and probe from its edge with a
-  // large disturbance pushing out: no sequence stays inside, the policy
-  // must return 1 (run the controller; Theorem 1 handles the rest).
-  Rig rig = Rig::make();
-  SafeSets tight = rig.sets;
-  tight.x_prime = HPolytope::sym_box(Vector{1e-4, 1e-4});
-  ConstantOracle oracle(Vector{0.03, 0.03});
-  ModelBasedConfig cfg;
-  cfg.horizon = 4;
-  ModelBasedPolicy policy(rig.sys, tight, *rig.kappa, Vector{0.0}, oracle, cfg);
-  const int z = policy.decide(Vector{0.0, 0.0}, {});
-  EXPECT_EQ(z, 1);
-  EXPECT_FALSE(policy.last().feasible);
-}
-
-TEST(ModelBased, OracleHelpers) {
-  SequenceOracle seq({Vector{1.0}, Vector{2.0}});
-  EXPECT_DOUBLE_EQ(seq.at(0)[0], 1.0);
-  EXPECT_DOUBLE_EQ(seq.at(1)[0], 2.0);
-  EXPECT_DOUBLE_EQ(seq.at(99)[0], 2.0);  // repeats the last sample
-  ConstantOracle c(Vector{3.0});
-  EXPECT_DOUBLE_EQ(c.at(12345)[0], 3.0);
-}
-
-// Property: exact search and MIP agree across random states and
-// disturbance sequences (the two solvers share only the problem
-// definition, so agreement is strong evidence both are right).
-class ExactVsMip : public ::testing::TestWithParam<int> {};
-
-TEST_P(ExactVsMip, SameCostSameFirstDecision) {
-  static Rig rig = Rig::make();
-  Rng rng{static_cast<std::uint64_t>(GetParam() * 6151 + 29)};
-  const std::size_t h = 3 + static_cast<std::size_t>(GetParam() % 3);
-  std::vector<Vector> wseq;
-  for (std::size_t t = 0; t < h; ++t)
-    wseq.push_back(Vector{rng.uniform(-0.03, 0.03), rng.uniform(-0.03, 0.03)});
-  SequenceOracle oracle(wseq);
-
-  ModelBasedConfig ecfg;
-  ecfg.horizon = h;
-  ModelBasedPolicy exact(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, ecfg);
-  ModelBasedConfig mcfg = ecfg;
-  mcfg.solver = ModelBasedConfig::Solver::kBigMMip;
-  ModelBasedPolicy mip(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, mcfg);
-
-  Vector x0;
-  int guard = 0;
-  do {
-    x0 = Vector{rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8)};
-  } while (!rig.sets.x_prime.contains(x0, -1e-6) && ++guard < 1000);
-  if (guard >= 1000) GTEST_SKIP() << "could not sample X'";
-
-  exact.decide(x0, {});
-  mip.decide(x0, {});
-  ASSERT_EQ(exact.last().feasible, mip.last().feasible);
-  if (exact.last().feasible) {
-    EXPECT_NEAR(exact.last().planned_cost, mip.last().planned_cost, 1e-5);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ExactVsMip, ::testing::Range(0, 20));
 
 // One Equation-6 instance: a start state in X' and a known disturbance
 // sequence over the horizon.
@@ -288,6 +102,154 @@ std::vector<Case> all_cases(const Rig& rig) {
   for (int seed = 0; seed < 20; ++seed) cases.push_back(seeded_case(rig, seed));
   for (Case& c : trial_cases(rig)) cases.push_back(std::move(c));
   return cases;
+}
+
+// Reference for Equation 6: enumerate all 2^h skip sequences and return
+// the least energy || u - offset ||_1 of those that keep every input in U
+// and every successor in X' (+infinity when none does).
+double brute_force_cost(const Rig& rig, const Case& c, const Vector& offset) {
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t mask = 0; mask < (std::size_t{1} << c.h); ++mask) {
+    Vector x = c.x0;
+    double cost = 0.0;
+    bool ok = true;
+    for (std::size_t k = 0; k < c.h && ok; ++k) {
+      const Vector u = ((mask >> k) & 1u) ? Vector{(rig.k * x)[0]} : Vector{0.0};
+      if (!rig.sys.u_set().contains(u, 1e-9)) {
+        ok = false;
+        break;
+      }
+      x = rig.sys.step(x, u, c.wseq[k]);
+      if (!rig.sets.x_prime.contains(x, 1e-9)) ok = false;
+      cost += (u - offset).norm1();
+    }
+    if (ok) best = std::min(best, cost);
+  }
+  return best;
+}
+
+TEST(ModelBased, SkipsWhenOriginIsSelfSustaining) {
+  // At the origin with zero disturbance, skipping forever is free and
+  // feasible, so the policy must skip.
+  Rig rig = Rig::make();
+  ConstantOracle oracle(Vector{0.0, 0.0});
+  ModelBasedConfig cfg;
+  cfg.horizon = 6;
+  ModelBasedPolicy policy(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, cfg);
+  EXPECT_EQ(policy.decide(Vector{0.0, 0.0}, {}), 0);
+  EXPECT_TRUE(policy.last().feasible);
+  EXPECT_NEAR(policy.last().planned_cost, 0.0, 1e-12);
+  for (int z : policy.last().planned_z) EXPECT_EQ(z, 0);
+}
+
+TEST(ModelBased, ClockAdvancesAndResets) {
+  Rig rig = Rig::make();
+  ConstantOracle oracle(Vector{0.0, 0.0});
+  ModelBasedPolicy policy(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle);
+  policy.decide(Vector{0, 0}, {});
+  policy.decide(Vector{0, 0}, {});
+  EXPECT_EQ(policy.clock(), 2u);
+  policy.reset();
+  EXPECT_EQ(policy.clock(), 0u);
+}
+
+TEST(ModelBased, ExactMatchesBruteForce) {
+  Rig rig = Rig::make();
+  Case c;
+  c.h = 5;
+  Rng rng(7);
+  for (std::size_t t = 0; t < c.h; ++t)
+    c.wseq.push_back(Vector{rng.uniform(-0.03, 0.03), rng.uniform(-0.03, 0.03)});
+  SequenceOracle oracle(c.wseq);
+
+  ModelBasedConfig cfg;
+  cfg.horizon = c.h;
+  ModelBasedPolicy policy(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, cfg);
+
+  const auto ball = rig.sets.x_prime.chebyshev();
+  ASSERT_TRUE(ball.feasible);
+  c.x0 = ball.center + Vector{0.7, 0.2};
+  if (!rig.sets.x_prime.contains(c.x0)) GTEST_SKIP() << "probe state left X'";
+
+  policy.decide(c.x0, {});
+  ASSERT_TRUE(policy.last().feasible);
+  const double best = brute_force_cost(rig, c, Vector{0.0});
+  ASSERT_TRUE(std::isfinite(best));
+  EXPECT_NEAR(policy.last().planned_cost, best, 1e-9);
+}
+
+// The exact search against the enumeration on the 26 seeded cases: the
+// same feasibility and the same optimal cost.  With energy measured from
+// zero every case can skip for free, so each case is also solved with
+// energy measured from an offset, where neither option is free.
+TEST(ModelBased, ExactSearchMatchesBruteForceOnSeededCases) {
+  const Rig rig = Rig::make();
+  std::size_t runs_planned = 0;
+  for (const Case& c : all_cases(rig)) {
+    for (const double off : {0.0, 0.4}) {
+      SequenceOracle oracle(c.wseq);
+      ModelBasedConfig cfg;
+      cfg.horizon = c.h;
+      cfg.energy_offset = Vector{off};
+      ModelBasedPolicy policy(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, cfg);
+      policy.decide(c.x0, {});
+      const double best = brute_force_cost(rig, c, cfg.energy_offset);
+      SCOPED_TRACE(testing::Message() << "h " << c.h << " offset " << off);
+      ASSERT_EQ(policy.last().feasible, std::isfinite(best));
+      if (!policy.last().feasible) continue;
+      EXPECT_NEAR(policy.last().planned_cost, best, 1e-9);
+      for (int z : policy.last().planned_z) runs_planned += z == 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(runs_planned, 0u);
+}
+
+TEST(ModelBased, EnergyOffsetChangesOptimum) {
+  // With energy measured around -kappa's output the controller becomes the
+  // cheap option; the policy should then prefer running it.
+  Rig rig = Rig::make();
+  ConstantOracle oracle(Vector{0.0, 0.0});
+
+  // Pick a state where kappa produces a clearly nonzero input.
+  Vector x0{1.0, 0.4};
+  if (!rig.sets.x_prime.contains(x0)) {
+    const auto ball = rig.sets.x_prime.chebyshev();
+    x0 = ball.center;
+  }
+  const Vector u_kappa = rig.k * x0;
+  ASSERT_GT(u_kappa.norm1(), 1e-3);
+
+  ModelBasedConfig cfg;
+  cfg.horizon = 3;
+  cfg.energy_offset = u_kappa;  // energy = ||u - kappa(x0)||: running is free now
+  ModelBasedPolicy policy(rig.sys, rig.sets, *rig.kappa, Vector{0.0}, oracle, cfg);
+  const int z = policy.decide(x0, {});
+  EXPECT_EQ(z, 1);
+}
+
+TEST(ModelBased, InfeasibleFallsBackToRun) {
+  // Shrink X' to a sliver around the origin and probe from its edge with a
+  // large disturbance pushing out: no sequence stays inside, the policy
+  // must return 1 (run the controller; Theorem 1 handles the rest).
+  Rig rig = Rig::make();
+  SafeSets tight = rig.sets;
+  tight.x_prime = HPolytope::sym_box(Vector{1e-4, 1e-4});
+  ConstantOracle oracle(Vector{0.03, 0.03});
+  ModelBasedConfig cfg;
+  cfg.horizon = 4;
+  ModelBasedPolicy policy(rig.sys, tight, *rig.kappa, Vector{0.0}, oracle, cfg);
+  const int z = policy.decide(Vector{0.0, 0.0}, {});
+  EXPECT_EQ(z, 1);
+  EXPECT_FALSE(policy.last().feasible);
+}
+
+TEST(ModelBased, OracleHelpers) {
+  SequenceOracle seq({Vector{1.0}, Vector{2.0}});
+  EXPECT_DOUBLE_EQ(seq.at(0)[0], 1.0);
+  EXPECT_DOUBLE_EQ(seq.at(1)[0], 2.0);
+  EXPECT_DOUBLE_EQ(seq.at(99)[0], 2.0);  // repeats the last sample
+  ConstantOracle c(Vector{3.0});
+  EXPECT_DOUBLE_EQ(c.at(12345)[0], 3.0);
 }
 
 std::string hex(std::uint64_t v) {

@@ -123,20 +123,6 @@ TEST_P(MlpGradCheck, BackwardMatchesFiniteDifferences) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MlpGradCheck, ::testing::Range(0, 12));
 
-TEST(Optimizers, SgdReducesQuadraticLoss) {
-  // Fit y = 2x with a linear net (no hidden ReLU nonlinearity on output).
-  Rng rng(11);
-  Mlp net({1, 1}, rng);
-  oic::rl::Sgd opt(0.1);
-  for (int it = 0; it < 200; ++it) {
-    ForwardCache cache;
-    const Vector pred = net.forward_cached(Vector{1.0}, cache);
-    const double err = pred[0] - 2.0;
-    opt.step(net, net.backward(cache, Vector{err}));
-  }
-  EXPECT_NEAR(net.forward(Vector{1.0})[0], 2.0, 1e-3);
-}
-
 TEST(Optimizers, AdamFitsSmallRegression) {
   // Fit y = sin-ish table with a small net; the loss must fall
   // substantially from its initial value.

@@ -89,21 +89,6 @@ TEST(StopAndGoProfile, OscillatesBetweenLevels) {
   EXPECT_TRUE(saw_high);
 }
 
-TEST(PiecewiseConstantProfile, FollowsScriptAndRepeats) {
-  oic::sim::PiecewiseConstantProfile prof({{2, 35.0}, {3, 45.0}});
-  prof.reset(Rng(1));
-  const double expect[] = {35, 35, 45, 45, 45, 35, 35, 45};
-  for (double e : expect) EXPECT_DOUBLE_EQ(prof.next(), e);
-  EXPECT_DOUBLE_EQ(prof.v_min(), 35.0);
-  EXPECT_DOUBLE_EQ(prof.v_max(), 45.0);
-}
-
-TEST(ConstantProfile, AlwaysSameValue) {
-  oic::sim::ConstantProfile prof(42.0);
-  prof.reset(Rng(0));
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(prof.next(), 42.0);
-}
-
 TEST(Profiles, CloneIsIndependent) {
   oic::sim::BoundedAccelProfile prof(30, 50, 20, 0.1);
   prof.reset(Rng(5));
