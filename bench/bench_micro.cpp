@@ -364,6 +364,10 @@ void BM_TubeMpcWarmSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_TubeMpcWarmSolve);
 
+// A restart memo miss: the restart state cycles through the 100 distinct
+// states, and the per-thread memo keeps only the last two restarts, so
+// every iteration copies the seed, runs the dual continuation and then
+// stores its result as a memo entry (a second copy of the block).
 void BM_TubeMpcSeedRestart(benchmark::State& state) {
   const AccMpcRun& run = AccMpcRun::get();
   control::TubeMpc mpc = run.plant->rmpc();
@@ -374,15 +378,37 @@ void BM_TubeMpcSeedRestart(benchmark::State& state) {
     benchmark::DoNotOptimize(mpc.control(run.states[t]));
     t = (t + 1) % AccMpcRun::kSolves;
   }
-  state.SetLabel("acc, seed restart per solve");
+  state.SetLabel("acc, seed restart per solve (memo miss)");
 }
 BENCHMARK(BM_TubeMpcSeedRestart);
 
-// One campaign episode's share of kappa: a seed restart followed by warm
+// A restart memo hit: two copies of the controller (one restart family)
+// restart in turn at one state, as a campaign case's engines do at the
+// case's x0, so every restart after the first copies the memoized
+// continuation instead of pivoting from the seed.
+void BM_TubeMpcRestartHit(benchmark::State& state) {
+  const AccMpcRun& run = AccMpcRun::get();
+  std::vector<control::TubeMpc> copies(2, run.plant->rmpc());
+  for (control::TubeMpc& mpc : copies) {
+    benchmark::DoNotOptimize(mpc.control(run.states[0]));  // builds the seed
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    control::TubeMpc& mpc = copies[k];
+    mpc.reset_solver();
+    benchmark::DoNotOptimize(mpc.control(run.states[0]));
+    k ^= 1;
+  }
+  state.SetLabel("acc, 2 copies restart at one state (memo hit)");
+}
+BENCHMARK(BM_TubeMpcRestartHit);
+
+// One campaign episode's share of kappa: a restart followed by warm
 // re-solves of the whole 100-state sequence.  The two cases above repeat
 // one kind of solve on a cache the previous iteration left warm; this one
 // runs the restart-then-warm mix an episode pays, so the warm pivots start
-// on the freshly copied seed tableau.
+// on a freshly copied tableau.  Every iteration restarts at states[0], so
+// after the first one the restart is a memo hit.
 void BM_TubeMpcEpisode(benchmark::State& state) {
   const AccMpcRun& run = AccMpcRun::get();
   control::TubeMpc mpc = run.plant->rmpc();
@@ -391,15 +417,17 @@ void BM_TubeMpcEpisode(benchmark::State& state) {
     mpc.reset_solver();
     for (const Vector& x : run.states) benchmark::DoNotOptimize(mpc.control(x));
   }
-  state.SetLabel("acc, seed restart + 100 solves");
+  state.SetLabel("acc, restart (memo hit) + 100 solves");
 }
 BENCHMARK(BM_TubeMpcEpisode);
 
 // The same episode on five controller copies in turn, as an mc campaign's
 // per-plant engines run it (the always-run baseline plus four policies,
-// each with its own TubeMpc): every copy pays its seed restart and warm
-// re-solves on a cache the other four have just used.  BM_TubeMpcEpisode
-// keeps one copy hot and hides that footprint effect.
+// each with its own TubeMpc): every copy restarts at the case's x0 and
+// pays its warm re-solves on a cache the other four have just used.  The
+// copies share one restart family, so only the first restart of the run
+// pivots from the seed; every later one is a memo hit.
+// BM_TubeMpcEpisode keeps one copy hot and hides that footprint effect.
 void BM_TubeMpcEpisodeFiveCopies(benchmark::State& state) {
   const AccMpcRun& run = AccMpcRun::get();
   std::vector<control::TubeMpc> copies(5, run.plant->rmpc());
@@ -412,7 +440,7 @@ void BM_TubeMpcEpisodeFiveCopies(benchmark::State& state) {
       for (const Vector& x : run.states) benchmark::DoNotOptimize(mpc.control(x));
     }
   }
-  state.SetLabel("acc, 5 copies x (seed restart + 100 solves)");
+  state.SetLabel("acc, 5 copies x (restart (memo hit) + 100 solves)");
 }
 BENCHMARK(BM_TubeMpcEpisodeFiveCopies);
 

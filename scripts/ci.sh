@@ -19,8 +19,8 @@
 #                config Sanitize this runs the AVX2 TU under ASan/UBSan;
 #                config Tsan instead builds and runs only the threaded
 #                suites (engine, mc, train, serve, serve_socket,
-#                mc_splitting) under ThreadSanitizer, halting on the first
-#                report
+#                mc_splitting, tube_mpc) under ThreadSanitizer, halting on
+#                the first report
 #   perf guard   scripts/perf_pairs.py --pairs 10 on the campaign, lossy
 #                and train perfbench workloads against the merge-base with
 #                origin/main (HEAD^ when HEAD is on it): fails on a run
@@ -134,7 +134,7 @@ case "${compiler}" in
 esac
 
 tsan_suites=(test_engine test_mc test_train test_serve test_serve_socket
-             test_mc_splitting)
+             test_mc_splitting test_tube_mpc)
 extra_cmake=()
 case "${config}" in
   Release) cmake_type=Release; sanitize=OFF ;;

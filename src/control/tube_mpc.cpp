@@ -1,5 +1,7 @@
 #include "control/tube_mpc.hpp"
 
+#include <atomic>
+
 #include "common/error.hpp"
 #include "control/reach.hpp"
 #include "lp/simplex.hpp"
@@ -11,8 +13,21 @@ using linalg::Matrix;
 using linalg::Vector;
 using poly::HPolytope;
 
+namespace {
+
+/// Source of TubeMpc restart families; 0 is never drawn (no family).
+std::uint64_t next_lp_family() {
+  static std::atomic<std::uint64_t> counter{0};
+  return ++counter;
+}
+
+}  // namespace
+
 TubeMpc::TubeMpc(AffineLTI sys, Matrix k_local, RmpcConfig config)
-    : sys_(std::move(sys)), k_local_(std::move(k_local)), config_(config) {
+    : sys_(std::move(sys)),
+      k_local_(std::move(k_local)),
+      config_(config),
+      lp_family_(next_lp_family()) {
   OIC_REQUIRE(config_.horizon >= 1, "TubeMpc: horizon must be at least 1");
   OIC_REQUIRE(k_local_.rows() == sys_.nu() && k_local_.cols() == sys_.nx(),
               "TubeMpc: local gain shape mismatch");
@@ -77,7 +92,8 @@ TubeMpc::TubeMpc(AffineLTI sys, Matrix k_local, RmpcConfig config,
       k_local_(std::move(k_local)),
       config_(config),
       tightened_(std::move(tightened)),
-      terminal_(std::move(terminal)) {
+      terminal_(std::move(terminal)),
+      lp_family_(next_lp_family()) {
   OIC_REQUIRE(config_.horizon >= 1, "TubeMpc: horizon must be at least 1");
   OIC_REQUIRE(k_local_.rows() == sys_.nu() && k_local_.cols() == sys_.nx(),
               "TubeMpc: local gain shape mismatch");
@@ -97,7 +113,8 @@ TubeMpc::TubeMpc(const TubeMpc& other)
       config_(other.config_),
       tightened_(other.tightened_),
       terminal_(other.terminal_),
-      last_(other.last_) {
+      last_(other.last_),
+      lp_family_(other.lp_family_) {
   // prepared_/ws_ are per-instance solver state; rebuilt lazily.
 }
 
@@ -110,6 +127,7 @@ TubeMpc& TubeMpc::operator=(const TubeMpc& other) {
   tightened_ = other.tightened_;
   terminal_ = other.terminal_;
   last_ = other.last_;
+  lp_family_ = other.lp_family_;
   prepared_.reset();
   ws_ = lp::SolverWorkspace{};
   warm_ = lp::PreparedProblem::WarmState{};
@@ -253,11 +271,12 @@ Vector TubeMpc::control(const Vector& x) {
     // lets set_hot_rows capture one canonical warm-start seed shared by
     // every copy of this controller -- which keeps parallel-worker
     // episode schedules bit-identical to serial (see lp/prepared.hpp).
+    // The family lets every copy's restarts share one per-thread memo.
     const lp::Problem p = build_lp(Vector(sys_.nx()), /*with_objective=*/true, layout);
     prepared_ = std::make_unique<lp::PreparedProblem>(p);
     std::vector<std::size_t> x0_rows(sys_.nx());
     for (std::size_t i = 0; i < sys_.nx(); ++i) x0_rows[i] = i;
-    prepared_->set_hot_rows(x0_rows);
+    prepared_->set_hot_rows(x0_rows, lp_family_);
   }
   for (std::size_t i = 0; i < sys_.nx(); ++i) prepared_->set_rhs(i, x[i]);
   const lp::Result r = prepared_->solve_warm(ws_, warm_);

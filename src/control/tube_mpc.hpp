@@ -16,6 +16,7 @@
 /// the local feedback u = K x inside the most-tightened constraints, which
 /// provides the stability property Prop. 1 relies on.
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -70,7 +71,8 @@ class TubeMpc : public Controller {
   /// Copyable: each copy gets independent solver state (cached LP, solve
   /// diagnostics), which is what lets evaluation workers run concurrently
   /// on private controller instances without re-deriving the tightened and
-  /// terminal sets.
+  /// terminal sets.  A copy keeps its source's restart family, so copies
+  /// on one thread share memoized seed restarts (lp/prepared.hpp).
   TubeMpc(const TubeMpc& other);
   TubeMpc& operator=(const TubeMpc& other);
 
@@ -125,6 +127,10 @@ class TubeMpc : public Controller {
   std::vector<poly::HPolytope> tightened_;  // X(0) ... X(N)
   poly::HPolytope terminal_;
   MpcSolveInfo last_;
+  /// Restart family of this controller's LP (PreparedProblem::set_hot_rows):
+  /// drawn once by each building constructor, inherited by copies, which
+  /// build the identical LP.
+  std::uint64_t lp_family_ = 0;
   /// Prepared Equation-(5) LP (built lazily on the first control() call):
   /// only the first nx right-hand sides depend on the query state, so each
   /// step is a rhs patch + workspace solve.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
@@ -42,6 +44,60 @@ Relation effective_relation(Relation rel, bool flipped) {
 
 constexpr std::uint32_t kImplicit = SolverWorkspace::kImplicit;
 constexpr std::uint32_t kDead = SolverWorkspace::kDead;
+
+bool same_options(const SimplexOptions& a, const SimplexOptions& b) {
+  return a.max_iterations == b.max_iterations && a.cost_tol == b.cost_tol &&
+         a.pivot_tol == b.pivot_tol && a.feas_tol == b.feas_tol &&
+         a.stall_limit == b.stall_limit;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+/// Copy the condensed tableau a warm continuation resumes from: the
+/// block, the slot list, the column map, rhs, z and the basis.
+void copy_tableau(SolverWorkspace& to, const SolverWorkspace& from) {
+  to.blk = from.blk;
+  to.listed = from.listed;
+  to.where = from.where;
+  to.rhs_neg_zero = from.rhs_neg_zero;
+  to.rhs = from.rhs;
+  to.z = from.z;
+  to.basis = from.basis;
+}
+
+/// One memoized seed restart: the key it answers for and what the dual
+/// continuation left -- the condensed workspace (blk, listed, where, rhs,
+/// z, basis, rhs_neg_zero) and the warm snapshot b/flip.
+struct RestartMemoEntry {
+  std::uint64_t family = 0;  ///< 0: empty
+  std::size_t objective_revision = 0;
+  SimplexOptions options;
+  const linalg::detail::KernelTable* kernels = nullptr;
+  std::vector<std::uint64_t> hot_rhs;  ///< each hot row's rhs bits
+  std::vector<unsigned char> hot_flip;  ///< each hot row's orientation
+  SolverWorkspace ws;
+  std::vector<double> b;
+  std::vector<unsigned char> flip;
+};
+
+/// Per-thread, so it needs no lock and cannot couple two workers.
+struct RestartMemo {
+  RestartMemoEntry entry[2];  ///< [0] the most recently used
+  RestartMemoStats stats;
+};
+/// Allocated on a thread's first memoized restart, so threads that never
+/// restart a family-tagged problem (serve's connection threads) carry only
+/// the pointer.
+thread_local std::unique_ptr<RestartMemo> t_memo;
+
+RestartMemo& thread_memo() {
+  if (!t_memo) t_memo = std::make_unique<RestartMemo>();
+  return *t_memo;
+}
 
 /// Pack row `row` of the explicit columns: positions into ws.listed
 /// (ascending columns) and values, nonzeros only.  Implicit columns hold
@@ -514,7 +570,8 @@ void PreparedProblem::set_objective(const linalg::Vector& c) {
   }
 }
 
-void PreparedProblem::set_hot_rows(const std::vector<std::size_t>& rows) {
+void PreparedProblem::set_hot_rows(const std::vector<std::size_t>& rows,
+                                   std::uint64_t family) {
   for (std::size_t r : rows) {
     OIC_REQUIRE(r < m_, "PreparedProblem::set_hot_rows: row index out of range");
   }
@@ -543,6 +600,7 @@ void PreparedProblem::set_hot_rows(const std::vector<std::size_t>& rows) {
   seed_flip_.resize(m_);
   for (std::size_t i = 0; i < m_; ++i) seed_flip_[i] = rows_[i].flipped ? 1 : 0;
   seed_obj_revision_ = objective_revision_;
+  family_ = family;
   seed_captured_ = true;
   seed_built_ = false;
   seed_ok_ = false;
@@ -747,7 +805,73 @@ Result PreparedProblem::extract(SolverWorkspace& ws) const {
 
 void PreparedProblem::build_seed(const SimplexOptions& opt) const {
   seed_built_ = true;  // one attempt; failures fall back to two-phase colds
+  seed_opt_ = opt;
+  seed_kernels_ = &linalg::detail::table();
   seed_ok_ = run_phases(seed_, opt, /*anchor=*/true).status == Status::kOptimal;
+}
+
+bool PreparedProblem::memo_usable(const SimplexOptions& opt) const {
+  return family_ != 0 && same_options(seed_opt_, opt) &&
+         seed_kernels_ == &linalg::detail::table();
+}
+
+bool PreparedProblem::memo_load(SolverWorkspace& ws, WarmState& warm,
+                                const SimplexOptions& opt) const {
+  // The key is exact: within a family the seed is fixed, and the
+  // continuation from it reads nothing else but the hot rows' rhs and
+  // orientation, the options and the kernels.
+  RestartMemo& memo = thread_memo();
+  const linalg::detail::KernelTable* kernels = &linalg::detail::table();
+  const auto matches = [&](const RestartMemoEntry& e) {
+    if (e.family != family_ || e.objective_revision != objective_revision_ ||
+        e.kernels != kernels || !same_options(e.options, opt)) {
+      return false;
+    }
+    for (std::size_t k = 0; k < hot_rows_.size(); ++k) {
+      const std::size_t r = hot_rows_[k];
+      const unsigned char flip = rows_[r].flipped ? 1 : 0;
+      if (e.hot_rhs[k] != bits_of(rhs_[r]) || e.hot_flip[k] != flip) return false;
+    }
+    return true;
+  };
+  std::size_t at = 0;
+  while (at < 2 && !matches(memo.entry[at])) ++at;
+  if (at == 2) {
+    ++memo.stats.misses;
+    return false;
+  }
+  ++memo.stats.hits;
+  if (at == 1) std::swap(memo.entry[0], memo.entry[1]);
+  const RestartMemoEntry& e = memo.entry[0];
+  copy_tableau(ws, e.ws);
+  warm.b = e.b;
+  warm.flip = e.flip;
+  return true;
+}
+
+void PreparedProblem::memo_store(const SolverWorkspace& ws, const WarmState& warm,
+                                 const SimplexOptions& opt) const {
+  RestartMemo& memo = thread_memo();
+  RestartMemoEntry& e = memo.entry[1];  // the older entry is evicted
+  e.family = 0;  // matches nothing until it is whole
+  e.objective_revision = objective_revision_;
+  e.options = opt;
+  e.kernels = &linalg::detail::table();
+  e.hot_rhs.clear();
+  e.hot_flip.clear();
+  for (const std::size_t r : hot_rows_) {
+    e.hot_rhs.push_back(bits_of(rhs_[r]));
+    e.hot_flip.push_back(rows_[r].flipped ? 1 : 0);
+  }
+  copy_tableau(e.ws, ws);
+  e.b = warm.b;
+  e.flip = warm.flip;
+  e.family = family_;
+  std::swap(memo.entry[0], memo.entry[1]);
+}
+
+RestartMemoStats restart_memo_stats() {
+  return t_memo ? t_memo->stats : RestartMemoStats{};
 }
 
 Result PreparedProblem::solve_warm(SolverWorkspace& ws, WarmState& warm,
@@ -772,6 +896,8 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   // Cold path: re-anchor on the canonical seed when one was captured
   // (set_hot_rows), otherwise run both phases; either way snapshot the
   // optimum so the next call can continue from it.
+  bool hit = false;    // the restart came out of the memo, already continued
+  bool store = false;  // memoize the restart once its continuation succeeds
   if (!warm.valid) {
     Result cold;
     const bool seed_usable =
@@ -783,16 +909,16 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       // snapshot, then fall through to the ordinary rhs-update + dual
       // continuation, which patches it to the CURRENT rhs.  The restart
       // point depends only on the problem structure, never on solve
-      // history -- every copy of the problem lands on the same tableau.
-      ws.blk = seed_.blk;
-      ws.listed = seed_.listed;
-      ws.where = seed_.where;
-      ws.rhs_neg_zero = seed_.rhs_neg_zero;
-      ws.rhs = seed_.rhs;
-      ws.z = seed_.z;
-      ws.basis = seed_.basis;
-      warm.b = seed_b_;
-      warm.flip = seed_flip_;
+      // history -- every copy of the problem lands on the same tableau,
+      // which is also why a memoized continuation of it can stand in.
+      const bool memo = memo_usable(opt);
+      hit = memo && memo_load(ws, warm, opt);
+      store = memo && !hit;
+      if (!hit) {
+        copy_tableau(ws, seed_);
+        warm.b = seed_b_;
+        warm.flip = seed_flip_;
+      }
     } else {
       cold = solve_cold(ws, opt, /*anchor=*/true);
       if (cold.status != Status::kOptimal) return cold;
@@ -811,6 +937,27 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
     if (!from_seed) return cold;
   }
 
+  if (!hit) {
+    if (!continue_dual(ws, warm, opt)) {
+      // No entering column (the patched LP looks primal infeasible, at a
+      // much tighter tolerance than phase 1's feas_tol) or a stalled dual
+      // iteration: confirm or redo through the two-phase path.
+      // allow_seed=false keeps the retry off the seed, which could stall
+      // again.
+      warm.valid = false;
+      return solve_warm_inner(ws, warm, opt, /*allow_seed=*/false);
+    }
+    // Only a restart whose continuation reached optimality is memoized.
+    if (store) memo_store(ws, warm, opt);
+  }
+  // Scheduled refactorization: bound accumulated round-off in the carried
+  // tableau by forcing the next call through the cold path.
+  if (++warm.solves_since_cold >= kRefactorEvery) warm.valid = false;
+  return extract(ws);
+}
+
+bool PreparedProblem::continue_dual(SolverWorkspace& ws, WarmState& warm,
+                                    const SimplexOptions& opt) const {
   const linalg::detail::KernelTable& kt = linalg::detail::table();
   double* const blk = ws.blk.data();
   double* const rhs = ws.rhs.data();
@@ -863,17 +1010,13 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   std::uint32_t* nzk = ws.nz.data();
   double* nzv = ws.nzv.data();
   std::vector<SolverWorkspace::Slot>& listed = ws.listed;
-  bool ok = false;
   for (std::size_t iter = 0; iter <= max_dual_iters; ++iter) {
     // Leaving row: most negative basic value (argmin kernel == the
     // sequential scan seeded at -1e-9).
     const std::ptrdiff_t lv = kt.lp_argmin(rhs, m_, -1e-9);
-    if (lv < 0) {
-      ok = true;
-      break;
-    }
+    if (lv < 0) return true;
     const std::size_t leave = static_cast<std::size_t>(lv);
-    if (iter == max_dual_iters) break;  // stalled; fall back to a cold solve
+    if (iter == max_dual_iters) break;  // stalled (degenerate cycling)
 
     // Pack the leaving row's nonzeros once, as positions into `listed`
     // (ascending columns).  Dead columns have no slot (docs/perf.md, "The
@@ -896,27 +1039,10 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
         }
       }
     }
-    if (pick == nnz) {
-      // No entering column: the carried tableau says the patched LP is
-      // primal infeasible.  The dual test triggers at a much tighter
-      // tolerance than phase 1's feas_tol, so confirm through a two-phase
-      // solve (allow_seed=false keeps the retry from looping on the seed).
-      warm.valid = false;
-      return solve_warm_inner(ws, warm, opt, /*allow_seed=*/false);
-    }
+    if (pick == nnz) return false;  // the carried tableau says infeasible
     pivot(ws, m_, leave, nnz, pick);
   }
-
-  if (!ok) {
-    // Dual iteration stalled (degenerate cycling); redo a cold solve
-    // through the two-phase path (not the seed, which could stall again).
-    warm.valid = false;
-    return solve_warm_inner(ws, warm, opt, /*allow_seed=*/false);
-  }
-  // Scheduled refactorization: bound accumulated round-off in the carried
-  // tableau by forcing the next call through the cold path.
-  if (++warm.solves_since_cold >= kRefactorEvery) warm.valid = false;
-  return extract(ws);
+  return false;
 }
 
 }  // namespace oic::lp

@@ -36,7 +36,10 @@
 /// and continues from the canonical optimum with a few dual pivots instead
 /// of re-running both phases -- and narrows the warm pivots to the *live*
 /// columns: those that may enter plus the B^-1 unit columns of the hot
-/// rows.  See docs/perf.md.
+/// rows.  A restart of a problem tagged with a restart family (see
+/// set_hot_rows) is also memoized per thread: the last two restarts of
+/// a thread are kept, and one at the same key reuses the continued
+/// tableau instead of re-pivoting it.  See docs/perf.md.
 ///
 /// This is the engine behind poly::SupportSolver (repeated support queries
 /// on one polytope) and the TubeMpc per-step solve (only the x(0) = x0
@@ -49,6 +52,10 @@
 #include "linalg/vector.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
+
+namespace oic::linalg::detail {
+struct KernelTable;
+}  // namespace oic::linalg::detail
 
 namespace oic::lp {
 
@@ -135,7 +142,20 @@ class PreparedProblem {
   /// copy of the controller shares one canonical restart point).  A later
   /// set_objective disables the seed (restarts fall back to the two-phase
   /// path).
-  void set_hot_rows(const std::vector<std::size_t>& rows);
+  ///
+  /// A nonzero `family` names an exact restart family: the caller
+  /// promises that every PreparedProblem it tags with that value was built
+  /// from the same Problem and dynamic rows, and got the same hot rows
+  /// and the same rhs patches before this call, so all of them capture
+  /// the same seed.  Seed restarts of such a problem go through a
+  /// per-thread memo of the last two restarts.  A restart whose key -- the
+  /// family, the hot rows' rhs bits and orientation, the solve options,
+  /// the objective revision and the active kernel tier -- matches an
+  /// entry copies the continued tableau from it instead of re-running the
+  /// dual continuation from the seed.  Only continuations that reach
+  /// optimality are stored, so a hit yields exactly the tableau a fresh
+  /// restart computes.  Family 0 (the default) never touches the memo.
+  void set_hot_rows(const std::vector<std::size_t>& rows, std::uint64_t family = 0);
 
   /// Solve with the current objective/rhs.  Identical semantics to
   /// lp::solve() of the equivalent Problem.
@@ -274,6 +294,12 @@ class PreparedProblem {
   mutable SolverWorkspace seed_;
   std::vector<double> seed_b_;
   std::vector<unsigned char> seed_flip_;
+  /// Exact restart family (set_hot_rows); 0 keeps the memo out.
+  std::uint64_t family_ = 0;
+  /// What build_seed ran under: a memo key is exact only for restarts
+  /// whose seed was built under the options and kernels they run.
+  mutable SimplexOptions seed_opt_;
+  mutable const linalg::detail::KernelTable* seed_kernels_ = nullptr;
 
   /// Load the template into `ws` and run both phases; see run_phases.
   Result solve_cold(SolverWorkspace& ws, const SimplexOptions& options,
@@ -288,8 +314,34 @@ class PreparedProblem {
   Result extract(SolverWorkspace& ws) const;
   Result solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
                           const SimplexOptions& options, bool allow_seed) const;
+  /// Patch the carried tableau to the current hot-row rhs and restore
+  /// primal feasibility with dual pivots.  False when the continuation
+  /// finds no entering column or stalls (the caller retries two-phase).
+  bool continue_dual(SolverWorkspace& ws, WarmState& warm,
+                     const SimplexOptions& options) const;
   void build_seed(const SimplexOptions& options) const;
   void update_dead_cols();
+
+  // ---- per-thread restart memo (set_hot_rows' family) ----
+  /// True when this restart may use the memo: the problem has a family
+  /// and its seed was built under these options and the active kernels.
+  bool memo_usable(const SimplexOptions& options) const;
+  /// On a key match, load the entry into `ws`/`warm` and return true.
+  bool memo_load(SolverWorkspace& ws, WarmState& warm,
+                 const SimplexOptions& options) const;
+  /// Store the optimum a seed restart just reached, evicting the older.
+  void memo_store(const SolverWorkspace& ws, const WarmState& warm,
+                  const SimplexOptions& options) const;
 };
+
+/// Seed restarts on the calling thread, since it started, that consulted
+/// the restart memo (set_hot_rows' family): `hits` reused an entry,
+/// `misses` ran the dual continuation from the seed.  Read-only; the memo
+/// itself has no switch.
+struct RestartMemoStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+RestartMemoStats restart_memo_stats();
 
 }  // namespace oic::lp

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -12,6 +15,7 @@
 #include "control/lqr.hpp"
 #include "control/tube_mpc.hpp"
 #include "eval/registry.hpp"
+#include "lp/prepared.hpp"
 
 namespace {
 
@@ -337,6 +341,178 @@ TEST(TubeMpcProductionLp, Toy2dInfeasibleStreamPinned) {
 TEST(TubeMpcProductionLp, EveryProductionPlantIsPinned) {
   const std::vector<std::string> pinned = {"acc", "lane-keep", "quad-alt", "toy2d"};
   EXPECT_EQ(oic::eval::ScenarioRegistry::builtin().production_plant_ids(), pinned);
+}
+
+// ---- The per-thread seed-restart memo ----
+// Copies of one TubeMpc share a restart family, so a copy restarting at a
+// state another copy on the same thread restarted at reuses the continued
+// tableau (lp/prepared.hpp).  Every case runs on its own std::thread, so
+// it starts from an empty memo and zero counts, and compares against
+// references computed on further fresh threads.
+
+using Bits = std::vector<std::uint64_t>;
+using oic::lp::RestartMemoStats;
+using oic::lp::restart_memo_stats;
+
+void append_bits(Bits& out, double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  out.push_back(u);
+}
+
+/// The bits of every returned u and optimal cost, one solve per state.
+Bits solve_bits(TubeMpc& mpc, const std::vector<Vector>& states) {
+  Bits out;
+  for (const Vector& x : states) {
+    const Vector u = mpc.control(x);
+    for (std::size_t j = 0; j < u.size(); ++j) append_bits(out, u[j]);
+    append_bits(out, mpc.last_solve().cost);
+  }
+  return out;
+}
+
+template <class F>
+auto on_fresh_thread(F f) {
+  decltype(f()) out{};
+  std::thread t([&] { out = f(); });
+  t.join();
+  return out;
+}
+
+/// A fresh copy of `source` solving `states` alone on a fresh thread.
+Bits fresh_reference(const TubeMpc& source, const std::vector<Vector>& states) {
+  return on_fresh_thread([&] {
+    TubeMpc mpc = source;
+    return solve_bits(mpc, states);
+  });
+}
+
+TEST(TubeMpcRestartMemo, CopyHitsAndMatchesAFreshThread) {
+  const auto plant = oic::eval::ScenarioRegistry::builtin().make_plant("acc");
+  oic::Rng rng(0x6d656d6full);
+  const auto& x_prime = plant->sets().x_prime;
+  const auto box = x_prime.bounding_box();
+  std::vector<Vector> states;
+  for (int i = 0; i < 101; ++i) {
+    states.push_back(oic::eval::sample_from_set(x_prime, box, rng, "restart_memo"));
+  }
+  const TubeMpc& source = plant->rmpc();
+  // Copy A restarts at x0, then copy B restarts there and solves the rest.
+  const auto [bits, stats] = on_fresh_thread([&] {
+    TubeMpc a = source;
+    a.control(states[0]);
+    TubeMpc b = source;
+    Bits out = solve_bits(b, states);
+    return std::make_pair(out, restart_memo_stats());
+  });
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_TRUE(bits == fresh_reference(source, states))
+      << "a memo hit changed the solve stream";
+}
+
+TEST(TubeMpcRestartMemo, FamiliesDoNotShareEntries) {
+  const auto& registry = oic::eval::ScenarioRegistry::builtin();
+  const auto acc = registry.make_plant("acc");
+  const auto toy = registry.make_plant("toy2d");
+  // One x0 both plants can solve, then a few warm solves each.
+  const Vector x0{0.5, 0.25};
+  ASSERT_TRUE(acc->rmpc().feasible(x0));
+  ASSERT_TRUE(toy->rmpc().feasible(x0));
+  const std::vector<Vector> states = {x0, Vector{0.4, 0.2}, Vector{0.3, 0.1}};
+
+  struct Run {
+    Bits acc, toy, acc_again, toy_again;
+    RestartMemoStats first, second;
+  };
+  const Run run = on_fresh_thread([&] {
+    Run r;
+    TubeMpc a = acc->rmpc();
+    TubeMpc t = toy->rmpc();
+    r.acc = solve_bits(a, states);
+    r.toy = solve_bits(t, states);
+    r.first = restart_memo_stats();
+    // A second round: each copy hits its own family's entry; the memo
+    // holds the last two restarts.
+    a.reset_solver();
+    t.reset_solver();
+    r.acc_again = solve_bits(a, states);
+    r.toy_again = solve_bits(t, states);
+    r.second = restart_memo_stats();
+    return r;
+  });
+  EXPECT_EQ(run.first.hits, 0u) << "a restart reused another family's tableau";
+  EXPECT_EQ(run.first.misses, 2u);
+  EXPECT_EQ(run.second.hits, 2u);
+  EXPECT_EQ(run.second.misses, 2u);
+  const Bits acc_ref = fresh_reference(acc->rmpc(), states);
+  const Bits toy_ref = fresh_reference(toy->rmpc(), states);
+  EXPECT_TRUE(run.acc == acc_ref);
+  EXPECT_TRUE(run.toy == toy_ref);
+  EXPECT_TRUE(run.acc_again == acc_ref);
+  EXPECT_TRUE(run.toy_again == toy_ref);
+}
+
+TEST(TubeMpcRestartMemo, FallbackRestartsAreNeverStored) {
+  const auto plant = oic::eval::ScenarioRegistry::builtin().make_plant("acc");
+  const TubeMpc& source = plant->rmpc();
+  // A state of X outside the MPC's feasible region: the continuation from
+  // the seed finds no entering column and falls back to the two-phase path.
+  oic::Rng rng(0x66616c6cull);
+  const auto box = plant->sets().x.bounding_box();
+  Vector bad;
+  for (int i = 0; i < 1000 && bad.size() == 0; ++i) {
+    const Vector x =
+        oic::eval::sample_from_set(plant->sets().x, box, rng, "memo_fallback");
+    if (!source.feasible(x)) bad = x;
+  }
+  ASSERT_EQ(bad.size(), 2u);
+  const auto [thrown, stats] = on_fresh_thread([&] {
+    std::size_t n = 0;
+    for (int copy = 0; copy < 2; ++copy) {
+      TubeMpc mpc = source;
+      try {
+        mpc.control(bad);
+      } catch (const oic::NumericalError&) {
+        ++n;
+      }
+    }
+    return std::make_pair(n, restart_memo_stats());
+  });
+  EXPECT_EQ(thrown, 2u) << "both restarts must stay infeasible";
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+}
+
+TEST(TubeMpcRestartMemo, SignedZerosAreDifferentKeys) {
+  const auto plant = oic::eval::ScenarioRegistry::builtin().make_plant("toy2d");
+  const TubeMpc& source = plant->rmpc();
+  const std::vector<Vector> pos = {Vector{0.5, 0.0}};
+  const std::vector<Vector> neg = {Vector{0.5, -0.0}};
+  ASSERT_TRUE(source.feasible(pos[0]));
+  struct Run {
+    Bits pos, neg, pos_again;
+    RestartMemoStats after_neg, after_pos;
+  };
+  const Run run = on_fresh_thread([&] {
+    Run r;
+    TubeMpc a = source;
+    TubeMpc b = source;
+    TubeMpc c = source;
+    r.pos = solve_bits(a, pos);
+    r.neg = solve_bits(b, neg);
+    r.after_neg = restart_memo_stats();
+    r.pos_again = solve_bits(c, pos);
+    r.after_pos = restart_memo_stats();
+    return r;
+  });
+  EXPECT_EQ(run.after_neg.hits, 0u) << "-0.0 reused the +0.0 entry";
+  EXPECT_EQ(run.after_neg.misses, 2u);
+  EXPECT_EQ(run.after_pos.hits, 1u);
+  const Bits pos_ref = fresh_reference(source, pos);
+  EXPECT_TRUE(run.pos == pos_ref);
+  EXPECT_TRUE(run.neg == fresh_reference(source, neg));
+  EXPECT_TRUE(run.pos_again == pos_ref);
 }
 
 }  // namespace
